@@ -106,28 +106,8 @@ __all__ = [
 ]
 
 
-def _resilience(resilience: Optional[ResilienceConfig],
-                faults: Optional[FaultPlan | str],
-                retry_policy: Optional[RetryPolicy],
-                breaker_policy: Optional[BreakerPolicy],
-                fail_fast: bool) -> Optional[ResilienceConfig]:
-    """Fold the flat resilience knobs into one config (None = disabled)."""
-    if resilience is not None:
-        return resilience
-    if faults is None and retry_policy is None and breaker_policy is None \
-            and not fail_fast:
-        return None
-    return ResilienceConfig(
-        faults=faults,
-        retry=retry_policy if retry_policy is not None else RetryPolicy(),
-        breaker=(breaker_policy if breaker_policy is not None
-                 else BreakerPolicy()),
-        fail_fast=fail_fast)
-
-
 def _pipeline(*, seed: int, workers: int, backend: str,
-              shards: Optional[int], signal_cache_size: Optional[int],
-              cache_dir: Optional[Path | str],
+              shards: Optional[int], cache_dir: Optional[Path | str],
               scenario_config: Optional[ScenarioConfig],
               platform_config: Optional[PlatformConfig],
               curation_config: Optional[CurationConfig],
@@ -149,8 +129,7 @@ def _pipeline(*, seed: int, workers: int, backend: str,
         study_period=study_period,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         executor=ExecutorConfig(
-            workers=workers, backend=backend, n_shards=shards,
-            signal_cache_size=signal_cache_size),
+            workers=workers, backend=backend, n_shards=shards),
         observability=observability,
         resilience=resilience,
         profile=profile,
@@ -290,7 +269,6 @@ class RunResult:
 
 def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
         shards: Optional[int] = None,
-        signal_cache_size: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         scenario_config: Optional[ScenarioConfig] = None,
         platform_config: Optional[PlatformConfig] = None,
@@ -301,10 +279,6 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
         observability: Optional[Observability] = None,
         journal: Optional[RunJournal | str | Path] = None,
         resilience: Optional[ResilienceConfig] = None,
-        faults: Optional[FaultPlan | str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[BreakerPolicy] = None,
-        fail_fast: bool = False,
         profile: Optional[ProfileConfig | bool] = None,
         health_policy: Optional[HealthPolicy] = None,
         telemetry: Optional[TelemetryConfig | str | float] = None,
@@ -327,12 +301,9 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
     worker count); ``cache_dir`` enables the content-addressed stage
     cache so warm re-runs skip straight to the merge.  ``seed`` is
     shorthand for ``scenario_config=ScenarioConfig(seed=...)`` and is
-    ignored when an explicit ``scenario_config`` is given.
-    ``signal_cache_size`` bounds the platform's memoized-signal LRU
-    (None = default, 0 = off for A/B runs); cached and uncached runs
-    are byte-identical, and the process backend additionally keeps the
-    generated world resident per worker so each process builds it once
-    per run.
+    ignored when an explicit ``scenario_config`` is given.  The
+    process backend keeps the generated world resident per worker, so
+    each process builds it once per run.
 
     ``journal`` is shorthand for
     ``observability=Observability(journal=...)``: pass a path (or
@@ -345,14 +316,14 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
     payload.  Tracing never perturbs results.  The two knobs are
     mutually exclusive.
 
-    ``faults`` (a :class:`FaultPlan` or CLI-style spec string like
-    ``"fail_first=2;seed=5"``) injects deterministic source faults;
-    ``retry_policy``/``breaker_policy`` shape how they are absorbed, and
-    ``fail_fast`` turns quarantine-and-degrade into abort-on-first
-    exhaustion.  Any of these (or an explicit ``resilience`` bundle,
-    which wins) enables the resilience layer; a run that fully recovers
-    from its faults is byte-identical to a fault-free run.  Note that
-    an active fault plan bypasses the shard cache.  Check
+    ``resilience`` (a :class:`ResilienceConfig`) enables the
+    resilience layer: its ``faults`` (a :class:`FaultPlan` or CLI-style
+    spec string like ``"fail_first=2;seed=5"``) injects deterministic
+    source faults, ``retry``/``breaker`` shape how they are absorbed,
+    and ``fail_fast`` turns quarantine-and-degrade into abort-on-first
+    exhaustion.  A run that fully recovers from its faults is
+    byte-identical to a fault-free run.  Note that an active fault plan
+    bypasses the shard cache.  Check
     ``result.stats.degraded`` / ``.quarantined`` for what a degraded
     run gave up on.
 
@@ -401,14 +372,11 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
                                             runs_dir)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=shards,
-        signal_cache_size=signal_cache_size,
         cache_dir=cache_dir, scenario_config=scenario_config,
         platform_config=platform_config, curation_config=curation_config,
         kio_config=kio_config, matching_config=matching_config,
         study_period=study_period, observability=observability,
-        resilience=_resilience(resilience, faults, retry_policy,
-                               breaker_policy, fail_fast),
-        profile=profile, health_policy=health_policy,
+        resilience=resilience, profile=profile, health_policy=health_policy,
         telemetry=telemetry, provenance=provenance)
     events = pipeline.run()
     assert pipeline.stats is not None and pipeline.health is not None
@@ -428,7 +396,6 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
 
 def stream(*, seed: int = 2023, workers: int = 1,
            backend: str = "serial",
-           signal_cache_size: Optional[int] = None,
            scenario_config: Optional[ScenarioConfig] = None,
            platform_config: Optional[PlatformConfig] = None,
            curation_config: Optional[CurationConfig] = None,
@@ -438,10 +405,6 @@ def stream(*, seed: int = 2023, workers: int = 1,
            observability: Optional[Observability] = None,
            journal: Optional[RunJournal | str | Path] = None,
            resilience: Optional[ResilienceConfig] = None,
-           faults: Optional[FaultPlan | str] = None,
-           retry_policy: Optional[RetryPolicy] = None,
-           breaker_policy: Optional[BreakerPolicy] = None,
-           fail_fast: bool = False,
            profile: Optional[ProfileConfig | bool] = None,
            health_policy: Optional[HealthPolicy] = None,
            telemetry: Optional[TelemetryConfig | str | float] = None,
@@ -473,7 +436,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
     finalized journal into the cross-run registry, so a streamed run
     diffs against a batch run with ``repro runs diff``.
 
-    ``faults=`` (with ``retry_policy``/``breaker_policy``) injects
+    ``resilience=`` (a :class:`ResilienceConfig`) injects its
     deterministic faults into the session's *bin source* (site
     ``stream.source``): fetches fail, back off, and retry without
     perturbing the streamed bytes, so a recovered stream finalizes
@@ -494,16 +457,13 @@ def stream(*, seed: int = 2023, workers: int = 1,
     observability, pending = _journal_setup(journal, observability,
                                             runs_dir)
     active_config = scenario_config or ScenarioConfig(seed=seed)
-    resilience_config = _resilience(resilience, faults, retry_policy,
-                                    breaker_policy, fail_fast)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=None,
-        signal_cache_size=signal_cache_size, cache_dir=None,
-        scenario_config=scenario_config,
+        cache_dir=None, scenario_config=scenario_config,
         platform_config=platform_config, curation_config=curation_config,
         kio_config=kio_config, matching_config=matching_config,
         study_period=study_period, observability=observability,
-        resilience=resilience_config, profile=profile,
+        resilience=resilience, profile=profile,
         health_policy=health_policy, telemetry=telemetry,
         provenance=provenance)
 
@@ -525,8 +485,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
         pipeline, seed=active_config.seed, period=study_period,
         platform_config=platform_config,
         curation_config=curation_config, backend=backend,
-        workers=workers, signal_cache_size=signal_cache_size,
-        resilience=resilience_config, package=package)
+        workers=workers, resilience=resilience, package=package)
 
 
 def client(result: Union[RunResult, PipelineResult],

@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=None,
                         help="shard count override (default: engine "
                              "default, independent of --workers)")
-    parser.add_argument("--signal-cache-size", type=int, default=None,
-                        dest="signal_cache_size", metavar="N",
-                        help="bound on the platform's memoized-signal "
-                             "LRU (default: platform default; 0 "
-                             "disables memoization for A/B runs — "
-                             "results are byte-identical either way)")
     parser.add_argument("--runs-dir", type=Path, default=None,
                         dest="runs_dir", metavar="DIR",
                         help="run-registry directory: 'repro run' files "
@@ -577,7 +571,6 @@ def _run(args: argparse.Namespace,
         workers=args.workers,
         backend=args.backend,
         shards=args.shards,
-        signal_cache_size=getattr(args, "signal_cache_size", None),
         cache_dir=_usable_cache_dir(args.cache_dir),
         observability=observability,
         resilience=_resilience(args),
@@ -748,7 +741,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         study_period=STUDY_PERIOD,
         workers=args.workers,
         backend=args.backend,
-        signal_cache_size=getattr(args, "signal_cache_size", None),
         journal=args.journal,
         resilience=_resilience(args),
         telemetry=args.heartbeat,

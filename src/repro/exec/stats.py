@@ -73,11 +73,6 @@ class ExecStats:
     stages: List[StageTiming] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Memoized-signal LRU traffic (``platform.signal.cache.*``
-    #: counters), aggregated across all workers and backends.
-    signal_cache_hits: int = 0
-    signal_cache_misses: int = 0
-    signal_cache_evictions: int = 0
     shard_seconds: Dict[int, float] = field(default_factory=dict)
     n_records: int = 0
     #: True when the merge proceeded without some countries because
@@ -130,12 +125,6 @@ class ExecStats:
         counters = obs.metrics.snapshot()["counters"]
         stats.cache_hits = int(counters.get("exec.cache.hits", 0))
         stats.cache_misses = int(counters.get("exec.cache.misses", 0))
-        stats.signal_cache_hits = int(
-            counters.get("platform.signal.cache.hits", 0))
-        stats.signal_cache_misses = int(
-            counters.get("platform.signal.cache.misses", 0))
-        stats.signal_cache_evictions = int(
-            counters.get("platform.signal.cache.evictions", 0))
         return stats
 
     # -- derived ----------------------------------------------------------------
@@ -183,15 +172,6 @@ class ExecStats:
                                  if lookups else 0.0)
         out["cache.hits"] = float(self.cache_hits)
         out["cache.misses"] = float(self.cache_misses)
-        # cache.* keys are trend-only in baseline comparisons, so
-        # adding the signal-cache series never regresses an older
-        # baseline that predates them.
-        queries = self.signal_cache_hits + self.signal_cache_misses
-        out["cache.signal_hit_rate"] = (
-            self.signal_cache_hits / queries if queries else 0.0)
-        out["cache.signal_hits"] = float(self.signal_cache_hits)
-        out["cache.signal_misses"] = float(self.signal_cache_misses)
-        out["cache.signal_evictions"] = float(self.signal_cache_evictions)
         return out
 
     # -- rendering --------------------------------------------------------------
@@ -208,9 +188,6 @@ class ExecStats:
             "cache": {"hits": self.cache_hits,
                       "misses": self.cache_misses,
                       "curate_skipped": self.curate_skipped},
-            "signal_cache": {"hits": self.signal_cache_hits,
-                             "misses": self.signal_cache_misses,
-                             "evictions": self.signal_cache_evictions},
             "shards": {
                 "executed": len(self.shard_seconds),
                 "seconds": {str(k): round(v, 6)
@@ -235,11 +212,6 @@ class ExecStats:
             f"curation cache  {self.cache_hits} hits / "
             f"{self.cache_misses} misses"
             + ("  (stage skipped)" if self.curate_skipped else ""))
-        if self.signal_cache_hits or self.signal_cache_misses:
-            lines.append(
-                f"signal cache    {self.signal_cache_hits} hits / "
-                f"{self.signal_cache_misses} misses / "
-                f"{self.signal_cache_evictions} evictions")
         if self.shard_seconds:
             slowest = max(self.shard_seconds.values())
             lines.append(

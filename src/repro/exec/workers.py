@@ -82,7 +82,7 @@ BACKENDS = ("serial", "thread", "process")
 #: scalar detection switch (``REPRO_SCALAR_DETECT``, :mod:`repro.flags`)
 #: is deliberately NOT part of the cache key: both paths produce
 #: byte-identical records, so warm shard entries stay valid across
-#: flag on/off runs — the same rule as ``signal_cache_size`` below.
+#: flag on/off runs.
 _CURATE_STAGE = "curate"
 
 
@@ -93,11 +93,6 @@ class ExecutorConfig:
     workers: int = 1
     backend: str = "thread"
     n_shards: Optional[int] = None
-    #: Bound on the platform's memoized-signal LRU (None = platform
-    #: default, 0 = disabled).  Not part of the shard cache key: cached
-    #: and uncached queries are byte-identical, so warm shard entries
-    #: stay valid across cache on/off A/B runs.
-    signal_cache_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -109,11 +104,6 @@ class ExecutorConfig:
         if self.n_shards is not None and self.n_shards < 1:
             raise ConfigurationError(
                 f"n_shards must be >= 1: {self.n_shards}")
-        if self.signal_cache_size is not None \
-                and self.signal_cache_size < 0:
-            raise ConfigurationError(
-                f"signal_cache_size must be >= 0: "
-                f"{self.signal_cache_size}")
 
 
 #: Per-country curated records, in the country order of the owning shard.
@@ -134,15 +124,14 @@ def _curate_shard(scenario: WorldScenario,
                   windows: Optional[
                       Mapping[str, Sequence[TimeRange]]] = None,
                   platform: Optional[IODAPlatform] = None,
-                  resilience: Optional[ResilienceConfig] = None,
-                  signal_cache_size: Optional[int] = None
+                  resilience: Optional[ResilienceConfig] = None
                   ) -> _ShardResult:
     """Curate one shard's countries over a scenario.
 
     The per-country RNG substreams make this independent of every other
     shard; the only shared object is the (effectively read-only)
     platform, which in-process backends pass in to share its country
-    caches and memoized signals.
+    caches.
 
     ``windows`` is the shard's own countries' investigation windows,
     already computed by the executor (which needs the full-world map
@@ -161,8 +150,7 @@ def _curate_shard(scenario: WorldScenario,
     fault-free bytes exactly.
     """
     if platform is None:
-        platform = IODAPlatform(scenario, platform_config,
-                                signal_cache_size=signal_cache_size)
+        platform = IODAPlatform(scenario, platform_config)
     pipeline = CurationPipeline(platform, curation_config)
     if windows is None:
         windows = pipeline.country_windows(period)
@@ -213,23 +201,20 @@ _WORLD_BUILDS = 0
 
 
 def resident_world(scenario_config: ScenarioConfig,
-                    platform_config: PlatformConfig,
-                    signal_cache_size: Optional[int]
+                    platform_config: PlatformConfig
                     ) -> Tuple[WorldScenario, IODAPlatform]:
     """This process's scenario+platform, built at most once per config.
 
     Scenario generation is deterministic, so the resident world matches
-    the parent's exactly; the platform's country caches and memoized
-    signals accumulate across all shards the worker executes.
+    the parent's exactly; the platform's country caches accumulate
+    across all shards the worker executes.
     """
     global _WORLD_BUILDS
-    key = fingerprint(scenario_config, platform_config,
-                      signal_cache_size)
+    key = fingerprint(scenario_config, platform_config)
     entry = _WORKER_WORLD.get(key)
     if entry is None:
         scenario = ScenarioGenerator(scenario_config).generate()
-        platform = IODAPlatform(scenario, platform_config,
-                                signal_cache_size=signal_cache_size)
+        platform = IODAPlatform(scenario, platform_config)
         _WORKER_WORLD.clear()
         entry = _WORKER_WORLD[key] = (scenario, platform)
         _WORLD_BUILDS += 1
@@ -237,8 +222,7 @@ def resident_world(scenario_config: ScenarioConfig,
 
 
 def worker_init(scenario_config: ScenarioConfig,
-                 platform_config: PlatformConfig,
-                 signal_cache_size: Optional[int]) -> None:
+                 platform_config: PlatformConfig) -> None:
     """Pool initializer: pre-build the resident world once per process.
 
     Runs before the worker's first shard, outside any fault scope or
@@ -246,7 +230,7 @@ def worker_init(scenario_config: ScenarioConfig,
     generation here matches generation inside a chaos run byte for
     byte).  The build is memoized, so the first shard call finds it.
     """
-    resident_world(scenario_config, platform_config, signal_cache_size)
+    resident_world(scenario_config, platform_config)
 
 
 def _curate_shard_subprocess(
@@ -260,7 +244,6 @@ def _curate_shard_subprocess(
         resilience: Optional[ResilienceConfig] = None,
         profile: Optional[ProfileConfig] = None,
         windows: Optional[Mapping[str, Sequence[TimeRange]]] = None,
-        signal_cache_size: Optional[int] = None,
         telemetry: Optional[TelemetryConfig] = None,
         provenance: bool = False) -> _ShardOutcome:
     """Process-pool entry point: curate over the worker-resident world.
@@ -286,8 +269,8 @@ def _curate_shard_subprocess(
     plan = resilience.fault_plan if resilience is not None else None
     if not collect_obs:
         with inject(plan):
-            scenario, platform = resident_world(
-                scenario_config, platform_config, signal_cache_size)
+            scenario, platform = resident_world(scenario_config,
+                                                platform_config)
             result, quarantined = _curate_shard(
                 scenario, platform_config, curation_config, period,
                 countries, windows=windows, platform=platform,
@@ -309,8 +292,8 @@ def _curate_shard_subprocess(
         try:
             with local.span(SHARD_SPAN, shard=shard_index,
                             countries=len(countries), backend="process"):
-                scenario, platform = resident_world(
-                    scenario_config, platform_config, signal_cache_size)
+                scenario, platform = resident_world(scenario_config,
+                                                    platform_config)
                 result, quarantined = _curate_shard(
                     scenario, platform_config, curation_config, period,
                     countries, windows=windows, platform=platform,
@@ -361,9 +344,7 @@ class ShardedCurationExecutor:
         obs.annotate(workers=self._config.workers,
                      backend=self._config.backend)
 
-        platform = IODAPlatform(
-            scenario, self._platform_config,
-            signal_cache_size=self._config.signal_cache_size)
+        platform = IODAPlatform(scenario, self._platform_config)
         pipeline = CurationPipeline(platform, self._curation_config)
         # Computed once, here: the full-world window map feeds the LPT
         # weights below, and each shard receives just its own
@@ -496,8 +477,7 @@ class ShardedCurationExecutor:
 
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=worker_init,
-                initargs=(scenario.config, self._platform_config,
-                          self._config.signal_cache_size)) as pool:
+                initargs=(scenario.config, self._platform_config)) as pool:
             futures = {
                 pool.submit(
                     _curate_shard_subprocess, scenario.config,
@@ -506,7 +486,6 @@ class ShardedCurationExecutor:
                     obs.enabled, self._resilience,
                     getattr(obs, "profile", None),
                     windows=shard_windows(shard),
-                    signal_cache_size=self._config.signal_cache_size,
                     telemetry=getattr(obs, "telemetry", None),
                     provenance=obs.provenance is not None,
                 ): shard

@@ -22,15 +22,12 @@ Every stage is columnar — up fractions, artifact multipliers, and the
 three substrates all produce whole value arrays; no per-bin Python loop
 runs between ground truth and a published :class:`TimeSeries`.
 
-Signals are deterministic per (seed, entity, window start) so repeated
-queries — e.g. the curation pipeline's control-group checks — observe
-consistent data.  That determinism is what makes them *memoizable*: the
-platform keeps a bounded :class:`~repro.ioda.signalcache.SignalCache` of
-fully generated series, so a repeated query is served a defensive copy
-instead of being regenerated (``signal_cache_size=0`` disables it; runs
-with an active fault plan bypass it automatically, mirroring the
-shard-cache chaos rule).  Cached and uncached queries return
-byte-identical values.
+Signals are deterministic per (seed, entity, window start): the window
+start keys each query's RNG substream, so a repeated query returns equal
+values, but two overlapping windows disagree on the bins they share.
+Every query generates its series afresh.  ROADMAP.md tracks the
+self-consistent world, where each signal becomes a pure function of
+(seed, entity, kind, bin).
 """
 
 from __future__ import annotations
@@ -43,10 +40,9 @@ import numpy as np
 
 from repro.bgp.view import visible_slash24_series
 from repro.errors import ConfigurationError, SignalError
-from repro.ioda.signalcache import DEFAULT_SIGNAL_CACHE_SIZE, SignalCache
 from repro.probing.blocks import ProbedBlock, sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
-from repro.resilience.faults import active_plan, maybe_fault
+from repro.resilience.faults import maybe_fault
 from repro.rng import substream
 from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
@@ -100,21 +96,11 @@ class IODAPlatform:
     """The simulated IODA measurement platform."""
 
     def __init__(self, scenario: WorldScenario,
-                 config: PlatformConfig | None = None, *,
-                 signal_cache_size: Optional[int] = None):
-        """``signal_cache_size`` bounds the memoized-signal LRU
-        (default :data:`~repro.ioda.signalcache.DEFAULT_SIGNAL_CACHE_SIZE`;
-        ``0`` disables memoization entirely, for A/B comparison)."""
+                 config: PlatformConfig | None = None):
         self._scenario = scenario
         self._config = config or PlatformConfig()
         self._cache: Dict[str, _CountryCache] = {}
         self._country_lock = threading.Lock()
-        size = (DEFAULT_SIGNAL_CACHE_SIZE if signal_cache_size is None
-                else signal_cache_size)
-        if size < 0:
-            raise ConfigurationError(
-                f"signal_cache_size must be >= 0: {size}")
-        self._signal_cache = SignalCache(size) if size else None
         # ActiveProbingRun is deterministic given its block list (all
         # randomness arrives via the per-query rng), so one instance per
         # (country, kept-block-count) serves every window and keeps its
@@ -140,11 +126,6 @@ class IODAPlatform:
     @property
     def config(self) -> PlatformConfig:
         return self._config
-
-    @property
-    def signal_cache(self) -> Optional[SignalCache]:
-        """The memoized-signal LRU, or None when disabled."""
-        return self._signal_cache
 
     # -- public query interface ------------------------------------------------
 
@@ -184,25 +165,9 @@ class IODAPlatform:
     def _country_series(self, iso2: str, kind: SignalKind,
                         window: TimeRange,
                         region_name: Optional[str]) -> TimeSeries:
-        """A country/region entity's signal, memoized when possible.
-
-        The cache key is the full query coordinate — entity (country +
-        optional region), kind, and the raw window bounds.  The window
-        start keys the RNG substream, so two windows that merely share
-        bins are distinct entries by construction.  Chaos runs bypass
-        the cache entirely: a fault must be able to fire on every
-        query, and a series generated inside one run's fault scope must
-        never be replayed outside it (the same rule the shard cache
-        follows).
-        """
-        cache = self._country(iso2)
-        if self._signal_cache is None or active_plan() is not None:
-            return self._entity_signal(cache, kind, window, region_name)
-        key = (cache.network.country.iso2, region_name, kind,
-               window.start, window.end)
-        return self._signal_cache.get_or_create(
-            key,
-            lambda: self._entity_signal(cache, kind, window, region_name))
+        """A country/region entity's signal."""
+        return self._entity_signal(self._country(iso2), kind, window,
+                                   region_name)
 
     def _country(self, iso2: str) -> _CountryCache:
         iso2 = iso2.upper()
@@ -381,13 +346,8 @@ class IODAPlatform:
 
     def _as_signal(self, entity: Entity, kind: SignalKind,
                    window: TimeRange) -> TimeSeries:
-        """AS-level signals: derived from the owning country's view.
-
-        The underlying country series goes through the memoized path —
-        an AS query shares its cache entry with the country-level query
-        for the same kind and window (``scale`` copies, so the in-place
-        rounding below cannot reach the cached array).
-        """
+        """AS-level signals: the owning country's series, scaled by the
+        AS's address share and rounded."""
         asn = int(entity.identifier)
         network_as = self._scenario.topology.find_as(asn)
         if network_as is None:

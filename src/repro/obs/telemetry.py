@@ -14,9 +14,8 @@ event to the run journal with
   now*, e.g. ``run/stage:curate/exec.shard``);
 - counter **deltas** since the previous tick and current gauge values;
 - ``p50``/``p99`` of every non-empty histogram, via the shared
-  single-walk :meth:`repro.obs.metrics.Histogram.percentiles`;
-- process RSS and CPU seconds; and
-- the memoized-signal-cache hit rate.
+  single-walk :meth:`repro.obs.metrics.Histogram.percentiles`; and
+- process RSS and CPU seconds.
 
 Heartbeats are **journal-only**: they never appear in the pipeline's
 event output, so records stay byte-identical with telemetry on or off
@@ -206,9 +205,6 @@ class HeartbeatSampler:
         shards = self._shard_progress(counters, gauges, elapsed)
         if shards is not None:
             event["shards"] = shards
-        cache = self._signal_cache(counters)
-        if cache is not None:
-            event["signal_cache"] = cache
         stream = self._stream_progress(counters, gauges)
         if stream is not None:
             event["stream"] = stream
@@ -277,14 +273,3 @@ class HeartbeatSampler:
         if lag is not None:
             block["lag_seconds"] = int(lag)
         return block
-
-    @staticmethod
-    def _signal_cache(counters: Dict[str, int]
-                      ) -> Optional[Dict[str, Any]]:
-        hits = counters.get("platform.signal.cache.hits", 0)
-        misses = counters.get("platform.signal.cache.misses", 0)
-        lookups = hits + misses
-        if not lookups:
-            return None
-        return {"hits": hits, "misses": misses,
-                "hit_rate": round(hits / lookups, 4)}

@@ -15,8 +15,9 @@ failure a first-class, *deterministic* part of the system:
 - :mod:`repro.resilience.breaker` — per-source :class:`CircuitBreaker`
   with call-count cooldown (closed → open → half-open → closed).
 - :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the knob
-  bundle `repro.api.run(..., faults=..., retry_policy=...)` and the CLI
-  (`run --inject-faults/--max-retries/--fail-fast/--degrade`) build.
+  bundle callers pass as `repro.api.run(resilience=ResilienceConfig(...))`;
+  the CLI (`run --inject-faults/--max-retries/--fail-fast/--degrade`)
+  builds the same config.
 
 The headline invariants, enforced by tests/test_resilience_exec.py:
 a fault-injected run whose every fault is retriable within policy is

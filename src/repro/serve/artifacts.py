@@ -258,7 +258,7 @@ def build_store(result: Any, root: Union[str, Path], *,
     most-events first) across all three signals at each zoom in
     ``zooms``.  ``platform`` overrides the :class:`IODAPlatform` built
     from the result's scenario — pass the pipeline's own to reuse its
-    warm signal cache.
+    per-country caches.
     """
     if page_size <= 0:
         raise ConfigurationError(

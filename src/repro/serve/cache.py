@@ -1,8 +1,6 @@
 """The serving layer's hot-artifact cache: a single-flight async LRU.
 
-The asyncio sibling of :class:`repro.ioda.signalcache.SignalCache`,
-with the same two load-bearing properties translated to the event
-loop:
+Two properties carry the load:
 
 - **Single-flight loads.**  Concurrent requests for the same key
   coalesce into one ``factory`` invocation: the first caller becomes
@@ -16,13 +14,13 @@ loop:
   capped at ``maxsize``; inserts past the bound evict the least
   recently used entry.
 
-Unlike its thread sibling there is no lock: every mutation happens
-between awaits on one event loop, so the dict operations are already
-atomic.  The await point *matters*, though — a factory that never
-yields completes before a second request can arrive, and nothing
-coalesces.  The serving routes therefore load artifacts through
-:func:`asyncio.to_thread` (a real await), which is also what keeps a
-slow disk read from stalling the accept loop.
+There is no lock: every mutation happens between awaits on one event
+loop, so the dict operations are already atomic.  The await point
+*matters*, though — a factory that never yields completes before a
+second request can arrive, and nothing coalesces.  The serving routes
+therefore load artifacts through :func:`asyncio.to_thread` (a real
+await), which is also what keeps a slow disk read from stalling the
+accept loop.
 
 Hits, misses, evictions, and coalesced waits are counted both locally
 (cheap introspection) and into a :class:`~repro.obs.MetricsRegistry`

@@ -146,8 +146,7 @@ class StreamEngine:
     def __init__(self, pipeline: CurationPipeline,
                  windows: Mapping[str, Sequence[TimeRange]],
                  period: TimeRange, *, backend: str = "serial",
-                 workers: int = 1,
-                 signal_cache_size: Optional[int] = None):
+                 workers: int = 1):
         if backend not in STREAM_BACKENDS:
             raise ConfigurationError(
                 f"unknown stream backend {backend!r}; expected one of "
@@ -158,7 +157,6 @@ class StreamEngine:
         self._period = period
         self._backend = backend
         self._workers = workers
-        self._signal_cache_size = signal_cache_size
         platform = pipeline.platform
         scenario = platform.scenario
         self._scenario_config = scenario.config
@@ -544,7 +542,7 @@ class StreamEngine:
                 self._platform_config, self._curation_config,
                 self._period, iso2, work[iso2],
                 cs.rng.bit_generator.state, cs.next_record_id,
-                self._signal_cache_size, with_provenance, cs.draws.index)
+                with_provenance, cs.draws.index)
         out: Dict[str, List[WindowAdjudication]] = {}
         for iso2, future in futures.items():
             (adjudications, rng_state, next_record_id, capsules,
@@ -577,8 +575,7 @@ class StreamEngine:
         if self._process_pool is None:
             self._process_pool = ProcessPoolExecutor(
                 max_workers=self._workers, initializer=worker_init,
-                initargs=(self._scenario_config, self._platform_config,
-                          self._signal_cache_size))
+                initargs=(self._scenario_config, self._platform_config))
         return self._process_pool
 
     # -- completion ------------------------------------------------------------

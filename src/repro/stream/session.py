@@ -67,7 +67,6 @@ class StreamSession:
                  platform_config: Optional[PlatformConfig] = None,
                  curation_config: Optional[CurationConfig] = None,
                  backend: str = "serial", workers: int = 1,
-                 signal_cache_size: Optional[int] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  package: Optional[Callable] = None):
         self._pipeline = pipeline
@@ -89,15 +88,13 @@ class StreamSession:
             self._stack.enter_context(obs.span("run", seed=seed))
             with obs.span("stage:scenario"):
                 self._scenario = pipeline.build_scenario()
-            self._platform = IODAPlatform(
-                self._scenario, platform_config,
-                signal_cache_size=signal_cache_size)
+            self._platform = IODAPlatform(self._scenario, platform_config)
             self._curation = CurationPipeline(
                 self._platform, curation_config)
             windows = self._curation.country_windows(period)
             self._engine = StreamEngine(
                 self._curation, windows, period, backend=backend,
-                workers=workers, signal_cache_size=signal_cache_size)
+                workers=workers)
             self._source = ScenarioBinSource(
                 self._platform, windows, resilience=resilience)
             # Held open for the whole streamed stage; finalize closes

@@ -24,7 +24,7 @@ advanced cursor — the provenance twin of
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ioda.curation import CurationConfig, CurationPipeline, \
     WindowAdjudication
@@ -52,7 +52,6 @@ def adjudicate_country_subprocess(
         work: Sequence[_WindowWork],
         rng_state: dict,
         next_record_id: int,
-        signal_cache_size: Optional[int] = None,
         provenance: bool = False,
         draw_index: int = 0,
 ) -> Tuple[List[WindowAdjudication], dict, int, List[dict], int]:
@@ -66,8 +65,7 @@ def adjudicate_country_subprocess(
     """
     from repro.exec.workers import resident_world
 
-    scenario, platform = resident_world(
-        scenario_config, platform_config, signal_cache_size)
+    scenario, platform = resident_world(scenario_config, platform_config)
     pipeline = CurationPipeline(platform, curation_config)
     rng = substream(scenario.seed, "curation", iso2)
     rng.bit_generator.state = rng_state

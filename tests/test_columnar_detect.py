@@ -260,7 +260,7 @@ class TestPipelineByteIdentity:
         monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
         scalar = api.run(
             workers=1 if backend == "serial" else 2, backend=backend,
-            signal_cache_size=0, **kwargs)
+            **kwargs)
         assert self._record_bytes(scalar) == self._record_bytes(columnar)
         assert len(scalar.kio_events) == len(columnar.kio_events)
 

@@ -32,7 +32,11 @@ from repro.exec import (
     fingerprint,
 )
 from repro.core.pipeline import ReproPipeline
-from repro.ioda.curation import CurationConfig
+from repro.exec.workers import _curate_shard
+from repro.ioda.curation import CurationConfig, CurationPipeline
+from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.obs import Observability
+from repro.obs.runtime import activate
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig, ScenarioGenerator
 
@@ -204,11 +208,8 @@ class TestExecStats:
         stats.add_stage("curate", 1.25)
         report = stats.as_dict()
         assert set(report) == {"workers", "backend", "n_shards", "stages",
-                               "total_seconds", "cache", "signal_cache",
-                               "shards", "n_records", "degraded",
-                               "quarantined"}
-        assert report["signal_cache"] == {"hits": 0, "misses": 0,
-                                          "evictions": 0}
+                               "total_seconds", "cache", "shards",
+                               "n_records", "degraded", "quarantined"}
         assert report["stages"] == {"curate": 1.25}
         assert report["cache"] == {"hits": 0, "misses": 0,
                                    "curate_skipped": True}
@@ -240,6 +241,21 @@ class TestEquivalence:
         parallel, _ = _curate(small_scenario, workers=2, backend="process")
         assert _record_bytes(parallel) == _record_bytes(serial_records)
 
+    def test_process_pool_builds_world_once_per_worker(self, small_scenario,
+                                                       serial_records):
+        """Observed process workers build one world each, same records."""
+        obs = Observability()
+        with activate(obs):
+            parallel, _ = _curate(small_scenario, workers=2,
+                                  backend="process")
+        assert _record_bytes(parallel) == _record_bytes(serial_records)
+        builds = {key: value
+                  for key, value in obs.metrics.snapshot()["gauges"].items()
+                  if key.startswith("exec.worker.world_builds")}
+        assert builds, "process workers should report world-build gauges"
+        assert 1 <= len(builds) <= 2
+        assert all(value == 1.0 for value in builds.values()), builds
+
     def test_shard_count_does_not_change_results(self, small_scenario,
                                                  serial_records):
         records, stats = _curate(small_scenario, n_shards=3)
@@ -249,6 +265,23 @@ class TestEquivalence:
     def test_record_ids_are_sequential(self, serial_records):
         assert sorted(r.record_id for r in serial_records) \
             == list(range(1, len(serial_records) + 1))
+
+    def test_shard_restricted_windows_match_full_map(self, small_scenario):
+        """A shard given only its own windows curates identical records."""
+        platform = IODAPlatform(small_scenario)
+        pipeline = CurationPipeline(platform, CurationConfig())
+        windows = pipeline.country_windows(SMALL_PERIOD)
+        iso2 = sorted(windows)[0]
+        restricted = _curate_shard(
+            small_scenario, PlatformConfig(), CurationConfig(),
+            SMALL_PERIOD, (iso2,), windows={iso2: windows[iso2]},
+            platform=platform)
+        recomputed = _curate_shard(
+            small_scenario, PlatformConfig(), CurationConfig(),
+            SMALL_PERIOD, (iso2,), platform=platform)
+        assert restricted == recomputed
+        (shard_iso2, records), = restricted[0]
+        assert shard_iso2 == iso2
 
 
 # -- caching --------------------------------------------------------------------

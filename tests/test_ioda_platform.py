@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.resilience import FaultPlan, inject
 from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import DAY, HOUR, TimeRange
@@ -98,6 +99,36 @@ class TestCountrySignals:
                                  SignalKind.TELESCOPE, window)
         assert np.array_equal(first.values, second.values)
 
+    def test_repeat_query_returns_a_private_array(self, platform, scenario):
+        window = _window(_event(scenario, "SY"))
+        first = platform.signal(Entity.country("SY"), SignalKind.TELESCOPE,
+                                window)
+        second = platform.signal(Entity.country("SY"),
+                                 SignalKind.TELESCOPE, window)
+        assert first.values.tobytes() == second.values.tobytes()
+        assert first.values is not second.values
+
+    def test_caller_mutation_cannot_change_later_queries(self, platform,
+                                                         scenario):
+        window = _window(_event(scenario, "SY"))
+        victim = platform.signal(Entity.country("SY"), SignalKind.BGP,
+                                 window)
+        pristine = victim.values.tobytes()
+        victim.values[:] = -1.0
+        again = platform.signal(Entity.country("SY"), SignalKind.BGP,
+                                window)
+        assert again.values.tobytes() == pristine
+
+    def test_inert_fault_plan_reproduces_clean_bytes(self, platform,
+                                                     scenario):
+        window = _window(_event(scenario, "SY"))
+        entity = Entity.country("SY")
+        clean = platform.signal(entity, SignalKind.TELESCOPE, window)
+        plan = FaultPlan.parse("fail_first=1;sites=no.such.site")
+        with inject(plan):
+            chaotic = platform.signal(entity, SignalKind.TELESCOPE, window)
+        assert chaotic.values.tobytes() == clean.values.tobytes()
+
     def test_unrelated_country_flat_during_event(self, platform, scenario):
         event = _event(scenario, "SY")
         window = _window(event)
@@ -144,6 +175,21 @@ class TestScopedSignals:
                            STUDY_PERIOD.start + 3 * HOUR)
         series = platform.signal(Entity.asn(asn), SignalKind.BGP, window)
         assert len(series) == 36
+
+    def test_as_signal_is_the_scaled_country_signal(self, platform,
+                                                    scenario):
+        """An AS's signal is its country's, scaled by address share."""
+        network = scenario.topology.get("SY")
+        network_as = network.ases[0]
+        window = TimeRange(STUDY_PERIOD.start,
+                           STUDY_PERIOD.start + 3 * HOUR)
+        series = platform.signal(Entity.asn(int(network_as.asn)),
+                                 SignalKind.BGP, window)
+        country = platform.signal(Entity.country("SY"), SignalKind.BGP,
+                                  window)
+        share = network_as.num_slash24s / max(1, network.total_slash24s)
+        expected = np.round(country.values * max(share, 0.01))
+        assert series.values.tobytes() == expected.tobytes()
 
 
 class TestArtifacts:

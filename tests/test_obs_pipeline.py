@@ -30,8 +30,8 @@ SMALL_CONFIG = ScenarioConfig(seed=7, years=(2018,))
 SMALL_PERIOD = TimeRange(utc(2018, 1, 1), utc(2018, 7, 1))
 
 STATS_KEYS = {"workers", "backend", "n_shards", "stages",
-              "total_seconds", "cache", "signal_cache", "shards",
-              "n_records", "degraded", "quarantined"}
+              "total_seconds", "cache", "shards", "n_records",
+              "degraded", "quarantined"}
 
 
 def _record_bytes(records):

@@ -39,7 +39,7 @@ from repro.world.scenario import ScenarioConfig
 SMALL_CONFIG = ScenarioConfig(seed=7, years=(2018,))
 SMALL_PERIOD = TimeRange(utc(2018, 1, 1), utc(2018, 7, 1))
 
-#: Keys every heartbeat event carries (shards/signal_cache are optional).
+#: Keys every heartbeat event carries (shards/stream are optional).
 HEARTBEAT_KEYS = {"type", "seq", "ts", "elapsed", "pid", "final",
                   "open_spans", "counters", "gauges", "histograms",
                   "proc"}
@@ -156,14 +156,6 @@ class TestHeartbeatSampler:
         assert shards["eta_seconds"] is not None
         publish_shard_done(metrics, 6)
         assert sampler.beat()["shards"]["eta_seconds"] == 0.0
-
-    def test_signal_cache_block(self):
-        sampler, _, metrics = _sampler(lambda event: None)
-        assert "signal_cache" not in sampler.beat()
-        metrics.counter("platform.signal.cache.hits").inc(3)
-        metrics.counter("platform.signal.cache.misses").inc(1)
-        cache = sampler.beat()["signal_cache"]
-        assert cache == {"hits": 3, "misses": 1, "hit_rate": 0.75}
 
     def test_stream_block(self):
         # Present only once a stream has advanced (the watermark gauge

@@ -1,6 +1,6 @@
 """The serving layer's single-flight async LRU (`repro.serve.cache`).
 
-The acceptance bar, mirroring the thread-side ``SignalCache`` suite:
+The acceptance bar:
 
 - concurrent identical requests coalesce into exactly one factory
   invocation (and the coalesced waiters are counted — the counter the

@@ -18,6 +18,7 @@ import pytest
 import repro.api as api
 from repro.errors import CursorError, StreamError
 from repro.io import record_to_dict
+from repro.resilience import ResilienceConfig
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
 
@@ -243,7 +244,8 @@ class TestLifecycle:
 class TestFaultedStream:
     def test_faulted_stream_recovers_byte_identical(
             self, batch_small_bytes):
-        session = small_stream(faults="fail_first=2;seed=5")
+        session = small_stream(
+            resilience=ResilienceConfig(faults="fail_first=2;seed=5"))
         for _ in session.replay(4 * WEEK):
             pass
         result = session.finalize()
