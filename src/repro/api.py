@@ -57,12 +57,13 @@ from repro.obs import HealthCheck, HealthPolicy, HealthReport, \
     write_chrome_trace
 from repro.resilience import BreakerPolicy, FaultPlan, ResilienceConfig, \
     RetryPolicy
-from repro.stream.models import SignalBin, StreamEvent
+from repro.stream.models import BinSegment, SignalBin, StreamEvent
 from repro.stream.session import StreamSession
 from repro.timeutils.timestamps import TimeRange
 from repro.world.scenario import STUDY_PERIOD, ScenarioConfig
 
 __all__ = [
+    "BinSegment",
     "BreakerPolicy",
     "DatasetSource",
     "ExecStats",

@@ -2,16 +2,17 @@
 
 The batch pipeline materializes every signal for the whole study period
 before curating.  This package is the always-on counterpart: signal
-bins are **pushed** bin by bin, trailing-median detectors keep O(window)
-rolling state (:mod:`repro.stream.detect`, bitwise-equal to the
-columnar batch path), and curation emits event lifecycle records
+bins are **pushed** as they elapse, in per-series array segments (or
+one by one), trailing-median detectors keep O(window) rolling state
+(:mod:`repro.stream.detect`, bitwise-equal to the columnar batch
+path), and curation emits event lifecycle records
 (``open``/``update``/``close``) at a configurable **watermark** instead
 of one terminal batch (:mod:`repro.stream.engine`).
 
 Layering (the client/models/processor/scheduler split):
 
-- :mod:`repro.stream.models`  — the wire types: :class:`SignalBin`,
-  :class:`BinBatch`, :class:`StreamEvent`.
+- :mod:`repro.stream.models`  — the wire types: :class:`BinSegment`,
+  :class:`SignalBin`, :class:`BinBatch`, :class:`StreamEvent`.
 - :mod:`repro.stream.detect`  — :class:`StreamingAlertDetector` and
   :class:`StreamingEpisodeGrouper`, the incremental detection core the
   batch dashboard now composes over.
@@ -34,6 +35,7 @@ from typing import Any
 
 __all__ = [
     "BinBatch",
+    "BinSegment",
     "ScenarioBinSource",
     "SignalBin",
     "StreamEngine",
@@ -46,6 +48,7 @@ __all__ = [
 
 _HOMES = {
     "SignalBin": "repro.stream.models",
+    "BinSegment": "repro.stream.models",
     "BinBatch": "repro.stream.models",
     "StreamEvent": "repro.stream.models",
     "StreamingAlertDetector": "repro.stream.detect",

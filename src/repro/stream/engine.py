@@ -2,11 +2,15 @@
 
 :class:`StreamEngine` is the processor behind
 :class:`~repro.stream.session.StreamSession`: bins are **offered** in
-any order (:meth:`push`), buffered on each investigation window's bin
-grid, and **consumed** in time order when the watermark advances
-(:meth:`advance`) — contiguous elapsed prefixes feed the incremental
-detectors (:mod:`repro.stream.detect`), and a window whose last bin the
-watermark passes is adjudicated through the exact batch curation loop
+any order (:meth:`push`) — as :class:`~repro.stream.models.BinSegment`
+runs, checked and written with array operations, or as single
+:class:`~repro.stream.models.SignalBin`\\ s, which are gathered into
+segments and take the same route — buffered on each investigation
+window's bin grid, and **consumed** in time order when the watermark
+advances (:meth:`advance`) — contiguous elapsed prefixes feed the
+incremental detectors (:mod:`repro.stream.detect`), and a window whose
+last bin the watermark passes is adjudicated through the exact batch
+curation loop
 (:meth:`repro.ioda.curation.CurationPipeline.adjudicate_window`).
 Because the detectors are bitwise-equal to the columnar batch path and
 adjudication consumes the per-country RNG substream and record ids in
@@ -25,9 +29,10 @@ signal set grows, ``close`` when the window is adjudicated (outcome
 watching a stream never perturbs its final records.
 
 Contract violations raise :class:`~repro.errors.StreamError`:
-misaligned bins, conflicting duplicate values, a regressing watermark,
-bins still missing when the watermark passes them, or pushes into an
-adjudicated window.  Exact duplicates are idempotent no-ops.
+misaligned bins, non-finite values, conflicting duplicate values, a
+regressing watermark, bins still missing when the watermark passes
+them, or pushes into an adjudicated window.  Exact duplicates are
+idempotent no-ops.
 
 Backends mirror the batch executor: ``serial`` adjudicates inline,
 ``thread`` fans countries out over a thread pool sharing the platform,
@@ -39,10 +44,12 @@ three produce the same bytes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
+    Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +66,8 @@ from repro.signals.alerts import AlertEpisode
 from repro.signals.kinds import SignalKind
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
-from repro.stream.models import SignalBin, StreamEvent, bin_grid
+from repro.stream.models import BinSegment, SignalBin, StreamEvent, \
+    bin_grid
 from repro.stream.workers import adjudicate_country_subprocess
 from repro.timeutils.timestamps import TimeRange
 
@@ -71,9 +79,8 @@ STREAM_BACKENDS = ("serial", "thread", "process")
 class _SeriesState:
     """Buffer + incremental detector for one (window, signal) grid."""
 
-    __slots__ = ("kind", "start", "width", "n_bins", "bin_starts",
-                 "values", "present", "fed", "detector", "grouper",
-                 "episodes")
+    __slots__ = ("kind", "start", "width", "n_bins", "values", "present",
+                 "fed", "detector", "grouper", "episodes")
 
     def __init__(self, window: TimeRange, kind: SignalKind):
         start, n_bins = bin_grid(window, kind)
@@ -81,8 +88,6 @@ class _SeriesState:
         self.start = start
         self.width = kind.bin_width
         self.n_bins = n_bins
-        self.bin_starts = start + self.width * np.arange(
-            n_bins, dtype=np.int64)
         self.values = np.empty(n_bins, dtype=np.float64)
         self.present = np.zeros(n_bins, dtype=bool)
         self.fed = 0
@@ -108,13 +113,15 @@ class _Open:
 class _WindowState:
     """One investigation window's buffers and open lifecycle events."""
 
-    __slots__ = ("window", "series", "close_ts", "opens", "adjudicated",
-                 "touched")
+    __slots__ = ("window", "series", "open_ts", "close_ts", "opens",
+                 "adjudicated", "touched")
 
     def __init__(self, window: TimeRange):
         self.window = window
         self.series: Optional[Dict[SignalKind, _SeriesState]] = {
             kind: _SeriesState(window, kind) for kind in SignalKind}
+        # The watermark that elapses the window's first bin / last bin.
+        self.open_ts = min(s.start + s.width for s in self.series.values())
         self.close_ts = max(s.end for s in self.series.values())
         self.opens: Dict[int, _Open] = {}
         self.adjudicated = False
@@ -138,6 +145,38 @@ class _CountryState:
         # advances (and ships to process workers) so capsule substream
         # coordinates are chunking-independent and match a batch run.
         self.draws = DrawCursor()
+
+
+def _as_segments(items: Iterable[Union[BinSegment, SignalBin]]
+                 ) -> Iterator[BinSegment]:
+    """Pass segments through; gather single bins into segments.
+
+    A push is order-free, so the bins of one push are grouped per
+    (country, window, signal), sorted by time, and cut into runs
+    wherever the grid skips: a per-bin feed in any order costs a few
+    array segments, not one segment per bin.  A bin offered twice in
+    one push starts a new run, so the second copy still meets the
+    duplicate check.
+    """
+    groups: Dict[Tuple[str, int, SignalKind], List[SignalBin]] = {}
+    for item in items:
+        if isinstance(item, SignalBin):
+            groups.setdefault(
+                (item.country_iso2, item.window_start, item.kind),
+                []).append(item)
+        else:
+            yield item
+    for group in groups.values():
+        group.sort(key=lambda b: b.time)
+        width = group[0].kind.bin_width
+        first = 0
+        for i in range(1, len(group) + 1):
+            if i == len(group) or group[i].time != group[i - 1].time + width:
+                head = group[first]
+                yield BinSegment(head.country_iso2, head.kind,
+                                 head.window_start, head.time,
+                                 [b.value for b in group[first:i]])
+                first = i
 
 
 class StreamEngine:
@@ -166,6 +205,21 @@ class StreamEngine:
         self._countries = {
             iso2: _CountryState(iso2, windows[iso2], scenario.seed)
             for iso2 in self._order}
+        # Every window keyed by its (country, window) rank: the order
+        # each advance visits, adjudicates and emits in.
+        ranked = [((c, w), iso2, ws)
+                  for c, iso2 in enumerate(self._order)
+                  for w, ws in enumerate(self._countries[iso2].windows)]
+        self._horizon = max((ws.close_ts for _, _, ws in ranked),
+                            default=None)
+        # Windows wait in ``_unstarted`` (by first-bin time) until the
+        # watermark elapses their first bin; ``_live`` holds the
+        # started, not yet adjudicated ones in rank order, so an advance
+        # visits only the windows it can change.
+        self._unstarted = sorted(ranked, key=lambda e: (e[2].open_ts, e[0]))
+        self._n_started = 0
+        self._live: List[Tuple[Tuple[int, int], str, _WindowState]] = []
+        self._n_active = len(ranked)
         self._watermark: Optional[int] = None
         self._max_bin_end: Optional[int] = None
         self._bins_pushed = 0
@@ -195,71 +249,98 @@ class StreamEngine:
 
     @property
     def open_event_count(self) -> int:
-        return sum(len(ws.opens)
-                   for cs in self._countries.values()
-                   for ws in cs.windows if not ws.adjudicated)
+        return sum(len(ws.opens) for _, _, ws in self._live)
 
     @property
     def active_window_count(self) -> int:
         """Windows not yet adjudicated."""
-        return sum(1 for cs in self._countries.values()
-                   for ws in cs.windows if not ws.adjudicated)
+        return self._n_active
 
     @property
     def horizon(self) -> int:
         """Watermark at which every window closes."""
-        return max(ws.close_ts for cs in self._countries.values()
-                   for ws in cs.windows)
+        if self._horizon is None:
+            raise StreamError("engine has no windows")
+        return self._horizon
 
     # -- ingestion -------------------------------------------------------------
 
-    def push(self, bins: Iterable[SignalBin]) -> int:
+    def push(self, items: Iterable[Union[BinSegment, SignalBin]]) -> int:
         """Offer bins, in any order; return how many were new.
 
+        ``items`` mixes :class:`~repro.stream.models.BinSegment` runs
+        and single :class:`~repro.stream.models.SignalBin`\\ s; bins
+        are ingested as segments too (see :func:`_as_segments`).
         Exact duplicates of already-offered bins are idempotent no-ops
         (replayed feeds are expected); a duplicate with a *different*
-        value, a bin off its grid, an unknown (country, window), or a
-        push into an adjudicated window raises
-        :class:`~repro.errors.StreamError`.
+        value, a non-finite value, a bin off its grid, an unknown
+        (country, window), or a push into an adjudicated window raises
+        :class:`~repro.errors.StreamError`.  A segment is checked whole
+        before any of it is written.
         """
         accepted = 0
-        for b in bins:
-            cs = self._countries.get(b.country_iso2)
-            if cs is None:
-                raise StreamError(
-                    f"no investigation windows for country "
-                    f"{b.country_iso2!r}")
-            ws = cs.by_start.get(b.window_start)
-            if ws is None:
-                raise StreamError(
-                    f"{b.country_iso2} has no investigation window "
-                    f"starting at {b.window_start}")
-            if ws.adjudicated or ws.series is None:
-                raise StreamError(
-                    f"window {ws.window} of {b.country_iso2} is already "
-                    f"adjudicated; cannot push bin at {b.time}")
-            ss = ws.series[b.kind]
-            offset = b.time - ss.start
-            idx, rem = divmod(offset, ss.width)
-            if rem or not 0 <= idx < ss.n_bins:
-                raise StreamError(
-                    f"bin at {b.time} is off the {ss.width}s grid "
-                    f"[{ss.start}, {ss.end}) of {b.country_iso2}/"
-                    f"{b.kind.value}")
-            if ss.present[idx]:
-                if ss.values[idx] != b.value:
-                    raise StreamError(
-                        f"conflicting duplicate for {b.country_iso2}/"
-                        f"{b.kind.value} at {b.time}: had "
-                        f"{ss.values[idx]!r}, got {b.value!r}")
-                continue
-            ss.values[idx] = b.value
-            ss.present[idx] = True
-            accepted += 1
-            end = b.time + ss.width
-            if self._max_bin_end is None or end > self._max_bin_end:
-                self._max_bin_end = end
+        for seg in _as_segments(items):
+            accepted += self._ingest(seg)
         self._bins_pushed += accepted
+        return accepted
+
+    def _ingest(self, seg: BinSegment) -> int:
+        """Check one segment against its grid and buffer its new bins."""
+        iso2, kind = seg.country_iso2, seg.kind
+        cs = self._countries.get(iso2)
+        if cs is None:
+            raise StreamError(
+                f"no investigation windows for country {iso2!r}")
+        ws = cs.by_start.get(seg.window_start)
+        if ws is None:
+            raise StreamError(
+                f"{iso2} has no investigation window starting at "
+                f"{seg.window_start}")
+        if ws.series is None:
+            raise StreamError(
+                f"window {ws.window} of {iso2} is already adjudicated; "
+                f"cannot push bin at {seg.first_time}")
+        n = len(seg)
+        if not n:
+            return 0
+        ss = ws.series[kind]
+        lo, rem = divmod(seg.first_time - ss.start, ss.width)
+        hi = lo + n
+        if rem or lo < 0 or hi > ss.n_bins:
+            off = seg.first_time if rem or lo < 0 else ss.end
+            raise StreamError(
+                f"bin at {off} is off the {ss.width}s grid "
+                f"[{ss.start}, {ss.end}) of {iso2}/{kind.value}")
+        values = seg.values
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise StreamError(
+                f"non-finite value {float(values[i])!r} for {iso2}/"
+                f"{kind.value} at {seg.first_time + i * ss.width}")
+        held = ss.values[lo:hi]
+        present = ss.present[lo:hi]
+        if present.any():
+            clash = present & (held != values)
+            if clash.any():
+                i = int(np.argmax(clash))
+                raise StreamError(
+                    f"conflicting duplicate for {iso2}/{kind.value} at "
+                    f"{seg.first_time + i * ss.width}: had "
+                    f"{float(held[i])!r}, got {float(values[i])!r}")
+            fresh = ~present
+            accepted = int(np.count_nonzero(fresh))
+            if not accepted:
+                return 0
+            np.copyto(held, values, where=fresh)
+            last = hi - 1 - int(np.argmax(fresh[::-1]))
+        else:
+            held[:] = values
+            accepted, last = n, hi - 1
+        present[:] = True
+        end = ss.start + (last + 1) * ss.width
+        if self._max_bin_end is None or end > self._max_bin_end:
+            self._max_bin_end = end
         return accepted
 
     # -- the watermark ---------------------------------------------------------
@@ -267,12 +348,12 @@ class StreamEngine:
     def advance(self, watermark: int) -> List[StreamEvent]:
         """Advance the watermark; consume elapsed bins; emit lifecycle.
 
-        Feeds every window's contiguous elapsed prefix to its
-        detectors, adjudicates windows whose last bin elapsed (fanned
-        out per country on the configured backend), and returns the
-        lifecycle events of this advance in deterministic (country,
-        window) order.  A regressing watermark raises; re-advancing to
-        the current watermark is a no-op.
+        Feeds every started, unadjudicated window's contiguous elapsed
+        prefix to its detectors, adjudicates windows whose last bin
+        elapsed (fanned out per country on the configured backend), and
+        returns the lifecycle events of this advance in deterministic
+        (country, window) order.  A regressing watermark raises;
+        re-advancing to the current watermark is a no-op.
         """
         if self._watermark is not None:
             if watermark < self._watermark:
@@ -282,25 +363,25 @@ class StreamEngine:
             if watermark == self._watermark:
                 return []
         self._watermark = watermark
+        while (self._n_started < len(self._unstarted)
+               and self._unstarted[self._n_started][2].open_ts
+               <= watermark):
+            bisect.insort(self._live, self._unstarted[self._n_started])
+            self._n_started += 1
         due: Dict[str, List[_WindowState]] = {}
-        for iso2 in self._order:
-            for ws in self._countries[iso2].windows:
-                if ws.adjudicated:
-                    continue
-                self._feed_window(iso2, ws, watermark)
-                if watermark >= ws.close_ts:
-                    self._complete_window(iso2, ws)
-                    due.setdefault(iso2, []).append(ws)
+        for _, iso2, ws in self._live:
+            self._feed_window(iso2, ws, watermark)
+            if watermark >= ws.close_ts:
+                self._complete_window(iso2, ws)
+                due.setdefault(iso2, []).append(ws)
         events: List[StreamEvent] = []
         due_windows = {id(ws) for states in due.values() for ws in states}
-        for iso2 in self._order:
-            cs = self._countries[iso2]
-            for ws in cs.windows:
-                if ws.adjudicated or id(ws) in due_windows \
-                        or not ws.touched:
-                    continue
-                events.extend(self._refresh_lifecycle(cs, ws))
-                ws.touched = False
+        for _, iso2, ws in self._live:
+            if id(ws) in due_windows or not ws.touched:
+                continue
+            events.extend(self._refresh_lifecycle(self._countries[iso2],
+                                                  ws))
+            ws.touched = False
         adjudications = self._adjudicate(due)
         for iso2 in sorted(due):
             cs = self._countries[iso2]
@@ -309,6 +390,10 @@ class StreamEngine:
                 cs.records.extend(adj.records)
                 ws.adjudicated = True
                 ws.series = None  # buffers and detector state released
+        if due_windows:
+            self._live = [entry for entry in self._live
+                          if not entry[2].adjudicated]
+            self._n_active -= len(due_windows)
         return events
 
     def _feed_window(self, iso2: str, ws: _WindowState,
@@ -326,8 +411,9 @@ class StreamEngine:
                 raise StreamError(
                     f"watermark {watermark} passed bin at {missing} of "
                     f"{iso2}/{kind.value} before it was pushed")
-            alerts = ss.detector.feed(ss.bin_starts[ss.fed:ready],
-                                      ss.values[ss.fed:ready])
+            starts = ss.start + ss.width * np.arange(
+                ss.fed, ready, dtype=np.int64)
+            alerts = ss.detector.feed(starts, ss.values[ss.fed:ready])
             ss.episodes.extend(ss.grouper.feed(alerts))
             ss.fed = ready
             if alerts:

@@ -1,8 +1,9 @@
 """Wire types of the streaming surface.
 
 These are the values that cross the :class:`~repro.stream.session.
-StreamSession` boundary: :class:`SignalBin` going in (one platform
-measurement bin), :class:`StreamEvent` coming out (one step of an
+StreamSession` boundary: :class:`BinSegment` going in (a contiguous run
+of one series' bins, the feed's unit), :class:`SignalBin` (one bin, for
+per-bin callers), :class:`StreamEvent` coming out (one step of an
 outage-event lifecycle).  Everything here is a frozen, picklable
 dataclass so the same payloads flow unchanged through the serial,
 thread, and process backends and into the run journal.
@@ -11,15 +12,17 @@ thread, and process backends and into the run journal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import StreamError
 from repro.ioda.records import OutageRecord
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange, bin_floor
 
-__all__ = ["SignalBin", "BinBatch", "StreamEvent", "EVENT_STATES",
-           "EVENT_OUTCOMES", "bin_grid"]
+__all__ = ["SignalBin", "BinSegment", "BinBatch", "StreamEvent",
+           "EVENT_STATES", "EVENT_OUTCOMES", "bin_grid"]
 
 
 def bin_grid(window: TimeRange, kind: SignalKind) -> Tuple[int, int]:
@@ -70,9 +73,76 @@ class SignalBin:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class BinSegment:
+    """A contiguous run of one country-level series' bins.
+
+    The bins start at ``first_time`` and follow each other on the
+    signal's grid (``kind.bin_width`` apart); ``values[i]`` is the
+    level of the bin at ``first_time + i * width``.  ``window_start``
+    routes the run to its investigation window, as on
+    :class:`SignalBin`.  ``values`` is a read-only float64 array: a
+    read-only array is kept as given (the source hands out views of its
+    series), anything else is copied first, so a segment never changes
+    under its reader.  Equality compares the arrays element-wise, so a
+    segment is not hashable.
+    """
+
+    country_iso2: str
+    kind: SignalKind
+    window_start: int
+    first_time: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = self.values
+        if not (isinstance(values, np.ndarray)
+                and values.dtype == np.float64
+                and not values.flags.writeable):
+            values = np.array(values, dtype=np.float64)
+            values.flags.writeable = False
+        if values.ndim != 1:
+            raise StreamError(
+                f"segment values must be one-dimensional, got shape "
+                f"{values.shape}")
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def last_time(self) -> int:
+        """Start of the segment's last bin."""
+        return self.first_time + (len(self) - 1) * self.kind.bin_width
+
+    def bins(self) -> Iterator[SignalBin]:
+        """The segment as per-bin :class:`SignalBin`\\ s, in time order."""
+        width = self.kind.bin_width
+        for i, value in enumerate(self.values.tolist()):
+            yield SignalBin(self.country_iso2, self.kind,
+                            self.window_start,
+                            self.first_time + i * width, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BinSegment):
+            return NotImplemented
+        return (self.country_iso2 == other.country_iso2
+                and self.kind == other.kind
+                and self.window_start == other.window_start
+                and self.first_time == other.first_time
+                and np.array_equal(self.values, other.values))
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled segment's values are
+        # read-only again.
+        return (BinSegment, (self.country_iso2, self.kind,
+                             self.window_start, self.first_time,
+                             self.values))
+
+
 @dataclass(frozen=True)
 class BinBatch:
-    """A batch of bins plus the watermark they justify.
+    """A batch of bin segments plus the watermark they justify.
 
     Produced by :class:`repro.stream.source.ScenarioBinSource` when
     replaying a scenario step by step; ``watermark`` is the timestamp up
@@ -80,15 +150,20 @@ class BinBatch:
     driver can push the batch and advance in one move.
     """
 
-    bins: Tuple[SignalBin, ...]
+    segments: Tuple[BinSegment, ...]
     watermark: int
 
     def __post_init__(self) -> None:
-        for b in self.bins:
-            if b.time >= self.watermark:
+        for seg in self.segments:
+            if len(seg) and seg.last_time >= self.watermark:
                 raise StreamError(
-                    f"bin at {b.time} not covered by its own batch "
+                    f"bin at {seg.last_time} not covered by its own batch "
                     f"watermark {self.watermark}")
+
+    @property
+    def bins(self) -> Tuple[SignalBin, ...]:
+        """Every bin of the batch as a :class:`SignalBin` (derived view)."""
+        return tuple(b for seg in self.segments for b in seg.bins())
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A :class:`StreamSession` (constructed by :func:`repro.api.stream`) is
 the incremental twin of :func:`repro.api.run`: the same pipeline, but
-with the observation+curation stage driven from outside, bin by bin.
+with the observation+curation stage driven from outside, segment by
+segment.
 The session opens the run's observability envelope up front — session
 activation, fault-plan injection, telemetry, the ``run`` and
 ``stage:scenario`` spans — builds the world once, and then holds the
@@ -14,8 +15,10 @@ activation, fault-plan injection, telemetry, the ``run`` and
     result = session.finalize()  # a RunResult, byte-identical to run()
 
 ``push``/``advance_watermark`` are the raw feed interface (any bin
-order, duplicate-tolerant — see :class:`~repro.stream.engine.
-StreamEngine`); :meth:`replay` drives them from the scenario's own
+order, duplicate-tolerant, :class:`~repro.stream.models.BinSegment`\\ s
+and :class:`~repro.stream.models.SignalBin`\\ s alike — see
+:class:`~repro.stream.engine.StreamEngine`); :meth:`replay` drives them
+with the segments of the scenario's own
 :class:`~repro.stream.source.ScenarioBinSource`.  Every lifecycle
 event is journaled as a ``stream.event`` record, and the engine's
 progress is exported as live gauges (``stream.watermark``,
@@ -35,7 +38,7 @@ every backend.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.core.pipeline import ReproPipeline
 from repro.errors import StreamError
@@ -45,7 +48,7 @@ from repro.ioda.platform import IODAPlatform, PlatformConfig
 from repro.obs.runtime import activate
 from repro.resilience import ResilienceConfig, inject
 from repro.stream.engine import StreamEngine
-from repro.stream.models import SignalBin, StreamEvent
+from repro.stream.models import BinSegment, SignalBin, StreamEvent
 from repro.stream.source import ScenarioBinSource
 from repro.timeutils.timestamps import TimeRange
 
@@ -131,8 +134,8 @@ class StreamSession:
 
     # -- the feed ----------------------------------------------------------------
 
-    def push(self, bins: Iterable[SignalBin]) -> int:
-        """Offer bins to the engine; return how many were new.
+    def push(self, bins: Iterable[Union[BinSegment, SignalBin]]) -> int:
+        """Offer bin segments and/or bins; return how many bins were new.
 
         Order-free and duplicate-idempotent; contract violations raise
         :class:`~repro.errors.StreamError` (see
@@ -176,7 +179,7 @@ class StreamSession:
         early is fine — :meth:`finalize` ingests whatever remains.
         """
         for batch in self._source.batches(step):
-            self.push(batch.bins)
+            self.push(batch.segments)
             yield self.advance_watermark(batch.watermark)
 
     def client(self) -> IODAClient:
@@ -198,7 +201,8 @@ class StreamSession:
         """Complete the run; return its :class:`~repro.api.RunResult`.
 
         Pushes any bins the caller never streamed (deterministic
-        replays, so duplicates are no-ops), advances the watermark to
+        replays, so duplicates are no-ops; bins the watermark already
+        consumed are not offered again), advances the watermark to
         the horizon (closing every remaining window and queueing the
         closing lifecycle events — still visible via :meth:`events`),
         and runs the pipeline's remaining stages over the streamed
@@ -209,8 +213,13 @@ class StreamSession:
         self._check_live()
         horizon = self._engine.horizon
         step = max(horizon - self._source.origin, 1)
+        consumed = self._engine.watermark
         for batch in self._source.batches(step):
-            self.push(batch.bins)
+            # Bins the watermark already consumed were pushed by the
+            # caller; their windows may be adjudicated, so skip them.
+            self.push([seg for seg in batch.segments
+                       if consumed is None
+                       or seg.last_time + seg.kind.bin_width > consumed])
         try:
             self.advance_watermark(horizon)
             records = self._engine.finalized_records()

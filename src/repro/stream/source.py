@@ -6,9 +6,11 @@ bins as time passes.  It walks the scenario's investigation windows,
 pulls each (country, window, signal) series from the platform exactly
 once — lazily, the first time the advancing watermark reaches it — and
 hands the elapsed bins out as watermarked :class:`~repro.stream.models.
-BinBatch`\\ es.  Because platform signals are deterministic per (seed,
-entity, window start), the feed replays the very bins batch detection
-would read, which is what makes stream-vs-batch byte-identity provable.
+BinBatch`\\ es of :class:`~repro.stream.models.BinSegment`\\ s: one
+read-only slice of each live series per step.  Because platform signals
+are deterministic per (seed, entity, window start), the feed replays the
+very bins batch detection would read, which is what makes
+stream-vs-batch byte-identity provable.
 
 The pull is the source's fault-injection site: with a
 :class:`~repro.resilience.ResilienceConfig`, each series fetch runs
@@ -22,6 +24,7 @@ to a calm one.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence
 
@@ -32,7 +35,7 @@ from repro.ioda.platform import IODAPlatform
 from repro.resilience import BreakerBoard, ResilienceConfig, call_with_retry
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
-from repro.stream.models import BinBatch, SignalBin, bin_grid
+from repro.stream.models import BinBatch, BinSegment, bin_grid
 from repro.timeutils.timestamps import TimeRange
 
 __all__ = ["ScenarioBinSource"]
@@ -42,18 +45,23 @@ __all__ = ["ScenarioBinSource"]
 class _Grid:
     """Replay cursor over one (country, window, signal) series."""
 
+    order: int
     iso2: str
     window: TimeRange
     kind: SignalKind
     start: int
     n_bins: int
     cursor: int = 0
-    bin_starts: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
 
     @property
     def end(self) -> int:
         return self.start + self.n_bins * self.kind.bin_width
+
+    @property
+    def first_end(self) -> int:
+        """The watermark at which the series' first bin has elapsed."""
+        return self.start + self.kind.bin_width
 
 
 class ScenarioBinSource:
@@ -78,8 +86,8 @@ class ScenarioBinSource:
                 for kind in SignalKind:
                     start, n_bins = bin_grid(window, kind)
                     self._grids.append(_Grid(
-                        iso2=iso2, window=window, kind=kind,
-                        start=start, n_bins=n_bins))
+                        order=len(self._grids), iso2=iso2, window=window,
+                        kind=kind, start=start, n_bins=n_bins))
 
     @property
     def horizon(self) -> int:
@@ -99,12 +107,15 @@ class ScenarioBinSource:
         """Yield the feed in watermark increments of ``step`` seconds.
 
         Each batch carries every bin that fully elapsed since the
-        previous batch (bin end <= watermark) plus the watermark
-        itself, so a driver can ``push`` then ``advance_watermark`` in
-        one move.  The final batch's watermark is exactly
-        :attr:`horizon`.  Series are materialized lazily and the
-        backing arrays dropped as soon as their last bin ships, so the
-        source never holds the whole study period at once.
+        previous batch (bin end <= watermark) — one segment per series
+        with new bins, in (country, window, signal) order — plus the
+        watermark itself, so a driver can ``push`` then
+        ``advance_watermark`` in one move.  The final batch's watermark
+        is exactly :attr:`horizon`.  Series are materialized lazily and
+        the source drops its backing arrays as soon as their last bin
+        ships, so it never holds the whole study period at once; each
+        step visits only the series that have started and are not yet
+        fully shipped.
         """
         if step <= 0:
             raise StreamError(f"watermark step must be positive: {step}")
@@ -112,29 +123,35 @@ class ScenarioBinSource:
             return
         horizon = self.horizon
         watermark = self.origin
+        pending = sorted((g for g in self._grids if g.cursor < g.n_bins),
+                         key=lambda g: (g.first_end, g.order))
+        admitted = 0
+        live: List[_Grid] = []
         while watermark < horizon:
             watermark = min(watermark + step, horizon)
-            bins: List[SignalBin] = []
-            for grid in self._grids:
-                width = grid.kind.bin_width
+            while (admitted < len(pending)
+                   and pending[admitted].first_end <= watermark):
+                bisect.insort(live, pending[admitted],
+                              key=lambda g: g.order)
+                admitted += 1
+            segments: List[BinSegment] = []
+            for grid in live:
                 ready = min(grid.n_bins,
-                            (watermark - grid.start) // width)
+                            (watermark - grid.start) // grid.kind.bin_width)
                 if ready <= grid.cursor:
                     continue
                 if grid.values is None:
                     self._materialize(grid)
-                assert grid.bin_starts is not None \
-                    and grid.values is not None
-                for i in range(grid.cursor, ready):
-                    bins.append(SignalBin(
-                        country_iso2=grid.iso2, kind=grid.kind,
-                        window_start=grid.window.start,
-                        time=int(grid.bin_starts[i]),
-                        value=float(grid.values[i])))
+                assert grid.values is not None
+                segments.append(BinSegment(
+                    grid.iso2, grid.kind, grid.window.start,
+                    grid.start + grid.cursor * grid.kind.bin_width,
+                    grid.values[grid.cursor:ready]))
                 grid.cursor = ready
                 if grid.cursor >= grid.n_bins:
-                    grid.bin_starts = grid.values = None
-            yield BinBatch(bins=tuple(bins), watermark=watermark)
+                    grid.values = None
+            live = [grid for grid in live if grid.cursor < grid.n_bins]
+            yield BinBatch(segments=tuple(segments), watermark=watermark)
 
     def _materialize(self, grid: _Grid) -> None:
         """Pull one series from the platform (the retried fault site)."""
@@ -143,12 +160,14 @@ class ScenarioBinSource:
         def pull() -> None:
             series = self._platform.signal(entity, grid.kind, grid.window)
             starts, values = series.arrays()
-            if starts.shape[0] != grid.n_bins or int(starts[0]) != grid.start:
+            width = grid.kind.bin_width
+            if not np.array_equal(
+                    starts, grid.start + width * np.arange(grid.n_bins)):
                 raise StreamError(
                     f"platform series disagrees with the bin grid for "
                     f"{grid.iso2}/{grid.kind.value} at {grid.window}")
-            grid.bin_starts = starts.copy()
-            grid.values = values.copy()
+            grid.values = np.array(values, dtype=np.float64)
+            grid.values.flags.writeable = False
 
         if self._resilience is None:
             pull()

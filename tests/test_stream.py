@@ -12,13 +12,18 @@ and close within one advance, and fault-injected streams that recover.
 """
 
 import json
+import pickle
+import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.api as api
 from repro.errors import CursorError, StreamError
 from repro.io import record_to_dict
 from repro.resilience import ResilienceConfig
+from repro.stream.models import BinBatch, BinSegment
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
 
@@ -184,6 +189,209 @@ class TestPushContract:
                 session.advance_watermark(session.watermark - 1)
         finally:
             session.close()
+
+
+def _reseg(seg, lo, hi, values=None, **overrides):
+    """Bins ``lo:hi`` of ``seg`` as their own segment."""
+    fields = dict(country_iso2=seg.country_iso2, kind=seg.kind,
+                  window_start=seg.window_start,
+                  first_time=seg.first_time + lo * seg.kind.bin_width,
+                  values=seg.values[lo:hi] if values is None else values)
+    fields.update(overrides)
+    return BinSegment(**fields)
+
+
+class TestSegmentPushContract:
+    @pytest.fixture
+    def fed(self):
+        """A live session and the longest segment of its first batch."""
+        session = small_stream()
+        batch = next(session._source.batches(4 * WEEK))
+        seg = max(batch.segments, key=len)
+        assert len(seg) >= 8
+        yield session, seg
+        session.close()
+
+    def test_partial_overlap_counts_only_new_bins(self, fed):
+        session, seg = fed
+        assert session.push([_reseg(seg, 2, 5)]) == 3
+        assert session.push([seg]) == len(seg) - 3
+        assert session.push([seg]) == 0
+        grid = session._engine._countries[seg.country_iso2] \
+            .by_start[seg.window_start].series[seg.kind]
+        lo = (seg.first_time - grid.start) // grid.width
+        np.testing.assert_array_equal(grid.values[lo:lo + len(seg)],
+                                      seg.values)
+
+    def test_conflict_inside_segment_names_first_bin(self, fed):
+        session, seg = fed
+        session.push([seg])
+        forged = seg.values.copy()
+        forged[3:5] += 0.25
+        clash = seg.first_time + 3 * seg.kind.bin_width
+        with pytest.raises(StreamError,
+                           match=f"conflicting duplicate .* at {clash}:"):
+            session.push([_reseg(seg, 0, len(seg), values=forged)])
+
+    def test_conflict_message_prints_plain_floats(self, fed):
+        session, seg = fed
+        session.push([seg])
+        forged = seg.values.copy()
+        forged[0] = 0.25 if forged[0] != 0.25 else 0.5
+        with pytest.raises(StreamError) as err:
+            session.push([_reseg(seg, 0, len(seg), values=forged)])
+        assert "np.float64" not in str(err.value)
+        assert f"got {float(forged[0])!r}" in str(err.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_values_rejected(self, fed, value):
+        session, seg = fed
+        bad = seg.values.copy()
+        bad[1] = value
+        at = seg.first_time + seg.kind.bin_width
+        for _ in range(2):  # rejected every time, never half-accepted
+            with pytest.raises(StreamError,
+                               match=f"non-finite value {value!r} .* "
+                                     f"at {at}$"):
+                session.push([_reseg(seg, 0, len(seg), values=bad)])
+        lone = next(_reseg(seg, 1, 2, values=[value]).bins())
+        with pytest.raises(StreamError, match="non-finite"):
+            session.push([lone])
+        assert session.push([seg]) == len(seg)
+
+    def test_off_grid_first_time_rejected(self, fed):
+        session, seg = fed
+        with pytest.raises(StreamError, match="off the"):
+            session.push([_reseg(seg, 0, 2,
+                                 first_time=seg.first_time + 1)])
+
+    def test_segment_past_grid_end_rejected(self, fed):
+        session, seg = fed
+        grid = session._engine._countries[seg.country_iso2] \
+            .by_start[seg.window_start].series[seg.kind]
+        tail = _reseg(seg, 0, 2, first_time=grid.end - grid.width)
+        with pytest.raises(StreamError, match=f"bin at {grid.end} is off"):
+            session.push([tail])
+
+    def test_unknown_country_and_window_rejected(self, fed):
+        session, seg = fed
+        with pytest.raises(StreamError, match="ZZ"):
+            session.push([_reseg(seg, 0, 2, country_iso2="ZZ")])
+        with pytest.raises(StreamError, match="no investigation window"):
+            session.push([_reseg(seg, 0, 2,
+                                 window_start=seg.window_start + 1)])
+
+    def test_push_into_adjudicated_window_rejected(self):
+        session = small_stream()
+        try:
+            batches = session._source.batches(4 * WEEK)
+            first = next(batches)
+            seg = first.segments[0]
+            window = session._engine._countries[seg.country_iso2] \
+                .by_start[seg.window_start]
+            session.push(first.segments)
+            session.advance_watermark(first.watermark)
+            for batch in batches:
+                if window.adjudicated:
+                    break
+                session.push(batch.segments)
+                session.advance_watermark(batch.watermark)
+            assert window.adjudicated
+            with pytest.raises(StreamError, match="already adjudicated"):
+                session.push([seg])
+        finally:
+            session.close()
+
+    def test_empty_segment_accepts_nothing(self, fed):
+        session, seg = fed
+        assert session.push([_reseg(seg, 0, 0)]) == 0
+        assert session._engine.bins_pushed == 0
+
+    def test_batch_rejects_segment_at_its_watermark(self, fed):
+        _, seg = fed
+        with pytest.raises(StreamError, match="not covered"):
+            BinBatch(segments=(seg,), watermark=seg.last_time)
+        BinBatch(segments=(seg,), watermark=seg.last_time + 1)
+
+    def test_segment_pickles_and_stays_read_only(self, fed):
+        _, seg = fed
+        copy = pickle.loads(pickle.dumps(seg))
+        assert copy == seg
+        assert copy != _reseg(seg, 0, len(seg), values=seg.values + 1.0)
+        for values in (seg.values, copy.values):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_writable_input_is_copied(self, fed):
+        _, seg = fed
+        source = np.array(seg.values)
+        owned = _reseg(seg, 0, len(seg), values=source)
+        source[0] += 1.0
+        assert owned == seg
+
+
+def _repackaged(batch, rnd):
+    """``batch`` re-split, partly as single bins, with some bins offered
+    twice, in shuffled order."""
+    items = []
+    for seg in batch.segments:
+        if rnd.random() < 0.2:
+            lo = rnd.randrange(len(seg))
+            items.append(_reseg(seg, lo, rnd.randint(lo + 1, len(seg))))
+        cuts = sorted(rnd.sample(range(1, len(seg)),
+                                 min(len(seg) - 1, rnd.randint(0, 3))))
+        for lo, hi in zip([0] + cuts, cuts + [len(seg)]):
+            piece = _reseg(seg, lo, hi)
+            if rnd.random() < 0.1:
+                items.extend(piece.bins())
+            else:
+                items.append(piece)
+    rnd.shuffle(items)
+    return items
+
+
+class TestPackagingInvariance:
+    """However a replay's bins are packaged, finalize matches batch.
+
+    Duplicated bins overlap the segments around them, so the property
+    also covers the partial-overlap write path.
+    """
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_resplit_shuffled_mixed_feed(self, batch_small_bytes, seed):
+        rnd = random.Random(seed)
+        session = small_stream()
+        try:
+            for batch in session._source.batches(3 * WEEK):
+                session.push(_repackaged(batch, rnd))
+                session.advance_watermark(batch.watermark)
+            result = session.finalize()
+        finally:
+            session.close()
+        assert record_bytes(result.curated_records) == batch_small_bytes
+
+    def test_finalize_after_an_outside_feed(self, batch_small_bytes):
+        # The caller feeds bins from elsewhere (here another session's
+        # source) and closes some windows; finalize then replays the
+        # session's own source from the start and must not re-offer
+        # bins the watermark already consumed.
+        feeder = small_stream()
+        batches = feeder._source.batches(3 * WEEK)
+        session = small_stream()
+        try:
+            total = session._engine.active_window_count
+            while session._engine.active_window_count == total:
+                batch = next(batches)
+                session.push(batch.segments)
+                session.advance_watermark(batch.watermark)
+            result = session.finalize()
+        finally:
+            feeder.close()
+            session.close()
+        assert record_bytes(result.curated_records) == batch_small_bytes
 
 
 class TestLifecycle:
