@@ -10,11 +10,17 @@ import numpy as np
 
 from benchmarks.conftest import print_banner
 from repro.ioda.detectors import DETECTOR_CONFIGS
-from repro.signals.alerts import AlertDetector, DetectorConfig
+from repro.signals.alerts import DetectorConfig
 from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
+from repro.stream.detect import StreamingAlertDetector
 from repro.timeutils.timestamps import DAY, HOUR, TimeRange
 from repro.world.scenario import STUDY_PERIOD
+
+
+def _detect(config, series):
+    detector = StreamingAlertDetector(config, series.width)
+    return detector.feed(*series.arrays())
 
 
 def _sample_events(scenario, n=12):
@@ -46,10 +52,10 @@ def test_bench_ablation_alert_thresholds(benchmark, pipeline_result,
     def sweep():
         results = {}
         for threshold in (0.1, 0.25, 0.5, 0.8):
-            detector = AlertDetector(DetectorConfig(
+            config = DetectorConfig(
                 threshold=threshold,
                 history_seconds=base.history_seconds,
-                min_history_fraction=base.min_history_fraction))
+                min_history_fraction=base.min_history_fraction)
             detected = 0
             for event in events:
                 window = TimeRange(event.span.start - 4 * DAY,
@@ -57,7 +63,7 @@ def test_bench_ablation_alert_thresholds(benchmark, pipeline_result,
                 series = platform.signal(
                     Entity.country(event.country_iso2),
                     SignalKind.TELESCOPE, window)
-                alerts = detector.detect(series)
+                alerts = _detect(config, series)
                 if any(event.span.contains(a.time) for a in alerts):
                     detected += 1
             false_bins = 0
@@ -65,7 +71,7 @@ def test_bench_ablation_alert_thresholds(benchmark, pipeline_result,
             for iso2, window in quiet:
                 series = platform.signal(Entity.country(iso2),
                                          SignalKind.TELESCOPE, window)
-                alerts = detector.detect(series)
+                alerts = _detect(config, series)
                 false_bins += len(alerts)
                 total_bins += len(series)
             results[threshold] = (detected / len(events),

@@ -1,13 +1,15 @@
-"""Engineering bench: columnar alert detection vs the scalar spec.
+"""Engineering bench: the production alert detector vs the scalar spec.
 
-Not a paper table — this bench tracks the tentpole of the columnar
-detection core: :meth:`repro.signals.alerts.AlertDetector.detect` and
-:func:`repro.signals.alerts.group_alerts` must be bitwise-identical to
-their per-bin reference implementations while being far faster on the
-curation workload.  That workload is a *fleet* of signals — months of
-5-minute bins scanned against a 7-day trailing-median window — where
-most series never alert (the running-max prefilter dismisses them
-without computing a single median) and a few carry genuine drops.
+Not a paper table — this bench guards the detection core:
+:class:`repro.stream.detect.StreamingAlertDetector` fed each series as one
+chunk (as batch curation feeds it) and
+:class:`repro.stream.detect.StreamingEpisodeGrouper` must be
+bitwise-identical to the per-bin and per-alert references in
+:mod:`tests.oracles` while being far faster on the curation workload.
+That workload is a *fleet* of signals — months of 5-minute bins scanned
+against a 7-day trailing-median window — where most series never alert
+(the running-max prefilter dismisses them without computing a single
+median) and a few carry genuine drops.
 """
 
 import time
@@ -16,11 +18,13 @@ import numpy as np
 
 from benchmarks.conftest import print_banner
 from repro.ioda.detectors import DETECTOR_CONFIGS
-from repro.signals.alerts import AlertDetector, group_alerts, \
-    group_alerts_scalar
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
+from repro.stream.detect import StreamingAlertDetector, \
+    StreamingEpisodeGrouper
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES
+
+from tests import oracles
 
 #: One month of 5-minute bins per signal — one curation signal pull.
 N_BINS = 30 * DAY // FIVE_MINUTES
@@ -52,18 +56,25 @@ def _fleet():
     return fleet
 
 
+def _group(alerts):
+    grouper = StreamingEpisodeGrouper(FIVE_MINUTES,
+                                      max_gap_bins=MAX_GAP_BINS)
+    return grouper.feed(alerts) + grouper.finalize()
+
+
 def test_bench_detect_columnar_vs_scalar(benchmark):
     fleet = _fleet()
-    detector = AlertDetector(DETECTOR_CONFIGS[SignalKind.TELESCOPE])
+    config = DETECTOR_CONFIGS[SignalKind.TELESCOPE]
 
-    def sweep(detect):
-        return [detect(series) for series in fleet]
+    def sweep(detector_class):
+        return [detector_class(config, series.width).feed(*series.arrays())
+                for series in fleet]
 
     scalar_start = time.perf_counter()
-    scalar_alerts = sweep(detector.detect_scalar)
+    scalar_alerts = sweep(oracles.ScalarAlertDetector)
     scalar_mean = time.perf_counter() - scalar_start
 
-    alerts = benchmark.pedantic(lambda: sweep(detector.detect),
+    alerts = benchmark.pedantic(lambda: sweep(StreamingAlertDetector),
                                 rounds=10, iterations=1)
     columnar_mean = benchmark.stats.stats.mean
 
@@ -75,10 +86,9 @@ def test_bench_detect_columnar_vs_scalar(benchmark):
     # reference by a wide margin on the curation-shaped fleet.
     assert columnar_mean <= 0.2 * scalar_mean, (columnar_mean, scalar_mean)
 
-    episodes = [group_alerts(a, FIVE_MINUTES, max_gap_bins=MAX_GAP_BINS)
-                for a in alerts]
+    episodes = [_group(a) for a in alerts]
     assert episodes == [
-        group_alerts_scalar(a, FIVE_MINUTES, max_gap_bins=MAX_GAP_BINS)
+        oracles.group_alerts(a, FIVE_MINUTES, max_gap_bins=MAX_GAP_BINS)
         for a in alerts]
     print_banner(
         "Columnar detection — vectorized vs scalar reference",

@@ -78,11 +78,7 @@ __all__ = ["BACKENDS", "ExecutorConfig", "ShardedCurationExecutor",
 
 BACKENDS = ("serial", "thread", "process")
 
-#: Stage name under which curated shards are cached.  The columnar /
-#: scalar detection switch (``REPRO_SCALAR_DETECT``, :mod:`repro.flags`)
-#: is deliberately NOT part of the cache key: both paths produce
-#: byte-identical records, so warm shard entries stay valid across
-#: flag on/off runs.
+#: Stage name under which curated shards are cached.
 _CURATE_STAGE = "curate"
 
 

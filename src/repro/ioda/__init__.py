@@ -18,7 +18,7 @@ This subpackage reproduces the measurement side of §3.1:
 """
 
 from repro.ioda.platform import IODAPlatform, PlatformConfig
-from repro.ioda.detectors import DETECTORS, detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.ioda.records import ConfirmationStatus, OutageRecord
 from repro.ioda.dashboard import Dashboard, ioda_url
 from repro.ioda.curation import CurationConfig, CurationPipeline
@@ -29,8 +29,7 @@ __all__ = [
     "ReviewOutcome",
     "IODAPlatform",
     "PlatformConfig",
-    "DETECTORS",
-    "detector_for",
+    "DETECTOR_CONFIGS",
     "ConfirmationStatus",
     "OutageRecord",
     "Dashboard",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.ioda.detectors import detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.ioda.platform import IODAPlatform
 from repro.signals.alerts import AlertEpisode
 from repro.signals.entities import Entity, EntityScope
@@ -64,7 +64,7 @@ class Dashboard:
         listed: List[DashboardEntry] = []
         for kind in SignalKind:
             series = self._platform.signal(entity, kind, window)
-            for episode in stream_episodes(series, detector_for(kind).config):
+            for episode in stream_episodes(series, DETECTOR_CONFIGS[kind]):
                 listed.append(DashboardEntry(
                     entity=entity, signal=kind, episode=episode))
         listed.sort(key=lambda e: e.episode.span.start)
@@ -77,5 +77,5 @@ class Dashboard:
         grouped: Dict[SignalKind, List[AlertEpisode]] = {}
         for kind in SignalKind:
             series = self._platform.signal(entity, kind, window)
-            grouped[kind] = stream_episodes(series, detector_for(kind).config)
+            grouped[kind] = stream_episodes(series, DETECTOR_CONFIGS[kind])
         return grouped

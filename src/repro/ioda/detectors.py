@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.signals.alerts import AlertDetector, DetectorConfig
+from repro.signals.alerts import DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import DAY, HOUR
 
-__all__ = ["DETECTOR_CONFIGS", "DETECTORS", "detector_for"]
+__all__ = ["DETECTOR_CONFIGS"]
 
 DETECTOR_CONFIGS: Mapping[SignalKind, DetectorConfig] = {
     SignalKind.BGP: DetectorConfig(
@@ -34,13 +34,3 @@ DETECTOR_CONFIGS: Mapping[SignalKind, DetectorConfig] = {
         threshold=0.25, history_seconds=7 * DAY,
         min_history_fraction=0.3),
 }
-
-DETECTORS: Mapping[SignalKind, AlertDetector] = {
-    kind: AlertDetector(config)
-    for kind, config in DETECTOR_CONFIGS.items()
-}
-
-
-def detector_for(kind: SignalKind) -> AlertDetector:
-    """The configured detector for a signal kind."""
-    return DETECTORS[kind]

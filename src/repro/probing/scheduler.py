@@ -18,9 +18,8 @@ round applies the same deterministic map, a block's belief after any
 round is a table lookup on "rounds since last answer"
 (:meth:`~repro.probing.trinocular.TrinocularInference.belief_iterate_tables`);
 the last-answer index for every (round, block) cell is one
-``maximum.accumulate``.  The per-round reference loop remains as
-:meth:`ActiveProbingRun.up_count_series_scalar`, selected by
-``REPRO_SCALAR_DETECT=1``; both paths are bitwise-identical.
+``maximum.accumulate``.  The per-round reference loop the tests hold
+this to, bit for bit, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import SignalError
-from repro.flags import scalar_detect
 from repro.probing.blocks import ProbedBlock
 from repro.probing.trinocular import TrinocularConfig, TrinocularInference
 from repro.signals.series import TimeSeries
@@ -76,12 +74,8 @@ class ActiveProbingRun:
         series binned at the round width whose value is the number of
         blocks classified UP at the end of each round.
 
-        Columnar over the whole window (see the module docstring);
-        bitwise-identical to :meth:`up_count_series_scalar`, which
-        ``REPRO_SCALAR_DETECT=1`` selects instead.
+        Columnar over the whole window (see the module docstring).
         """
-        if scalar_detect():
-            return self.up_count_series_scalar(window, up_fraction, rng)
         start = bin_floor(window.start, self._round_width)
         n_rounds = -(-(window.end - start) // self._round_width)
         up = np.asarray(up_fraction, dtype=np.float64)
@@ -92,8 +86,8 @@ class ActiveProbingRun:
         n = self.n_blocks
         block_quantile = (np.arange(n) + 1.0) / n
         # One draw for every (round, block) cell: the generator fills
-        # the matrix row-major, so row r carries the exact floats the
-        # scalar loop's r-th rng.random(n) call would.
+        # the matrix row-major, so row r carries the exact floats a
+        # per-round loop's r-th rng.random(n) call would.
         draws = rng.random((n_rounds, n))
         block_up = block_quantile[None, :] <= up[:, None] + 1e-12
         if self._p_answer is None:
@@ -168,33 +162,6 @@ class ActiveProbingRun:
         if np.array_equal(up_table, levels < first_down[None, :, :]):
             return first_down
         return None
-
-    def up_count_series_scalar(self, window: TimeRange,
-                               up_fraction: np.ndarray,
-                               rng: np.random.Generator) -> TimeSeries:
-        """The per-round reference implementation of
-        :meth:`up_count_series`."""
-        start = bin_floor(window.start, self._round_width)
-        n_rounds = -(-(window.end - start) // self._round_width)
-        up = np.asarray(up_fraction, dtype=np.float64)
-        if up.shape != (n_rounds,):
-            raise SignalError(
-                f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
-
-        n = self.n_blocks
-        block_quantile = (np.arange(n) + 1.0) / n
-        beliefs = np.full(n, self._inference.initial_belief())
-        values = np.empty(n_rounds, dtype=np.float64)
-        for round_index in range(n_rounds):
-            block_up = block_quantile <= up[round_index] + 1e-12
-            p_answer = self._inference.answer_probability(
-                self._rates, block_up)
-            answered = rng.random(n) < p_answer
-            beliefs = self._inference.batch_update(
-                beliefs, answered, self._rates)
-            values[round_index] = int(
-                self._inference.batch_classify_up(beliefs).sum())
-        return TimeSeries(start, self._round_width, values)
 
     def blocks(self) -> List[ProbedBlock]:
         """The probed blocks in address order."""

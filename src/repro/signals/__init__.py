@@ -3,8 +3,9 @@
 - :mod:`repro.signals.series` — fixed-width binned time series.
 - :mod:`repro.signals.entities` — the country/region/AS entity keys that
   IODA aggregates each signal over.
-- :mod:`repro.signals.alerts` — the median-of-trailing-window drop detector
-  that produces IODA's automated alerts, plus episode grouping.
+- :mod:`repro.signals.alerts` — the configuration, alert and episode types
+  of the median-of-trailing-window drop detector that produces IODA's
+  automated alerts (the detector runs in :mod:`repro.stream.detect`).
 """
 
 from repro.signals.series import TimeSeries
@@ -12,10 +13,8 @@ from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
 from repro.signals.alerts import (
     Alert,
-    AlertDetector,
     AlertEpisode,
     DetectorConfig,
-    group_alerts,
 )
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "EntityScope",
     "SignalKind",
     "Alert",
-    "AlertDetector",
     "AlertEpisode",
     "DetectorConfig",
-    "group_alerts",
 ]

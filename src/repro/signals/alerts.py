@@ -11,43 +11,30 @@ Active Probing        80%         7 days
 Telescope             25%         7 days
 ====================  ==========  =================
 
-:class:`AlertDetector` implements the generic mechanism; the per-signal
-configurations live with the IODA platform in
-:mod:`repro.ioda.platform`.  :func:`group_alerts` merges runs of consecutive
-alerting bins into :class:`AlertEpisode` spans — the unit the curation
-pipeline reasons about ("a prolonged ... drop", §3.1.2).
+This module holds the detector's vocabulary: :class:`DetectorConfig`
+(threshold, history window, cold-start guard), the :class:`Alert` a
+bin raises, and the :class:`AlertEpisode` a run of consecutive alerting
+bins is merged into — the unit the curation pipeline reasons about ("a
+prolonged ... drop", §3.1.2).  The per-signal configurations live in
+:mod:`repro.ioda.detectors`.
 
-Detection is columnar: the whole series is pulled as ``(bin_starts,
-values)`` arrays, every trailing-window baseline is computed at once by
-:func:`repro.stats.rolling.trailing_median`, and the threshold
-comparison and episode grouping are array operations.  The per-bin
-scalar implementations (:meth:`AlertDetector.detect_scalar`,
-:func:`group_alerts_scalar`) remain the executable specification; both
-paths produce bitwise-identical alerts, and ``REPRO_SCALAR_DETECT=1``
-(:mod:`repro.flags`) selects the scalar path end to end.
-
-The incremental counterpart lives in :mod:`repro.stream.detect`:
-:class:`~repro.stream.detect.StreamingAlertDetector` absorbs the same
-series chunk by chunk at O(window) state and emits the same alerts
-bit for bit — which is what lets :func:`repro.api.stream` finalize
-byte-identical to a batch run.
+The detector itself is :class:`~repro.stream.detect.StreamingAlertDetector`
+with :class:`~repro.stream.detect.StreamingEpisodeGrouper`: batch
+curation feeds each series as one chunk, :func:`repro.api.stream` feeds
+it as the watermark advances, and both get the same alerts bit for bit.
+The per-bin reference implementations the tests compare it against live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.errors import SignalError
-from repro.flags import scalar_detect
-from repro.signals.series import TimeSeries
-from repro.stats.rolling import RollingMedian, trailing_median_at
 from repro.timeutils.timestamps import TimeRange
 
-__all__ = ["DetectorConfig", "Alert", "AlertEpisode", "AlertDetector",
-           "group_alerts", "group_alerts_scalar"]
+__all__ = ["DetectorConfig", "Alert", "AlertEpisode"]
 
 
 @dataclass(frozen=True)
@@ -103,145 +90,6 @@ class AlertEpisode:
         if self.baseline <= 0:
             return 0.0
         return max(0.0, 1.0 - self.min_value / self.baseline)
-
-
-class AlertDetector:
-    """Median-of-trailing-window drop detector.
-
-    Stateless across calls: :meth:`detect` scans a whole series and returns
-    the alerting bins.  The current bin never contributes to its own
-    baseline (the window is strictly trailing), so a sharp total outage
-    alerts immediately rather than dragging its own baseline down.
-    """
-
-    def __init__(self, config: DetectorConfig):
-        self._config = config
-
-    @property
-    def config(self) -> DetectorConfig:
-        return self._config
-
-    def window_bins(self, series_width: int) -> int:
-        """Number of bins of ``series_width`` the history window spans."""
-        bins = self._config.history_seconds // series_width
-        if bins <= 0:
-            raise SignalError(
-                f"history window {self._config.history_seconds}s shorter "
-                f"than one bin ({series_width}s)")
-        return bins
-
-    def detect(self, series: TimeSeries) -> List[Alert]:
-        """Return an :class:`Alert` for every bin below threshold.
-
-        Columnar: a running-max prefilter first proves which bins could
-        possibly alert — the baseline median never exceeds the largest
-        value seen before a bin, so anything at or above ``threshold *
-        running_max`` is out, and the quiet series that dominate the
-        curators' scope descent exit here without computing a single
-        median.  Exact baselines are then computed only at the surviving
-        candidates (:func:`~repro.stats.rolling.trailing_median_at`).
-        Bitwise-identical to :meth:`detect_scalar` (asserted by tests);
-        ``REPRO_SCALAR_DETECT=1`` routes through the scalar path.
-        """
-        if scalar_detect():
-            return self.detect_scalar(series)
-        window = self.window_bins(series.width)
-        min_history = max(1, int(window * self._config.min_history_fraction))
-        bin_starts, values = series.arrays()
-        if values.shape[0] <= min_history:
-            return []
-        # median(window) <= max(values[:i]), and x <= y implies
-        # fl(t*x) <= fl(t*y) (rounding is monotone), so the candidate
-        # set is a strict superset of the alerting bins.
-        running_max = np.maximum.accumulate(values)
-        candidates = min_history + np.flatnonzero(
-            values[min_history:]
-            < self._config.threshold * running_max[min_history - 1:-1])
-        if candidates.size == 0:
-            return []
-        baselines = trailing_median_at(values, window, candidates)
-        keep = values[candidates] < self._config.threshold * baselines
-        return [Alert(time=int(bin_starts[i]), value=float(values[i]),
-                      baseline=float(baselines[k]))
-                for k, i in zip(np.flatnonzero(keep), candidates[keep])]
-
-    def detect_scalar(self, series: TimeSeries) -> List[Alert]:
-        """The per-bin reference implementation of :meth:`detect`.
-
-        Scans the series one bin at a time against a
-        :class:`~repro.stats.rolling.RollingMedian` tracker — the
-        executable specification the columnar path must match bit for
-        bit.
-        """
-        window = self.window_bins(series.width)
-        min_history = max(1, int(window * self._config.min_history_fraction))
-        tracker = RollingMedian(window)
-        alerts: List[Alert] = []
-        for ts, value in series:
-            baseline = tracker.median
-            if (baseline is not None and len(tracker) >= min_history
-                    and value < self._config.threshold * baseline):
-                alerts.append(Alert(time=ts, value=value, baseline=baseline))
-            tracker.push(value)
-        return alerts
-
-
-def group_alerts(alerts: Sequence[Alert], bin_width: int,
-                 max_gap_bins: int = 1) -> List[AlertEpisode]:
-    """Merge alerting bins into maximal episodes.
-
-    Bins whose start times are within ``max_gap_bins * bin_width`` of the
-    previous alerting bin extend the current episode; larger gaps start a
-    new one.  A gap tolerance of one bin absorbs single-bin flickers at the
-    edge of the threshold.
-
-    Columnar: episode boundaries fall out of one array diff over the
-    alert times and the per-episode aggregates are ``reduceat`` calls.
-    Identical to :func:`group_alerts_scalar` (the reference);
-    ``REPRO_SCALAR_DETECT=1`` selects the scalar path.
-    """
-    _check_grouping_args(bin_width, max_gap_bins)
-    if scalar_detect():
-        return group_alerts_scalar(alerts, bin_width,
-                                   max_gap_bins=max_gap_bins)
-    if not alerts:
-        return []
-    times = np.fromiter((a.time for a in alerts), dtype=np.int64,
-                        count=len(alerts))
-    values = np.fromiter((a.value for a in alerts), dtype=np.float64,
-                         count=len(alerts))
-    starts = np.concatenate([
-        [0],
-        np.flatnonzero(np.diff(times) > (max_gap_bins + 1) * bin_width) + 1])
-    ends = np.concatenate([starts[1:], [len(alerts)]])
-    min_values = np.minimum.reduceat(values, starts)
-    return [
-        AlertEpisode(
-            span=TimeRange(int(times[first]),
-                           int(times[last - 1]) + bin_width),
-            min_value=float(min_values[k]),
-            baseline=alerts[first].baseline,
-            n_bins=int(last - first),
-        )
-        for k, (first, last) in enumerate(zip(starts, ends))]
-
-
-def group_alerts_scalar(alerts: Sequence[Alert], bin_width: int,
-                        max_gap_bins: int = 1) -> List[AlertEpisode]:
-    """The per-alert reference implementation of :func:`group_alerts`."""
-    _check_grouping_args(bin_width, max_gap_bins)
-    if not alerts:
-        return []
-    episodes: List[AlertEpisode] = []
-    run: List[Alert] = [alerts[0]]
-    for alert in alerts[1:]:
-        if alert.time <= run[-1].time + (max_gap_bins + 1) * bin_width:
-            run.append(alert)
-        else:
-            episodes.append(_episode_from_run(run, bin_width))
-            run = [alert]
-    episodes.append(_episode_from_run(run, bin_width))
-    return episodes
 
 
 def _check_grouping_args(bin_width: int, max_gap_bins: int) -> None:

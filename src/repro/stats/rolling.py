@@ -2,21 +2,25 @@
 
 IODA's alert engine compares each new bin of a signal against the median of
 a trailing history window (24 hours for BGP, 7 days for active probing and
-the telescope).  Two implementations of the same quantity live here:
+the telescope).  Every implementation of that quantity lives here:
 
 - :class:`RollingMedian` maintains the median incrementally using a
-  sorted window (O(log w) per push) — the scalar reference, one value
-  at a time; :func:`rolling_median` is its batch convenience.
+  sorted window (O(log w) per push), one value at a time — the
+  reference the columnar functions are tested against, and the
+  tracker behind telescope campaign suppression;
+  :func:`rolling_median` is its batch convenience.
 - :func:`trailing_median` computes every trailing-window median of a
-  whole series at once with numpy bulk operations — the engine behind
-  the columnar alert detector.  It is *exact*: tests assert bitwise
-  equality with the scalar path on every series shape the detectors
-  see.
+  whole series at once with numpy bulk operations.  It is *exact*:
+  tests assert bitwise equality with :class:`RollingMedian` on every
+  series shape the detectors see.
 - :func:`trailing_median_at` answers the same question at selected
   positions only, for callers (the alert detector's prefilter) that
   can prove most bins need no baseline at all.
+- :class:`TrailingMedianStream` answers it chunk by chunk at O(window)
+  state — the baseline engine of
+  :class:`~repro.stream.detect.StreamingAlertDetector`.
 
-Both use the interpolating median (mean of the central pair for even
+All use the interpolating median (mean of the central pair for even
 counts), matching :func:`repro.stats.descriptive.median`.
 """
 

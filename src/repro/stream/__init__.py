@@ -4,18 +4,19 @@ The batch pipeline materializes every signal for the whole study period
 before curating.  This package is the always-on counterpart: signal
 bins are **pushed** as they elapse, in per-series array segments (or
 one by one), trailing-median detectors keep O(window) rolling state
-(:mod:`repro.stream.detect`, bitwise-equal to the columnar batch
-path), and curation emits event lifecycle records
-(``open``/``update``/``close``) at a configurable **watermark** instead
-of one terminal batch (:mod:`repro.stream.engine`).
+(:mod:`repro.stream.detect`, the detector batch curation runs too, so
+any chunking gives the batch alerts bit for bit), and curation emits
+event lifecycle records (``open``/``update``/``close``) at a
+configurable **watermark** instead of one terminal batch
+(:mod:`repro.stream.engine`).
 
 Layering (the client/models/processor/scheduler split):
 
 - :mod:`repro.stream.models`  — the wire types: :class:`BinSegment`,
   :class:`SignalBin`, :class:`BinBatch`, :class:`StreamEvent`.
 - :mod:`repro.stream.detect`  — :class:`StreamingAlertDetector` and
-  :class:`StreamingEpisodeGrouper`, the incremental detection core the
-  batch dashboard now composes over.
+  :class:`StreamingEpisodeGrouper`, the only alert detector: the batch
+  dashboard feeds it whole series.
 - :mod:`repro.stream.source`  — :class:`ScenarioBinSource`, the
   fault-injectable (``repro.resilience``) replay source that turns the
   synthetic platform into a bin feed.

@@ -1,27 +1,25 @@
-"""The incremental detection core.
+"""The alert detection core.
 
-:class:`StreamingAlertDetector` is the chunk-at-a-time counterpart of
-:meth:`repro.signals.alerts.AlertDetector.detect`: bins arrive in
-contiguous chunks (one per watermark advance), state is bounded to
-O(window) per series (:class:`repro.stats.rolling.TrailingMedianStream`
-plus a running max and a bin counter), and the alerts that come out are
-**bitwise-identical** to scanning the concatenated series through the
-batch detector — same running-max prefilter, same exact rank-select
-baselines, same threshold compare.  ``REPRO_SCALAR_DETECT=1``
-(:mod:`repro.flags`) selects the per-bin scalar mode, mirroring the
-batch flag; both modes emit the same bits.
+:class:`StreamingAlertDetector` is IODA's median-of-trailing-window drop
+detector (:mod:`repro.signals.alerts`) run chunk at a time: bins arrive
+in contiguous chunks (one per watermark advance, or the whole series at
+once), state is bounded to O(window) per series
+(:class:`repro.stats.rolling.TrailingMedianStream` plus a running max
+and a bin counter), and every chunking of a series yields the same
+alerts bit for bit — a running-max prefilter, exact rank-select
+baselines at the surviving candidates, and a strict threshold compare.
 
-:class:`StreamingEpisodeGrouper` is the incremental counterpart of
-:func:`repro.signals.alerts.group_alerts`: alerts stream in, maximal
-episodes stream out as soon as a gap proves them closed, and the open
-run is inspectable (the engine surfaces it as a provisional episode for
-``open``/``update`` lifecycle events).
+:class:`StreamingEpisodeGrouper` merges those alerts into maximal
+episodes as they stream in, emitting each one as soon as a gap proves
+it closed; the open run is inspectable (the engine surfaces it as a
+provisional episode for ``open``/``update`` lifecycle events).
 
 :func:`stream_episodes` composes the two over a whole series in one
-feed — which is how the **batch** dashboard
-(:mod:`repro.ioda.dashboard`) now runs: batch detection is literally
-the streaming engine fed one maximal chunk, so there is exactly one
-detection implementation to trust.
+feed, which is how the batch dashboard (:mod:`repro.ioda.dashboard`)
+runs: batch detection is the streaming core fed one maximal chunk, so
+there is exactly one detection implementation.  The per-bin and
+per-alert reference implementations the tests hold it to live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,11 +29,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SignalError
-from repro.flags import scalar_detect
 from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig, \
     _check_grouping_args, _episode_from_run
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import RollingMedian, TrailingMedianStream
+from repro.stats.rolling import TrailingMedianStream
 
 __all__ = ["StreamingAlertDetector", "StreamingEpisodeGrouper",
            "stream_episodes"]
@@ -48,16 +45,12 @@ class StreamingAlertDetector:
     order.  The detector keeps only the trailing history window, the
     running maximum, and the number of bins absorbed — never the whole
     series — so memory stays O(window) no matter how long the stream
-    runs.  Feeding the entire series as one chunk reproduces
-    :meth:`repro.signals.alerts.AlertDetector.detect` bit for bit; so
-    does any other chunking, because every per-bin quantity (prefilter
-    max, baseline median, threshold compare) depends only on the bins
-    before it.
-
-    The scalar/columnar mode is chosen at construction from
-    ``REPRO_SCALAR_DETECT`` (the two modes emit identical alerts; the
-    flag exists so the executable specification stays runnable end to
-    end, exactly as in the batch detector).
+    runs.  Every chunking of a series emits the same alerts, because
+    every per-bin quantity (prefilter max, baseline median, threshold
+    compare) depends only on the bins before it.  The current bin never
+    contributes to its own baseline (the window is strictly trailing),
+    so a sharp total outage alerts immediately rather than dragging its
+    own baseline down.
     """
 
     def __init__(self, config: DetectorConfig, width: int):
@@ -73,13 +66,7 @@ class StreamingAlertDetector:
         self._window = window
         self._min_history = max(
             1, int(window * config.min_history_fraction))
-        self._scalar = scalar_detect()
-        if self._scalar:
-            self._tracker: Optional[RollingMedian] = RollingMedian(window)
-            self._median: Optional[TrailingMedianStream] = None
-        else:
-            self._tracker = None
-            self._median = TrailingMedianStream(window)
+        self._median = TrailingMedianStream(window)
         self._running_max = -np.inf
         self._n = 0
 
@@ -99,18 +86,26 @@ class StreamingAlertDetector:
 
     def feed(self, bin_starts: np.ndarray,
              values: np.ndarray) -> List[Alert]:
-        """Absorb the next contiguous chunk; return its alerting bins."""
+        """Absorb the next contiguous chunk; return its alerting bins.
+
+        ``bin_starts[j]`` is the start time of the bin ``values[j]``
+        measures; the two arrays must have the same length.
+        """
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise SignalError("feed expects a one-dimensional chunk")
+        if len(bin_starts) != values.shape[0]:
+            raise SignalError(
+                f"feed got {len(bin_starts)} bin starts for "
+                f"{values.shape[0]} values")
         if values.shape[0] == 0:
             return []
-        if self._scalar:
-            return self._feed_scalar(bin_starts, values)
         # Prefix maxima seeded with the running max: prev[j] is the
-        # largest value strictly before global bin n + j, so the same
-        # necessary-condition prefilter as the batch path applies
-        # (median <= max of history, and rounding is monotone).
+        # largest value strictly before global bin n + j.  A baseline
+        # median never exceeds the largest value of its history, and
+        # x <= y implies fl(t*x) <= fl(t*y) (rounding is monotone), so
+        # bins at or above threshold * prev cannot alert and need no
+        # median: the quiet series that dominate curation exit here.
         m = np.maximum.accumulate(
             np.concatenate([[self._running_max], values]))
         prev = m[:-1]
@@ -120,7 +115,6 @@ class StreamingAlertDetector:
             eligible & (values < self._config.threshold * prev))
         alerts: List[Alert] = []
         if candidates.size:
-            assert self._median is not None
             baselines = self._median.medians_at(values, candidates)
             keep = values[candidates] \
                 < self._config.threshold * baselines
@@ -128,39 +122,24 @@ class StreamingAlertDetector:
                 Alert(time=int(bin_starts[i]), value=float(values[i]),
                       baseline=float(baselines[k]))
                 for k, i in zip(np.flatnonzero(keep), candidates[keep])]
-        if self._median is not None:
-            self._median.push(values)
+        self._median.push(values)
         self._running_max = float(m[-1])
         self._n += values.shape[0]
         return alerts
 
-    def _feed_scalar(self, bin_starts: np.ndarray,
-                     values: np.ndarray) -> List[Alert]:
-        """Per-bin reference mode (``REPRO_SCALAR_DETECT=1``)."""
-        assert self._tracker is not None
-        alerts: List[Alert] = []
-        for ts, value in zip(bin_starts, values):
-            baseline = self._tracker.median
-            if (baseline is not None
-                    and len(self._tracker) >= self._min_history
-                    and value < self._config.threshold * baseline):
-                alerts.append(Alert(time=int(ts), value=float(value),
-                                    baseline=baseline))
-            self._tracker.push(float(value))
-            self._n += 1
-        return alerts
-
 
 class StreamingEpisodeGrouper:
-    """Incremental :func:`repro.signals.alerts.group_alerts`.
+    """Merges alerting bins into maximal :class:`AlertEpisode` runs.
 
-    Alerts stream in (in time order); an episode is emitted the moment a
-    later alert proves its run closed by exceeding the gap tolerance.
-    The still-open run is observable as a provisional episode
-    (:meth:`open_episode`) — the engine's ``open``/``update`` lifecycle
-    events are exactly that view — and :meth:`finalize` flushes it when
-    the series ends.  Feeding a full alert list and finalizing matches
-    the batch grouper bit for bit.
+    Alerts stream in, in strictly increasing time order.  An alert
+    within ``max_gap_bins`` missing bins of the previous one extends
+    the current run (a one-bin tolerance absorbs single-bin flickers
+    at the edge of the threshold); a larger gap closes the run, and its
+    episode is emitted at once.  The still-open run is observable as a
+    provisional episode (:meth:`open_episode`) — the engine's
+    ``open``/``update`` lifecycle events are exactly that view — and
+    :meth:`finalize` flushes it when the series ends.  Any split of an
+    alert list into feeds yields the same episodes.
     """
 
     def __init__(self, bin_width: int, max_gap_bins: int = 1):
@@ -175,11 +154,20 @@ class StreamingEpisodeGrouper:
         return len(self._run)
 
     def feed(self, alerts: Sequence[Alert]) -> List[AlertEpisode]:
-        """Absorb alerts; return the episodes they prove closed."""
+        """Absorb alerts; return the episodes they prove closed.
+
+        Raises :class:`~repro.errors.SignalError` as soon as an alert is
+        not strictly later than the one before it, in this call or an
+        earlier one.
+        """
         if self._closed:
             raise SignalError("grouper already finalized")
         episodes: List[AlertEpisode] = []
         for alert in alerts:
+            if self._run and alert.time <= self._run[-1].time:
+                raise SignalError(
+                    f"alert at {alert.time} is not after the previous "
+                    f"alert at {self._run[-1].time}")
             if self._run and alert.time <= self._run[-1].time \
                     + self._max_gap:
                 self._run.append(alert)
@@ -213,10 +201,9 @@ def stream_episodes(series: TimeSeries, config: DetectorConfig,
     """Detect and group one whole series through the streaming core.
 
     One maximal chunk through :class:`StreamingAlertDetector` and
-    :class:`StreamingEpisodeGrouper` — bitwise-identical to the batch
-    ``detect`` + ``group_alerts`` pair, which is why the dashboard
-    (and through it all of batch curation) routes here: batch is the
-    ingest-everything special case of the stream engine.
+    :class:`StreamingEpisodeGrouper`; the dashboard, and through it all
+    of batch curation, routes here: batch is the ingest-everything
+    special case of the stream engine.
     """
     detector = StreamingAlertDetector(config, series.width)
     grouper = StreamingEpisodeGrouper(series.width,

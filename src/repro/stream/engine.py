@@ -12,9 +12,10 @@ incremental detectors (:mod:`repro.stream.detect`), and a window whose
 last bin the watermark passes is adjudicated through the exact batch
 curation loop
 (:meth:`repro.ioda.curation.CurationPipeline.adjudicate_window`).
-Because the detectors are bitwise-equal to the columnar batch path and
-adjudication consumes the per-country RNG substream and record ids in
-batch order, the finalized record set is byte-identical to
+Because batch curation runs the same detectors over each whole series
+(their alerts do not depend on the chunking) and adjudication consumes
+the per-country RNG substream and record ids in batch order, the
+finalized record set is byte-identical to
 :meth:`repro.ioda.curation.CurationPipeline.run` over the same windows
 — however the bins were chunked, and on every backend.
 
@@ -57,7 +58,7 @@ from repro.errors import ConfigurationError, StreamError
 from repro.exec.workers import worker_init
 from repro.ioda.curation import CurationPipeline, WindowAdjudication, \
     finalize_records
-from repro.ioda.detectors import detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.ioda.records import OutageRecord
 from repro.obs.provenance import DrawCursor
 from repro.obs.runtime import current
@@ -92,7 +93,7 @@ class _SeriesState:
         self.present = np.zeros(n_bins, dtype=bool)
         self.fed = 0
         self.detector = StreamingAlertDetector(
-            detector_for(kind).config, self.width)
+            DETECTOR_CONFIGS[kind], self.width)
         self.grouper = StreamingEpisodeGrouper(self.width)
         self.episodes: List[AlertEpisode] = []
 

@@ -1,0 +1,140 @@
+"""Reference implementations the detection core is tested against.
+
+Production detects alerts through one columnar path
+(:mod:`repro.stream.detect`) and simulates Active Probing rounds through
+one table-driven path (:mod:`repro.probing.scheduler`).  The functions
+here are the plain loops those paths must match **bit for bit**: one bin,
+one alert, one probing round at a time.  They share no logic with the
+code under test beyond the data types and the scalar
+:class:`~repro.stats.rolling.RollingMedian` tracker.
+
+Each one is shaped so it can stand in for production at the name
+production looks it up by, which is how the pipeline tests run a whole
+curation through the references:
+
+- :class:`ScalarAlertDetector` for
+  :class:`~repro.stream.detect.StreamingAlertDetector`;
+- :func:`stream_episodes` for :func:`repro.stream.detect.stream_episodes`;
+- :func:`up_count_series` for
+  :meth:`repro.probing.scheduler.ActiveProbingRun.up_count_series`.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence
+
+import numpy as np
+
+from repro.errors import SignalError
+from repro.probing.scheduler import ActiveProbingRun
+from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
+from repro.signals.series import TimeSeries
+from repro.stats.rolling import RollingMedian
+from repro.timeutils.timestamps import TimeRange, bin_floor
+
+
+class ScalarAlertDetector:
+    """The per-bin reference alert detector.
+
+    Each bin is compared against the median of the ``window`` bins
+    strictly before it, once at least ``min_history`` of them have been
+    seen; the bin alerts when its value is below ``threshold`` times that
+    median.  Chunking cannot matter: the loop carries everything it
+    needs from one bin to the next.
+    """
+
+    def __init__(self, config: DetectorConfig, width: int):
+        if width <= 0:
+            raise SignalError(f"bin width must be positive: {width}")
+        window = config.history_seconds // width
+        if window <= 0:
+            raise SignalError(
+                f"history window {config.history_seconds}s shorter "
+                f"than one bin ({width}s)")
+        self._threshold = config.threshold
+        self._min_history = max(
+            1, int(window * config.min_history_fraction))
+        self._tracker = RollingMedian(window)
+
+    def feed(self, bin_starts: np.ndarray,
+             values: np.ndarray) -> List[Alert]:
+        alerts: List[Alert] = []
+        for ts, value in zip(bin_starts, values):
+            baseline = self._tracker.median
+            if (baseline is not None
+                    and len(self._tracker) >= self._min_history
+                    and value < self._threshold * baseline):
+                alerts.append(Alert(time=int(ts), value=float(value),
+                                    baseline=baseline))
+            self._tracker.push(float(value))
+        return alerts
+
+
+def detect_alerts(series: TimeSeries,
+                  config: DetectorConfig) -> List[Alert]:
+    """Every alerting bin of a whole series."""
+    return ScalarAlertDetector(config, series.width).feed(*series.arrays())
+
+
+def group_alerts(alerts: Sequence[Alert], bin_width: int,
+                 max_gap_bins: int = 1) -> List[AlertEpisode]:
+    """The per-alert reference episode grouper.
+
+    An alert within ``(max_gap_bins + 1) * bin_width`` of the previous
+    one extends the current run; a larger gap starts a new run.
+    """
+    if bin_width <= 0:
+        raise SignalError(f"bin width must be positive: {bin_width}")
+    if max_gap_bins < 0:
+        raise SignalError(f"max gap must be >= 0 bins: {max_gap_bins}")
+    runs: List[List[Alert]] = []
+    for alert in alerts:
+        if runs and alert.time <= runs[-1][-1].time \
+                + (max_gap_bins + 1) * bin_width:
+            runs[-1].append(alert)
+        else:
+            runs.append([alert])
+    return [AlertEpisode(span=TimeRange(run[0].time,
+                                        run[-1].time + bin_width),
+                         min_value=min(alert.value for alert in run),
+                         baseline=run[0].baseline,
+                         n_bins=len(run))
+            for run in runs]
+
+
+def stream_episodes(series: TimeSeries, config: DetectorConfig,
+                    max_gap_bins: int = 1) -> List[AlertEpisode]:
+    """Detect and group one whole series through the references."""
+    return group_alerts(detect_alerts(series, config), series.width,
+                        max_gap_bins=max_gap_bins)
+
+
+def up_count_series(run: ActiveProbingRun, window: TimeRange,
+                    up_fraction: np.ndarray,
+                    rng: np.random.Generator) -> TimeSeries:
+    """The per-round reference Active Probing simulation.
+
+    Each round draws one uniform per block, updates every block's
+    belief, and counts the blocks classified UP.  Written as a method
+    body (``run`` is the instance) so it can replace
+    :meth:`ActiveProbingRun.up_count_series` on the class.
+    """
+    width = run._round_width
+    start = bin_floor(window.start, width)
+    n_rounds = -(-(window.end - start) // width)
+    up = np.asarray(up_fraction, dtype=np.float64)
+    if up.shape != (n_rounds,):
+        raise SignalError(
+            f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
+    inference = run.inference
+    n = run.n_blocks
+    block_quantile = (np.arange(n) + 1.0) / n
+    beliefs = np.full(n, inference.initial_belief())
+    values = np.empty(n_rounds, dtype=np.float64)
+    for round_index in range(n_rounds):
+        block_up = block_quantile <= up[round_index] + 1e-12
+        p_answer = inference.answer_probability(run._rates, block_up)
+        answered = rng.random(n) < p_answer
+        beliefs = inference.batch_update(beliefs, answered, run._rates)
+        values[round_index] = int(inference.batch_classify_up(beliefs).sum())
+    return TimeSeries(start, width, values)

@@ -1,29 +1,41 @@
-"""Bitwise equivalence of the columnar detection core and its scalar
-reference implementations.
+"""Bitwise equivalence of the columnar detection core and its reference
+implementations.
 
-The columnar paths (``trailing_median``, ``AlertDetector.detect``,
-``group_alerts``, ``ActiveProbingRun.up_count_series``) must produce
-*bitwise-identical* output to the per-bin/per-round reference code they
-replace — not merely approximately equal.  These tests drive both paths
-over randomized series covering every detector configuration, missing
-history prefixes, threshold-boundary ties, and the scalar escape hatch
-(``REPRO_SCALAR_DETECT=1``), and assert exact equality end to end.
+The columnar paths (``trailing_median``, :class:`StreamingAlertDetector`,
+:class:`StreamingEpisodeGrouper`, ``ActiveProbingRun.up_count_series``)
+must produce *bitwise-identical* output to the per-bin, per-alert and
+per-round references in :mod:`tests.oracles` — not merely approximately
+equal.  These tests drive both over randomized series covering every
+detector configuration, random chunkings, missing history prefixes and
+threshold-boundary ties, and then run a whole curation, batch and
+streamed, with the references standing in for production.
 """
+
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.api as api
+import repro.ioda.dashboard as dashboard
+import repro.stream.engine as engine
+from repro import io
 from repro.errors import SignalError
-from repro.flags import SCALAR_DETECT_ENV
-from repro.ioda.detectors import DETECTOR_CONFIGS, detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.probing.blocks import ProbedBlock
 from repro.probing.scheduler import ActiveProbingRun
-from repro.signals.alerts import Alert, AlertDetector, DetectorConfig, \
-    group_alerts, group_alerts_scalar
+from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats.rolling import rolling_median, trailing_median
-from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, utc
+from repro.stream.detect import StreamingAlertDetector, \
+    StreamingEpisodeGrouper
+from repro.timeutils.timestamps import DAY, FIVE_MINUTES, TimeRange, utc
+from repro.world.scenario import ScenarioConfig
+
+from tests import oracles
 
 
 def _random_series(rng, n, width=FIVE_MINUTES):
@@ -40,6 +52,27 @@ def _random_series(rng, n, width=FIVE_MINUTES):
         depth = rng.uniform(0.0, 1.0)
         values[at:at + int(rng.integers(1, 10))] *= depth
     return np.maximum(values, 0.0)
+
+
+def _detect_in_chunks(series, config, cuts=()):
+    """The production detector fed ``series`` split at ``cuts``."""
+    detector = StreamingAlertDetector(config, series.width)
+    bin_starts, values = series.arrays()
+    bounds = [0, *sorted(cuts), len(values)]
+    alerts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        alerts.extend(detector.feed(bin_starts[lo:hi], values[lo:hi]))
+    return alerts
+
+
+def group_alerts_streaming(alerts, bin_width, max_gap_bins=1, cuts=()):
+    """The production grouper fed ``alerts`` split at ``cuts``."""
+    grouper = StreamingEpisodeGrouper(bin_width, max_gap_bins=max_gap_bins)
+    bounds = [0, *sorted(cuts), len(alerts)]
+    episodes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        episodes.extend(grouper.feed(alerts[lo:hi]))
+    return episodes + grouper.finalize()
 
 
 class TestTrailingMedian:
@@ -90,44 +123,55 @@ class TestDetectorEquivalence:
     @pytest.mark.parametrize("kind", list(SignalKind))
     def test_detect_matches_scalar_on_all_configs(self, kind):
         rng = np.random.default_rng(hash(kind.value) % 2**32)
-        detector = detector_for(kind)
-        width = FIVE_MINUTES if kind is not SignalKind.ACTIVE_PROBING \
-            else 2 * FIVE_MINUTES
+        config = DETECTOR_CONFIGS[kind]
         for n in (2, 5, 50, 700, 3000):
-            series = TimeSeries(0, width, _random_series(rng, n, width))
-            assert detector.detect(series) \
-                == detector.detect_scalar(series), (kind, n)
+            series = TimeSeries(0, kind.bin_width,
+                                _random_series(rng, n, kind.bin_width))
+            assert _detect_in_chunks(series, config) \
+                == oracles.detect_alerts(series, config), (kind, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(SignalKind)),
+           seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 3000),
+           cuts=st.lists(st.integers(0, 3000), max_size=8))
+    def test_any_chunking_matches_scalar(self, kind, seed, n, cuts):
+        rng = np.random.default_rng(seed)
+        series = TimeSeries(0, kind.bin_width,
+                            _random_series(rng, n, kind.bin_width))
+        config = DETECTOR_CONFIGS[kind]
+        assert _detect_in_chunks(series, config,
+                                 [cut % (n + 1) for cut in cuts]) \
+            == oracles.detect_alerts(series, config)
 
     def test_threshold_boundary_ties_are_not_alerts(self):
         """value == threshold * baseline must not alert on either path
         (the comparison is strict)."""
         config = DetectorConfig(threshold=0.5, history_seconds=FIVE_MINUTES,
                                 min_history_fraction=1.0)
-        detector = AlertDetector(config)
         # Baseline is always 100 (window of one trailing bin), so a
         # value of exactly 50 sits on the boundary.
         series = TimeSeries(0, FIVE_MINUTES,
                             [100.0, 50.0, 100.0, 49.0, 100.0])
-        vec, scalar = detector.detect(series), detector.detect_scalar(series)
-        assert vec == scalar
-        assert [a.value for a in vec] == [49.0]
+        alerts = _detect_in_chunks(series, config)
+        assert alerts == oracles.detect_alerts(series, config)
+        assert [a.value for a in alerts] == [49.0]
 
     def test_short_series_produces_no_alerts(self):
-        detector = detector_for(SignalKind.TELESCOPE)
+        config = DETECTOR_CONFIGS[SignalKind.TELESCOPE]
         series = TimeSeries(0, FIVE_MINUTES, [10.0, 0.0])
-        assert detector.detect(series) == detector.detect_scalar(series) \
-            == []
+        assert _detect_in_chunks(series, config) \
+            == oracles.detect_alerts(series, config) == []
 
-    def test_scalar_env_flag_routes_to_reference(self, monkeypatch):
-        calls = []
-        detector = detector_for(SignalKind.BGP)
-        original = AlertDetector.detect_scalar
-        monkeypatch.setattr(
-            AlertDetector, "detect_scalar",
-            lambda self, series: calls.append(1) or original(self, series))
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        detector.detect(TimeSeries(0, FIVE_MINUTES, np.full(600, 7.0)))
-        assert calls
+    def test_feed_rejects_mismatched_lengths(self):
+        values = np.full(600, 100.0)
+        values[400] = 0.0  # alerts, past the end of a short bin_starts
+        bin_starts = np.arange(601, dtype=np.int64) * FIVE_MINUTES
+        for starts in (bin_starts[:300], bin_starts, bin_starts[:0]):
+            detector = StreamingAlertDetector(
+                DETECTOR_CONFIGS[SignalKind.BGP], FIVE_MINUTES)
+            with pytest.raises(SignalError, match="bin starts"):
+                detector.feed(starts, values)
 
 
 class TestGroupAlertsEquivalence:
@@ -143,26 +187,46 @@ class TestGroupAlertsEquivalence:
         for _ in range(50):
             alerts = self._alerts(rng, 200, FIVE_MINUTES)
             gap = int(rng.integers(0, 4))
-            assert group_alerts(alerts, FIVE_MINUTES, max_gap_bins=gap) \
-                == group_alerts_scalar(alerts, FIVE_MINUTES,
-                                       max_gap_bins=gap)
+            cuts = rng.integers(0, len(alerts) + 1,
+                                size=int(rng.integers(0, 6)))
+            assert group_alerts_streaming(alerts, FIVE_MINUTES,
+                                          max_gap_bins=gap, cuts=cuts) \
+                == oracles.group_alerts(alerts, FIVE_MINUTES,
+                                        max_gap_bins=gap)
 
     def test_empty_and_single(self):
-        assert group_alerts([], FIVE_MINUTES) == []
+        assert group_alerts_streaming([], FIVE_MINUTES) == []
         one = [Alert(time=300, value=1.0, baseline=10.0)]
-        assert group_alerts(one, FIVE_MINUTES) \
-            == group_alerts_scalar(one, FIVE_MINUTES)
+        assert group_alerts_streaming(one, FIVE_MINUTES) \
+            == oracles.group_alerts(one, FIVE_MINUTES)
 
-    @pytest.mark.parametrize("grouper", [group_alerts, group_alerts_scalar])
+    @pytest.mark.parametrize(
+        "grouper", [oracles.group_alerts, group_alerts_streaming])
     def test_negative_max_gap_rejected(self, grouper):
         alerts = [Alert(time=0, value=1.0, baseline=10.0)]
         with pytest.raises(SignalError, match="max gap"):
             grouper(alerts, FIVE_MINUTES, max_gap_bins=-1)
 
-    @pytest.mark.parametrize("grouper", [group_alerts, group_alerts_scalar])
+    @pytest.mark.parametrize(
+        "grouper", [oracles.group_alerts, group_alerts_streaming])
     def test_nonpositive_bin_width_rejected(self, grouper):
         with pytest.raises(SignalError, match="bin width"):
             grouper([], 0)
+
+    @pytest.mark.parametrize("first,second", [
+        (600, 600),    # a repeat: used to count one bin twice
+        (900, 600),    # used to give the empty span [900, 900)
+        (1200, 600),   # used to fail later, inside finalize()
+    ])
+    def test_out_of_order_alerts_rejected(self, first, second):
+        alerts = [Alert(time=t, value=0.0, baseline=100.0)
+                  for t in (first, second)]
+        with pytest.raises(SignalError, match="not after"):
+            StreamingEpisodeGrouper(FIVE_MINUTES).feed(alerts)
+        grouper = StreamingEpisodeGrouper(FIVE_MINUTES)
+        grouper.feed(alerts[:1])
+        with pytest.raises(SignalError, match="not after"):
+            grouper.feed(alerts[1:])
 
 
 class TestProbingEquivalence:
@@ -183,22 +247,11 @@ class TestProbingEquivalence:
             seed = int(rng.integers(2**31))
             vec = run.up_count_series(
                 window, up, np.random.default_rng(seed))
-            scalar = run.up_count_series_scalar(
-                window, up, np.random.default_rng(seed))
+            scalar = oracles.up_count_series(
+                run, window, up, np.random.default_rng(seed))
             assert vec.start == scalar.start
             assert vec.width == scalar.width
             assert vec.values.tobytes() == scalar.values.tobytes(), trial
-
-    def test_scalar_env_flag_dispatches(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        run = self._run(rng, 5)
-        window = TimeRange(utc(2019, 1, 1), utc(2019, 1, 2))
-        up = np.ones((window.end - window.start) // 600)
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        flagged = run.up_count_series(window, up, np.random.default_rng(3))
-        reference = run.up_count_series_scalar(
-            window, up, np.random.default_rng(3))
-        assert flagged.values.tobytes() == reference.values.tobytes()
 
 
 class TestSeriesArrayAPI:
@@ -232,13 +285,11 @@ class TestSeriesArrayAPI:
 
 class TestPipelineByteIdentity:
     """The whole pipeline — signals, detection, curation, merge — must
-    be byte-identical with the columnar paths on and off, on every
-    executor backend."""
+    be byte-identical with the references standing in for production
+    detection and probing, batch and streamed."""
 
     @pytest.fixture(scope="class")
     def small_run(self):
-        import repro.api as api
-        from repro.world.scenario import ScenarioConfig
         config = ScenarioConfig(seed=11, years=(2019,))
         period = TimeRange(utc(2019, 1, 1), utc(2019, 5, 1))
         kwargs = dict(scenario_config=config, study_period=period)
@@ -246,26 +297,49 @@ class TestPipelineByteIdentity:
 
     @staticmethod
     def _record_bytes(result):
-        import json
-        from repro import io
         return json.dumps(
             [io.record_to_dict(r) for r in result.curated_records],
             sort_keys=True)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_scalar_flag_does_not_change_output(self, small_run, backend,
-                                                monkeypatch):
-        import repro.api as api
-        kwargs, columnar = small_run
-        monkeypatch.setenv(SCALAR_DETECT_ENV, "1")
-        scalar = api.run(
-            workers=1 if backend == "serial" else 2, backend=backend,
-            **kwargs)
-        assert self._record_bytes(scalar) == self._record_bytes(columnar)
-        assert len(scalar.kio_events) == len(columnar.kio_events)
+    @staticmethod
+    def _counted(calls, name, reference):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+        return counted
+
+    def test_oracle_run_matches_production(self, small_run, monkeypatch):
+        kwargs, production = small_run
+        calls = Counter()
+        monkeypatch.setattr(dashboard, "stream_episodes", self._counted(
+            calls, "episodes", oracles.stream_episodes))
+        monkeypatch.setattr(ActiveProbingRun, "up_count_series",
+                            self._counted(calls, "probing",
+                                          oracles.up_count_series))
+        reference = api.run(workers=1, backend="serial", **kwargs)
+        assert calls["episodes"] and calls["probing"], calls
+        assert self._record_bytes(reference) \
+            == self._record_bytes(production)
+        assert len(reference.kio_events) == len(production.kio_events)
+
+    def test_oracle_stream_matches_production(self, small_run, monkeypatch):
+        kwargs, production = small_run
+        calls = Counter()
+        monkeypatch.setattr(engine, "StreamingAlertDetector", self._counted(
+            calls, "detector", oracles.ScalarAlertDetector))
+        monkeypatch.setattr(ActiveProbingRun, "up_count_series",
+                            self._counted(calls, "probing",
+                                          oracles.up_count_series))
+        session = api.stream(backend="serial", **kwargs)
+        for _ in session.replay(step=30 * DAY):
+            pass
+        streamed = session.finalize()
+        assert calls["detector"] and calls["probing"], calls
+        assert self._record_bytes(streamed) \
+            == self._record_bytes(production)
 
     def test_flag_off_matches_across_backends(self, small_run):
-        import repro.api as api
-        kwargs, columnar = small_run
+        kwargs, production = small_run
         parallel = api.run(workers=2, backend="thread", **kwargs)
-        assert self._record_bytes(parallel) == self._record_bytes(columnar)
+        assert self._record_bytes(parallel) \
+            == self._record_bytes(production)

@@ -5,17 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SignalError, TimeRangeError
-from repro.signals.alerts import (
-    Alert,
-    AlertDetector,
-    DetectorConfig,
-    group_alerts,
-)
+from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
+from repro.stream.detect import StreamingAlertDetector, \
+    StreamingEpisodeGrouper
 from repro.timeutils.timestamps import FIVE_MINUTES, HOUR, TEN_MINUTES, \
     TimeRange
+
+
+def detect(config, series):
+    """Every alert of a whole series, fed to the detector as one chunk."""
+    detector = StreamingAlertDetector(config, series.width)
+    return detector.feed(*series.arrays())
+
+
+def group_alerts(alerts, bin_width, max_gap_bins=1):
+    grouper = StreamingEpisodeGrouper(bin_width, max_gap_bins=max_gap_bins)
+    return grouper.feed(alerts) + grouper.finalize()
 
 
 class TestTimeSeries:
@@ -108,49 +116,49 @@ class TestAlertDetector:
         return TimeSeries(0, FIVE_MINUTES, values)
 
     def test_detects_total_drop(self):
-        detector = AlertDetector(DetectorConfig(
+        config = DetectorConfig(
             threshold=0.99, history_seconds=24 * HOUR,
-            min_history_fraction=0.1))
+            min_history_fraction=0.1)
         series = self._series_with_drop()
-        alerts = detector.detect(series)
+        alerts = detect(config, series)
         assert [a.time for a in alerts] == \
             [60 * FIVE_MINUTES + i * FIVE_MINUTES for i in range(6)]
         assert alerts[0].baseline == 100.0
 
     def test_no_alerts_on_flat_series(self):
-        detector = AlertDetector(DetectorConfig(
+        config = DetectorConfig(
             threshold=0.99, history_seconds=HOUR,
-            min_history_fraction=0.1))
+            min_history_fraction=0.1)
         series = TimeSeries(0, FIVE_MINUTES, np.full(100, 50.0))
-        assert detector.detect(series) == []
+        assert detect(config, series) == []
 
     def test_threshold_respected(self):
         # 85% of baseline: alerts at threshold 0.99 but not at 0.80.
         series = self._series_with_drop(level=85.0)
-        strict = AlertDetector(DetectorConfig(
+        strict = DetectorConfig(
             threshold=0.99, history_seconds=HOUR,
-            min_history_fraction=0.1))
-        lax = AlertDetector(DetectorConfig(
+            min_history_fraction=0.1)
+        lax = DetectorConfig(
             threshold=0.80, history_seconds=HOUR,
-            min_history_fraction=0.1))
-        assert strict.detect(series)
-        assert not lax.detect(series)
+            min_history_fraction=0.1)
+        assert detect(strict, series)
+        assert not detect(lax, series)
 
     def test_cold_start_suppressed(self):
-        detector = AlertDetector(DetectorConfig(
+        config = DetectorConfig(
             threshold=0.99, history_seconds=24 * HOUR,
-            min_history_fraction=0.5))
+            min_history_fraction=0.5)
         # Drop right at the beginning: not enough history yet.
         series = self._series_with_drop(drop_at=2, drop_len=2)
-        assert all(a.time > 2 * FIVE_MINUTES for a in detector.detect(series))
+        assert all(a.time > 2 * FIVE_MINUTES for a in detect(config, series))
 
     def test_current_bin_excluded_from_baseline(self):
-        detector = AlertDetector(DetectorConfig(
+        config = DetectorConfig(
             threshold=0.99, history_seconds=HOUR,
-            min_history_fraction=0.1))
+            min_history_fraction=0.1)
         values = np.concatenate([np.full(50, 100.0), np.zeros(50)])
         series = TimeSeries(0, FIVE_MINUTES, values)
-        alerts = detector.detect(series)
+        alerts = detect(config, series)
         # The first down bin must alert against the pre-drop baseline.
         assert alerts[0].time == 50 * FIVE_MINUTES
         assert alerts[0].baseline == 100.0
@@ -162,10 +170,10 @@ class TestAlertDetector:
             DetectorConfig(threshold=0.5, history_seconds=0)
 
     def test_window_shorter_than_bin_rejected(self):
-        detector = AlertDetector(DetectorConfig(
-            threshold=0.5, history_seconds=60))
+        config = DetectorConfig(
+            threshold=0.5, history_seconds=60)
         with pytest.raises(SignalError):
-            detector.window_bins(FIVE_MINUTES)
+            StreamingAlertDetector(config, FIVE_MINUTES)
 
 
 class TestGroupAlerts:

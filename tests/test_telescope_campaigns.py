@@ -13,8 +13,9 @@ from repro.telescope.campaigns import (
     campaign_suppression_mask,
 )
 from repro.telescope.counter import unique_source_series
-from repro.ioda.detectors import detector_for
+from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.signals.kinds import SignalKind
+from repro.stream.detect import StreamingAlertDetector
 from repro.timeutils.timestamps import DAY, HOUR, TimeRange
 
 
@@ -88,8 +89,13 @@ class TestSuppression:
         campaign = Campaign(
             span=TimeRange(8 * DAY, 12 * DAY), multiplier=6.0)
         inflated = apply_campaigns(series, [campaign])
-        detector = detector_for(SignalKind.TELESCOPE)
-        naive_alerts = [a for a in detector.detect(inflated)
+        config = DETECTOR_CONFIGS[SignalKind.TELESCOPE]
+
+        def detect(series):
+            detector = StreamingAlertDetector(config, series.width)
+            return detector.feed(*series.arrays())
+
+        naive_alerts = [a for a in detect(inflated)
                         if a.time >= 12 * DAY]
         assert naive_alerts, "campaign end should trip the naive detector"
         # Suppress flagged bins before detection (replace with NaN-free
@@ -104,7 +110,7 @@ class TestSuppression:
                 last_clean = cleaned_values[i]
         cleaned = TimeSeries(inflated.start, inflated.width,
                              cleaned_values)
-        cleaned_alerts = [a for a in detector.detect(cleaned)
+        cleaned_alerts = [a for a in detect(cleaned)
                           if a.time >= 12 * DAY]
         assert len(cleaned_alerts) < len(naive_alerts)
 
