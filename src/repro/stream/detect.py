@@ -8,6 +8,9 @@ once), state is bounded to O(window) per series
 and a bin counter), and every chunking of a series yields the same
 alerts bit for bit — a running-max prefilter, exact rank-select
 baselines at the surviving candidates, and a strict threshold compare.
+A feed's baselines cost what its chunk costs: a watermark step is
+ranked against the sorted retained tail (work grows with the step,
+not the window), a whole series through the columnar rank-select.
 
 :class:`StreamingEpisodeGrouper` merges those alerts into maximal
 episodes as they stream in, emitting each one as soon as a gap proves
@@ -89,7 +92,10 @@ class StreamingAlertDetector:
         """Absorb the next contiguous chunk; return its alerting bins.
 
         ``bin_starts[j]`` is the start time of the bin ``values[j]``
-        measures; the two arrays must have the same length.
+        measures; the two arrays must have the same length, and every
+        value must be finite (:class:`~repro.errors.SignalError`
+        otherwise): a NaN would rank above every number in its
+        baselines' windows and could never alert itself.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 1:
@@ -98,6 +104,12 @@ class StreamingAlertDetector:
             raise SignalError(
                 f"feed got {len(bin_starts)} bin starts for "
                 f"{values.shape[0]} values")
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SignalError(
+                f"non-finite value {float(values[i])!r} at position {i} "
+                f"(bin {int(bin_starts[i])}) of the chunk")
         if values.shape[0] == 0:
             return []
         # Prefix maxima seeded with the running max: prev[j] is the
@@ -118,10 +130,12 @@ class StreamingAlertDetector:
             baselines = self._median.medians_at(values, candidates)
             keep = values[candidates] \
                 < self._config.threshold * baselines
+            hits = candidates[keep]
             alerts = [
-                Alert(time=int(bin_starts[i]), value=float(values[i]),
-                      baseline=float(baselines[k]))
-                for k, i in zip(np.flatnonzero(keep), candidates[keep])]
+                Alert(time=time, value=value, baseline=baseline)
+                for time, value, baseline in zip(
+                    np.asarray(bin_starts, dtype=np.int64)[hits].tolist(),
+                    values[hits].tolist(), baselines[keep].tolist())]
         self._median.push(values)
         self._running_max = float(m[-1])
         self._n += values.shape[0]

@@ -29,7 +29,9 @@ from repro.probing.scheduler import ActiveProbingRun
 from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import rolling_median, trailing_median
+from repro.stats import rolling
+from repro.stats.rolling import TrailingMedianStream, rolling_median, \
+    trailing_median
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES, TimeRange, utc
@@ -119,6 +121,109 @@ class TestTrailingMedian:
             trailing_median(np.ones((5, 2)), 3)
 
 
+def _stream_values(rng, kind, n, chunk_starts=()):
+    """Non-negative series shapes a detector window sees (no -0.0:
+    equal zeros of either sign are interchangeable to a rank-select,
+    not to a bitwise compare)."""
+    if kind == "noisy":
+        return np.abs(rng.normal(1000.0, 50.0, n))
+    if kind == "quantized":
+        return np.round(np.abs(rng.normal(20.0, 4.0, n)))
+    if kind == "ties":
+        return rng.integers(0, 4, n).astype(np.float64)
+    if kind == "drops":
+        # Outage-shaped: level shifts far below (or above) every value
+        # still in the trailing window, starting with a chunk.
+        values = np.abs(rng.normal(1000.0, 50.0, n))
+        for at in chunk_starts:
+            if rng.random() < 0.5:
+                values[at:at + int(rng.integers(1, 200))] *= rng.choice(
+                    [rng.uniform(0.0, 0.3), rng.uniform(2.0, 4.0)])
+        return values
+    return np.where(rng.random(n) < 0.7, 0.0,
+                    rng.poisson(3.0, n).astype(np.float64))
+
+
+def _stream_medians(window, values, bounds, positions):
+    """``TrailingMedianStream`` fed ``values`` split at ``bounds``; at
+    each chunk, the medians at ``positions(chunk_length)``, checked
+    bitwise against the whole-series :func:`trailing_median`."""
+    want = trailing_median(values, window)
+    stream = TrailingMedianStream(window)
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = values[lo:hi]
+        idx = positions(hi - lo)
+        got = stream.medians_at(chunk, idx)
+        assert np.array_equal(got.view(np.int64),
+                              want[lo + idx].view(np.int64)), (lo, hi)
+        stream.push(chunk)
+
+
+class TestTrailingMedianStream:
+    @settings(max_examples=60, deadline=None)
+    @given(window=st.one_of(st.sampled_from([288, 1008, 2016]),
+                            st.integers(1, 60)),
+           kind=st.sampled_from(["noisy", "quantized", "ties", "drops",
+                                 "zeros"]),
+           warmup=st.floats(0.0, 1.5),
+           steps=st.lists(st.one_of(st.integers(1, 20),
+                                    st.integers(1, 150),
+                                    st.integers(1, 4000)),
+                          min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_medians_at_matches_trailing_median(self, window, kind, warmup,
+                                                steps, seed):
+        """Any warm-up (a tail shorter than the window, or a first chunk
+        longer than it), then replay-sized steps or chunks longer than
+        the window, at unsorted and repeated positions."""
+        rng = np.random.default_rng(seed)
+        bounds = np.cumsum([0, max(1, int(warmup * window)), *steps])
+        values = _stream_values(rng, kind, int(bounds[-1]), bounds[1:-1])
+        _stream_medians(window, values, bounds, lambda m: rng.integers(
+            0, m, size=int(rng.integers(1, 2 * m + 1))))
+
+    @pytest.mark.parametrize("window", [288, 1008, 2016])
+    def test_both_sides_of_the_tail_select_budget(self, window, monkeypatch):
+        """Steps just inside the sorted-tail kernel's work budget take
+        it, one bin longer fall back to the columnar path, and both
+        match the batch medians after a full window."""
+        last = max(l for l in range(window + 1)
+                   if rolling._tail_select_pays(window, window, l))
+        assert not rolling._tail_select_pays(window, window, last + 1)
+        calls = []
+        kernel = rolling._tail_rank_select
+        monkeypatch.setattr(rolling, "_tail_rank_select",
+                            lambda *args: calls.append(1) or kernel(*args))
+        rng = np.random.default_rng(window)
+        for step, takes_kernel in ((last + 1, True), (last + 2, False)):
+            calls.clear()
+            values = _stream_values(rng, "quantized", window + 4 * step)
+            _stream_medians(window, values,
+                            [0, window, *range(window + step,
+                                               len(values) + 1, step)],
+                            np.arange)
+            assert len(calls) == (4 if takes_kernel else 0), step
+
+    def test_nan_values_rank_like_the_columnar_path(self):
+        rng = np.random.default_rng(3)
+        values = _stream_values(rng, "noisy", 700)
+        values[rng.integers(0, 700, 40)] = np.nan
+        want = trailing_median(values, 288)
+        stream = TrailingMedianStream(288)
+        for lo in range(0, 700, 25):
+            chunk = values[lo:lo + 25]
+            idx = np.arange(len(chunk))
+            np.testing.assert_array_equal(stream.medians_at(chunk, idx),
+                                          want[lo + idx])
+            stream.push(chunk)
+
+    def test_medians_at_rejects_two_dimensional_chunk(self):
+        stream = TrailingMedianStream(8)
+        stream.push(np.arange(8.0))
+        with pytest.raises(SignalError, match="one-dimensional"):
+            stream.medians_at(np.ones((3, 2)), [0])
+
+
 class TestDetectorEquivalence:
     @pytest.mark.parametrize("kind", list(SignalKind))
     def test_detect_matches_scalar_on_all_configs(self, kind):
@@ -130,18 +235,29 @@ class TestDetectorEquivalence:
             assert _detect_in_chunks(series, config) \
                 == oracles.detect_alerts(series, config), (kind, n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(list(SignalKind)),
            seed=st.integers(0, 2**32 - 1),
-           n=st.integers(2, 3000),
-           cuts=st.lists(st.integers(0, 3000), max_size=8))
-    def test_any_chunking_matches_scalar(self, kind, seed, n, cuts):
+           data=st.data())
+    def test_any_chunking_matches_scalar(self, kind, seed, data):
+        config = DETECTOR_CONFIGS[kind]
+        window = config.history_seconds // kind.bin_width
+        if data.draw(st.booleans(), label="replay-shaped"):
+            # A warm-up chunk (half the time a full window), then many
+            # small watermark steps, as a stream replay feeds.
+            first = data.draw(st.integers(1, 3 * window // 2),
+                              label="first")
+            step = data.draw(st.integers(1, 150), label="step")
+            n = first + step * data.draw(st.integers(1, 12), label="steps")
+            cuts = list(range(first, n, step))
+        else:
+            n = data.draw(st.integers(2, 3000), label="n")
+            cuts = [cut % (n + 1) for cut in data.draw(
+                st.lists(st.integers(0, 3000), max_size=8), label="cuts")]
         rng = np.random.default_rng(seed)
         series = TimeSeries(0, kind.bin_width,
                             _random_series(rng, n, kind.bin_width))
-        config = DETECTOR_CONFIGS[kind]
-        assert _detect_in_chunks(series, config,
-                                 [cut % (n + 1) for cut in cuts]) \
+        assert _detect_in_chunks(series, config, cuts) \
             == oracles.detect_alerts(series, config)
 
     def test_threshold_boundary_ties_are_not_alerts(self):
@@ -172,6 +288,21 @@ class TestDetectorEquivalence:
                 DETECTOR_CONFIGS[SignalKind.BGP], FIVE_MINUTES)
             with pytest.raises(SignalError, match="bin starts"):
                 detector.feed(starts, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feed_rejects_non_finite_values(self, bad):
+        """A NaN would rank above every number in the windows that hold
+        it and never alert itself; an infinity is no measurement."""
+        values = np.full(400, 100.0)
+        values[300:] = bad
+        bin_starts = np.arange(400, dtype=np.int64) * FIVE_MINUTES
+        detector = StreamingAlertDetector(
+            DETECTOR_CONFIGS[SignalKind.BGP], FIVE_MINUTES)
+        with pytest.raises(SignalError,
+                           match=f"non-finite value {bad!r} at position "
+                                 f"300 \\(bin {300 * FIVE_MINUTES}\\)"):
+            detector.feed(bin_starts, values)
+        assert detector.n_bins == 0
 
 
 class TestGroupAlertsEquivalence:
