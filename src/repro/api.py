@@ -41,7 +41,7 @@ from repro.analysis.observability import execution_report, health_report
 from repro.core.matching import MatchingConfig
 from repro.core.pipeline import PipelineResult, ReproPipeline
 from repro.datasets import DatasetSource, default_sources
-from repro.exec import ExecStats, ExecutorConfig
+from repro.exec import ExecStats, ExecutorConfig, backend_label
 from repro.exec.cachestore import fingerprint
 from repro.io import dump_records, load_records
 from repro.ioda.api import IODAClient
@@ -178,6 +178,7 @@ def _file_run(observability: Optional[Observability], *,
     Returns ``(journal_path, run_id, run_dir)`` — the latter two only
     when ``runs_dir`` filed the journal into the registry.
     """
+    backend = backend_label(backend, workers)
     journal_path = None
     if observability is not None and observability.journal is not None:
         journal_path = observability.journal.path
@@ -268,7 +269,7 @@ class RunResult:
         return build_store(self, root, **build_options)
 
 
-def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
+def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
         shards: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         scenario_config: Optional[ScenarioConfig] = None,
@@ -299,12 +300,15 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
 
     ``workers``/``backend`` schedule the observation+curation stage
     through the sharded executor (results are byte-identical at any
-    worker count); ``cache_dir`` enables the content-addressed stage
-    cache so warm re-runs skip straight to the merge.  ``seed`` is
-    shorthand for ``scenario_config=ScenarioConfig(seed=...)`` and is
-    ignored when an explicit ``scenario_config`` is given.  The
-    process backend keeps the generated world resident per worker, so
-    each process builds it once per run.
+    worker count): ``workers=2`` or more curates cold shards in a
+    ``process`` pool (the default backend), which keeps the generated
+    world resident per worker, so each process builds it once per run;
+    one worker, or ``backend="serial"``, curates inline and the run
+    records its backend as ``serial``.  ``cache_dir`` enables the
+    content-addressed stage cache so warm re-runs skip straight to the
+    merge.  ``seed`` is shorthand for
+    ``scenario_config=ScenarioConfig(seed=...)`` and is ignored when an
+    explicit ``scenario_config`` is given.
 
     ``journal`` is shorthand for
     ``observability=Observability(journal=...)``: pass a path (or
@@ -396,7 +400,7 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "thread",
 
 
 def stream(*, seed: int = 2023, workers: int = 1,
-           backend: str = "serial",
+           backend: str = "process",
            scenario_config: Optional[ScenarioConfig] = None,
            platform_config: Optional[PlatformConfig] = None,
            curation_config: Optional[CurationConfig] = None,
@@ -426,10 +430,12 @@ def stream(*, seed: int = 2023, workers: int = 1,
     **byte-identical** to ``run()`` with the same configuration —
     however the bins were chunked, on every backend.
 
-    ``backend`` schedules window adjudication: ``serial`` (default)
-    inline, ``thread``/``process`` fan closed windows out per country
-    exactly like the batch executor (``process`` keeps the generated
-    world resident per worker).  ``journal=``/``observability=``/
+    ``workers``/``backend`` schedule window adjudication as in
+    :func:`run`: with two or more workers, ``process`` (the default)
+    fans the countries whose windows an advance closes out to a pool
+    whose workers keep the generated world resident (a pool only when
+    at least two countries are due); one worker, or ``serial``,
+    adjudicates inline.  ``journal=``/``observability=``/
     ``telemetry=`` work as in :func:`run`; a journaled stream
     additionally records every lifecycle event as a ``stream.event``
     line, and heartbeats carry a ``stream`` block with the live

@@ -92,7 +92,7 @@ from repro.analysis.report import build_report, render_markdown
 from repro.core.heuristics import ShutdownTriage
 from repro import api
 from repro.errors import ConfigurationError, ResilienceError, SignalError
-from repro.exec import BACKENDS
+from repro.exec import BACKENDS, backend_label
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.io import dump_kio_events, dump_records, dump_records_csv
 from repro.obs import BASELINE_DIR, HealthReport, Observability, \
@@ -126,8 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker pool size for the sharded "
                              "observation+curation stage (default 1)")
-    parser.add_argument("--backend", choices=BACKENDS, default="thread",
-                        help="worker pool backend (default thread)")
+    parser.add_argument("--backend", choices=BACKENDS, default="process",
+                        help="worker pool backend with --workers 2 or "
+                             "more (default process); one worker runs "
+                             "serially")
     parser.add_argument("--shards", type=int, default=None,
                         help="shard count override (default: engine "
                              "default, independent of --workers)")
@@ -996,7 +998,7 @@ def _run_for_baseline(args: argparse.Namespace):
     config = {
         "seed": args.seed,
         "workers": args.workers,
-        "backend": args.backend,
+        "backend": backend_label(args.backend, args.workers),
         "shards": args.shards,
     }
     return statistics, config, result.health

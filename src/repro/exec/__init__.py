@@ -3,7 +3,7 @@
 The observation+curation stage dominates pipeline cost and is
 embarrassingly parallel by country (the paper observes its 155 countries
 independently, §3–4).  This package splits that work into deterministic
-country shards, runs them in a selectable ``concurrent.futures`` pool,
+country shards, runs them inline or in a process pool,
 caches each shard's output content-addressed by everything that
 determines it, and merges the results byte-identically to a serial run.
 
@@ -21,7 +21,7 @@ from repro.exec.cachestore import CACHE_VERSION, CacheStore, fingerprint
 from repro.exec.shards import DEFAULT_N_SHARDS, Shard, ShardPlan
 from repro.exec.stats import ExecStats, StageTiming
 from repro.exec.workers import BACKENDS, ExecutorConfig, \
-    ShardedCurationExecutor
+    ShardedCurationExecutor, backend_label
 
 __all__ = [
     "BACKENDS",
@@ -34,5 +34,6 @@ __all__ = [
     "ShardPlan",
     "ShardedCurationExecutor",
     "StageTiming",
+    "backend_label",
     "fingerprint",
 ]

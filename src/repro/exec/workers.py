@@ -2,17 +2,14 @@
 
 Splits the scenario's triggered countries into shards
 (:mod:`repro.exec.shards`), serves warm shards from the content-addressed
-cache (:mod:`repro.exec.cachestore`), runs cold shards in a
-``concurrent.futures`` pool, and merges the per-country outputs through
+cache (:mod:`repro.exec.cachestore`), runs cold shards inline or in a
+process pool, and merges the per-country outputs through
 :func:`repro.ioda.curation.finalize_records` so the parallel result is
 byte-identical to a serial run.
 
 Backends:
 
-- ``serial``  — in-process loop (no pool; useful for debugging).
-- ``thread``  — :class:`~concurrent.futures.ThreadPoolExecutor` over the
-  shared platform.  Curation is numpy-heavy enough to overlap some work,
-  and nothing is pickled.
+- ``serial``  — in-process loop over the shards.
 - ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; the
   world is **worker-resident**: a pool initializer (plus a module-level
   memo keyed by the config fingerprint) makes each worker process
@@ -21,19 +18,24 @@ Backends:
   small config dataclasses and the shard's investigation windows cross
   the process boundary.
 
+Batch and stream dispatch share one rule (:func:`pool_size`): a pool
+starts only when two or more workers would get work, so a one-worker
+run, or a run with one cold shard, executes inline whatever the
+backend; :func:`backend_label` is the name such a run records.
+
 The full-world investigation-window map is computed once, in
 :meth:`ShardedCurationExecutor.curate` — it feeds both the LPT shard
 weights and, restricted to each shard's countries, the shard's own
 work list, so no shard recomputes it.
 
 When an observability session is active (:mod:`repro.obs`), every
-executed shard is traced as an ``exec.shard`` span parented under the
-scheduling thread's current span: thread workers record straight into
-the shared tracer with an explicit parent id, and process workers
-collect into a local session whose spans and metrics the parent adopts
-on completion.  Cache hits/misses are counted into the session's
-metrics registry.  None of this touches the RNG substreams, so results
-remain byte-identical with tracing on or off.
+executed shard is traced as an ``exec.shard`` span under the curate
+stage: inline shards record straight into the session, and process
+workers collect into a worker-local session whose
+:class:`~repro.obs.runtime.WorkerReport` the parent adopts on
+completion.  Cache hits/misses are counted into the session's metrics
+registry.  None of this touches the RNG substreams, so results remain
+byte-identical with tracing on or off.
 
 With a :class:`repro.resilience.ResilienceConfig`, each country becomes
 one retried, breaker-guarded unit of work: transient source failures
@@ -48,8 +50,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -60,9 +61,8 @@ from repro.exec.cachestore import CacheStore, fingerprint
 from repro.exec.shards import DEFAULT_N_SHARDS, Shard, ShardPlan
 from repro.exec.stats import SHARD_SPAN, ExecStats, publish_shard_done, \
     publish_shard_plan
-from repro.obs.profile import ProfileConfig
-from repro.obs.runtime import Observability, activate, current
-from repro.obs.telemetry import TelemetryConfig
+from repro.obs.runtime import WorkerReport, WorkerSettings, current, \
+    run_reported
 from repro.ioda.curation import CurationConfig, CurationPipeline, \
     finalize_records
 from repro.ioda.platform import IODAPlatform, PlatformConfig
@@ -74,9 +74,9 @@ from repro.world.scenario import ScenarioConfig, ScenarioGenerator, \
     WorldScenario
 
 __all__ = ["BACKENDS", "ExecutorConfig", "ShardedCurationExecutor",
-           "resident_world", "worker_init"]
+           "backend_label", "pool_size", "resident_world", "worker_init"]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Stage name under which curated shards are cached.
 _CURATE_STAGE = "curate"
@@ -87,7 +87,7 @@ class ExecutorConfig:
     """How the observation+curation stage is scheduled."""
 
     workers: int = 1
-    backend: str = "thread"
+    backend: str = "process"
     n_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -100,6 +100,21 @@ class ExecutorConfig:
         if self.n_shards is not None and self.n_shards < 1:
             raise ConfigurationError(
                 f"n_shards must be >= 1: {self.n_shards}")
+
+
+def pool_size(backend: str, workers: int, units: int) -> int:
+    """Worker processes to run ``units`` of work on; 0 means inline.
+
+    A pool pays for its start-up only when at least two workers get
+    work, so the ``process`` backend runs inline below that.
+    """
+    size = min(workers, units)
+    return size if backend == "process" and size > 1 else 0
+
+
+def backend_label(backend: str, workers: int) -> str:
+    """The backend a run records: one worker always runs serially."""
+    return backend if workers > 1 else "serial"
 
 
 #: Per-country curated records, in the country order of the owning shard.
@@ -126,8 +141,8 @@ def _curate_shard(scenario: WorldScenario,
 
     The per-country RNG substreams make this independent of every other
     shard; the only shared object is the (effectively read-only)
-    platform, which in-process backends pass in to share its country
-    caches.
+    platform, which callers pass in to share its country caches across
+    shards.
 
     ``windows`` is the shard's own countries' investigation windows,
     already computed by the executor (which needs the full-world map
@@ -174,11 +189,10 @@ def _curate_shard(scenario: WorldScenario,
 
 
 #: What one scheduled shard sends back: records, quarantined countries,
-#: wall seconds, and — from process workers — the locally collected
-#: spans, metrics, heartbeat events, and provenance capsules that the
-#: parent grafts into the run's observability session.
-_ShardOutcome = Tuple[_ShardRecords, _Quarantined, float, list,
-                      Optional[dict], list, list]
+#: wall seconds, and — from a process worker under an observability
+#: session — the worker's report for the parent to adopt.
+_ShardOutcome = Tuple[_ShardRecords, _Quarantined, float,
+                      Optional[WorkerReport]]
 
 #: The worker-resident world: one (scenario, platform) pair per process,
 #: keyed by the fingerprint of everything that shaped it.  A pool worker
@@ -236,76 +250,47 @@ def _curate_shard_subprocess(
         period: TimeRange,
         countries: Tuple[str, ...],
         shard_index: int = -1,
-        collect_obs: bool = False,
         resilience: Optional[ResilienceConfig] = None,
-        profile: Optional[ProfileConfig] = None,
         windows: Optional[Mapping[str, Sequence[TimeRange]]] = None,
-        telemetry: Optional[TelemetryConfig] = None,
-        provenance: bool = False) -> _ShardOutcome:
+        settings: Optional[WorkerSettings] = None) -> _ShardOutcome:
     """Process-pool entry point: curate over the worker-resident world.
 
     Module-level so it pickles by reference.  The scenario and platform
     come from the per-process memo (:func:`resident_world`) — built by
     the pool initializer, reused by every shard this worker executes —
     so a shard call ships only configs and its own countries' windows
-    across the process boundary.
-    When the parent run has observability enabled, the worker collects
-    into its own session and returns the span records and metrics
-    snapshot for the parent to adopt — ids are remapped on adoption, so
-    nothing here needs to coordinate with the parent tracer.  The
-    parent's (picklable) profile config travels the same way: the
-    worker profiles into its local session and the readings ride home
-    in the adopted spans' attributes.  The fault
-    plan does not survive the process boundary as ambient state, so the
-    worker re-installs it from the (picklable) resilience config —
-    injection decisions are pure functions of the plan, so the worker
-    faults exactly where an in-process backend would.
+    across the process boundary.  With the parent session's
+    ``settings`` the shard runs under a worker-local session
+    (:func:`repro.obs.runtime.run_reported`) whose report rides home in
+    the outcome.  The fault plan does not survive the process boundary
+    as ambient state, so the worker re-installs it from the (picklable)
+    resilience config — injection decisions are pure functions of the
+    plan, so the worker faults exactly where the serial backend would.
     """
     started = time.perf_counter()
     plan = resilience.fault_plan if resilience is not None else None
-    if not collect_obs:
-        with inject(plan):
+
+    def shard() -> _ShardResult:
+        obs = current()
+        with obs.span(SHARD_SPAN, shard=shard_index,
+                      countries=len(countries), backend="process"):
             scenario, platform = resident_world(scenario_config,
                                                 platform_config)
-            result, quarantined = _curate_shard(
+            result = _curate_shard(
                 scenario, platform_config, curation_config, period,
                 countries, windows=windows, platform=platform,
                 resilience=resilience)
-        return (result, quarantined, time.perf_counter() - started,
-                [], None, [], [])
-    # Workers cannot write the parent's journal, so their sampler (the
-    # parent's picklable telemetry config travels like the profile
-    # config) buffers heartbeats locally; they ride home in the outcome
-    # and the parent journals them via ``adopt_heartbeats``.
-    local = Observability(profile=profile, telemetry=telemetry)
-    if provenance:
-        # The worker-local recorder buffers lineage capsules (no
-        # journal down here); they ride home in the outcome and the
-        # parent grafts them via ``adopt_provenance``.
-        local.enable_provenance()
-    with activate(local), inject(plan):
-        local.start_telemetry()
-        try:
-            with local.span(SHARD_SPAN, shard=shard_index,
-                            countries=len(countries), backend="process"):
-                scenario, platform = resident_world(scenario_config,
-                                                    platform_config)
-                result, quarantined = _curate_shard(
-                    scenario, platform_config, curation_config, period,
-                    countries, windows=windows, platform=platform,
-                    resilience=resilience)
-        finally:
-            local.stop_telemetry()
         # Gauges merge last-write-wins per series, so each worker
         # process reports its cumulative build count under its own pid
         # — the parent-side sum counts world builds per process (the
         # "generated at most once per worker per run" assertion).
-        local.metrics.gauge("exec.worker.world_builds",
-                            pid=os.getpid()).set(float(_WORLD_BUILDS))
-    return (result, quarantined, time.perf_counter() - started,
-            local.tracer.spans(), local.metrics.snapshot(),
-            local.heartbeats,
-            list(local.provenance.capsules) if provenance else [])
+        obs.metrics.gauge("exec.worker.world_builds",
+                          pid=os.getpid()).set(float(_WORLD_BUILDS))
+        return result
+
+    with inject(plan):
+        (records, quarantined), report = run_reported(settings, shard)
+    return records, quarantined, time.perf_counter() - started, report
 
 
 class ShardedCurationExecutor:
@@ -336,9 +321,9 @@ class ShardedCurationExecutor:
         obs = current()
         stats = stats if stats is not None else ExecStats()
         stats.workers = self._config.workers
-        stats.backend = self._config.backend
-        obs.annotate(workers=self._config.workers,
-                     backend=self._config.backend)
+        stats.backend = backend_label(self._config.backend,
+                                      self._config.workers)
+        obs.annotate(workers=stats.workers, backend=stats.backend)
 
         platform = IODAPlatform(scenario, self._platform_config)
         pipeline = CurationPipeline(platform, self._curation_config)
@@ -423,22 +408,13 @@ class ShardedCurationExecutor:
 
         def shard_windows(shard: Shard) -> Dict[str, List[TimeRange]]:
             return {iso2: windows[iso2] for iso2 in shard.countries}
-        # Shard spans run on pool threads (empty span stacks) or in
-        # other processes, so the scheduling thread's innermost span —
-        # the curate stage — is captured here and threaded through as
-        # the explicit parent.
-        parent_id = obs.tracer.current_id()
-        workers = min(self._config.workers, len(cold))
-        backend = self._config.backend
-        if workers <= 1 and backend != "process":
-            backend = "serial"
-
-        if backend == "serial":
-            results: Dict[Shard, _ShardResult] = {}
+        workers = pool_size(self._config.backend, self._config.workers,
+                            len(cold))
+        results: Dict[Shard, _ShardResult] = {}
+        if not workers:
             for shard in cold:
                 started = time.perf_counter()
-                with obs.span(SHARD_SPAN, parent=parent_id,
-                              shard=shard.index,
+                with obs.span(SHARD_SPAN, shard=shard.index,
                               countries=len(shard.countries),
                               backend="serial"):
                     results[shard] = _curate_shard(
@@ -451,26 +427,9 @@ class ShardedCurationExecutor:
                 publish_shard_done(obs.metrics)
             return results
 
-        if backend == "thread":
-            def timed(shard: Shard) -> _ShardOutcome:
-                started = time.perf_counter()
-                with obs.span(SHARD_SPAN, parent=parent_id,
-                              shard=shard.index,
-                              countries=len(shard.countries),
-                              backend="thread"):
-                    result, quarantined = _curate_shard(
-                        scenario, self._platform_config,
-                        self._curation_config, self._period,
-                        shard.countries, windows=shard_windows(shard),
-                        platform=platform, resilience=self._resilience)
-                return (result, quarantined,
-                        time.perf_counter() - started, [], None, [], [])
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(timed, shard): shard
-                           for shard in cold}
-                return self._collect(futures, stats, obs, parent_id)
-
+        # Worker spans are recorded in other processes; they are
+        # adopted under the curate stage's span, captured here.
+        parent_id = obs.tracer.current_id()
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=worker_init,
                 initargs=(scenario.config, self._platform_config)) as pool:
@@ -479,37 +438,20 @@ class ShardedCurationExecutor:
                     _curate_shard_subprocess, scenario.config,
                     self._platform_config, self._curation_config,
                     self._period, shard.countries, shard.index,
-                    obs.enabled, self._resilience,
-                    getattr(obs, "profile", None),
-                    windows=shard_windows(shard),
-                    telemetry=getattr(obs, "telemetry", None),
-                    provenance=obs.provenance is not None,
+                    self._resilience, windows=shard_windows(shard),
+                    settings=obs.worker_settings(),
                 ): shard
                 for shard in cold}
-            return self._collect(futures, stats, obs, parent_id)
-
-    @staticmethod
-    def _collect(futures, stats: ExecStats, obs,
-                 parent_id) -> Dict[Shard, _ShardResult]:
-        results: Dict[Shard, _ShardResult] = {}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                shard = futures[future]
-                (shard_records, quarantined, seconds, spans,
-                 metrics, heartbeats, capsules) = future.result()
-                results[shard] = (shard_records, quarantined)
-                stats.record_shard(shard.index, seconds)
-                publish_shard_done(obs.metrics)
-                if spans:
-                    obs.tracer.adopt(spans, parent_id)
-                if metrics:
-                    obs.metrics.merge(metrics)
-                if heartbeats:
-                    obs.adopt_heartbeats(heartbeats)
-                if capsules:
-                    obs.adopt_provenance(capsules)
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    shard = futures[future]
+                    records, quarantined, seconds, report = future.result()
+                    results[shard] = (records, quarantined)
+                    stats.record_shard(shard.index, seconds)
+                    publish_shard_done(obs.metrics)
+                    obs.adopt(report, parent_id)
         return results
 
     # -- cache ------------------------------------------------------------------

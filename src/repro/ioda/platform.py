@@ -32,7 +32,6 @@ self-consistent world, where each signal becomes a pure function of
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -100,7 +99,6 @@ class IODAPlatform:
         self._scenario = scenario
         self._config = config or PlatformConfig()
         self._cache: Dict[str, _CountryCache] = {}
-        self._country_lock = threading.Lock()
         # ActiveProbingRun is deterministic given its block list (all
         # randomness arrives via the per-query rng), so one instance per
         # (country, kept-block-count) serves every window and keeps its
@@ -174,38 +172,27 @@ class IODAPlatform:
         cached = self._cache.get(iso2)
         if cached is not None:
             return cached
-        # Double-checked: thread-backend shards share this platform, and
-        # building a country cache samples probing blocks — expensive
-        # enough that two threads must not both pay for it (the dict
-        # read/write above/below is atomic under the GIL either way).
-        with self._country_lock:
-            cached = self._cache.get(iso2)
-            if cached is not None:
-                return cached
-            network = self._scenario.topology.get(iso2)
-            prefix_sizes = tuple(
-                prefix.num_slash24s
-                for network_as in network.ases
-                for prefix in network_as.prefixes)
-            total24 = max(1, network.total_slash24s)
-            mobile24 = sum(a.num_slash24s for a in network.ases if a.mobile)
-            block_rng = substream(self._scenario.seed, "probing-blocks",
-                                  iso2)
-            blocks = sample_blocks(
-                network, block_rng,
-                max_blocks=self._config.max_probed_blocks)
-            cache = _CountryCache(
-                network=network,
-                prefix_sizes=prefix_sizes,
-                blocks=blocks,
-                mobile_addr_share=mobile24 / total24,
-                region_shares={r.name: r.share for r in network.regions},
-                as_addr_shares={
-                    int(a.asn): a.num_slash24s / total24
-                    for a in network.ases},
-            )
-            self._cache[iso2] = cache
-            return cache
+        network = self._scenario.topology.get(iso2)
+        prefix_sizes = tuple(
+            prefix.num_slash24s
+            for network_as in network.ases
+            for prefix in network_as.prefixes)
+        total24 = max(1, network.total_slash24s)
+        mobile24 = sum(a.num_slash24s for a in network.ases if a.mobile)
+        block_rng = substream(self._scenario.seed, "probing-blocks", iso2)
+        blocks = sample_blocks(
+            network, block_rng, max_blocks=self._config.max_probed_blocks)
+        cache = self._cache[iso2] = _CountryCache(
+            network=network,
+            prefix_sizes=prefix_sizes,
+            blocks=blocks,
+            mobile_addr_share=mobile24 / total24,
+            region_shares={r.name: r.share for r in network.regions},
+            as_addr_shares={
+                int(a.asn): a.num_slash24s / total24
+                for a in network.ases},
+        )
+        return cache
 
     # -- internals: up-fraction construction -------------------------------------
 

@@ -4,8 +4,10 @@ A dependency-free observability subsystem with three coordinated parts:
 
 - **Span tracing** (:mod:`repro.obs.trace`): hierarchical, monotonic
   spans with attributes, nested through per-thread stacks and grafted
-  across the :mod:`repro.exec` thread/process workers, so shard work
-  appears under the run's root span.
+  home from :mod:`repro.exec` and :mod:`repro.stream` process workers
+  (each returns one :class:`~repro.obs.runtime.WorkerReport`, which
+  the parent grafts in with :meth:`Observability.adopt`), so worker
+  spans appear under the run's root span.
 - **Metrics** (:mod:`repro.obs.metrics`): counters, gauges, and
   fixed-bucket histograms with percentile summaries, incremented from
   the hot paths (curation, matching, KIO compilation, the cache store,

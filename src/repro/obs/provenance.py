@@ -16,10 +16,11 @@ way therefore mint byte-identical capsules, which is what makes
 empty.
 
 Capsules are **journal-only**.  They are emitted as ``provenance``
-events on the run journal (or buffered for adoption when captured inside
-a process worker, exactly like :meth:`repro.obs.trace.Tracer.adopt` and
-:meth:`repro.obs.runtime.Observability.adopt_heartbeats`), and they
-never feed back into the pipeline: event output is byte-identical with
+events on the run journal (or, captured inside a process worker,
+buffered and shipped home in the worker's
+:class:`~repro.obs.runtime.WorkerReport` for
+:meth:`repro.obs.runtime.Observability.adopt`), and they never feed
+back into the pipeline: event output is byte-identical with
 provenance on or off, on every backend, and under ``api.stream``.
 
 Record ids are local to a country while curation runs and are only
@@ -139,9 +140,9 @@ class ProvenanceRecorder:
     def adopt(self, capsules: Iterable[Mapping[str, Any]]) -> None:
         """Graft capsules captured by a worker session into this one.
 
-        The provenance twin of :meth:`repro.obs.trace.Tracer.adopt`:
-        workers buffer capsules (no journal attached), the parent
-        journals them on arrival.
+        The primitive :meth:`repro.obs.runtime.Observability.adopt`
+        calls: workers buffer capsules (no journal attached), the
+        parent journals them on arrival.
         """
         for capsule in capsules:
             self._absorb(dict(capsule))

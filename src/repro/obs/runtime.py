@@ -9,18 +9,24 @@ and records into that.  By default the active session is
 hot paths cost one module-global read when observability is off.
 
 :func:`activate` installs a session for the duration of a ``with``
-block.  The active session is a process-wide global rather than a
-context variable on purpose: pool threads spawned by
-``concurrent.futures`` do not inherit context variables, and shard work
-running on those threads must see the run's session.  Process workers
-instead build their own session and ship records back (see
-:meth:`repro.obs.trace.Tracer.adopt`).
+block; the active session is a plain process-wide global.
+
+Process workers cannot record into the parent's session.  The parent
+ships its picklable :meth:`Observability.worker_settings`; the worker
+runs its task through :func:`run_reported`, which builds a worker-local
+session from them and returns everything it collected as one
+:class:`WorkerReport` — spans, a metrics snapshot, heartbeats and
+provenance capsules.  The parent grafts the report in with
+:meth:`Observability.adopt`.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, Optional, Union
+import os
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, \
+    TypeVar, Union
 
 from repro.obs.journal import RunJournal
 from repro.obs.metrics import MetricsRegistry, NullMetrics
@@ -29,7 +35,29 @@ from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.telemetry import HeartbeatSampler, TelemetryConfig
 from repro.obs.trace import NullTracer, Span, SpanRecord, Tracer
 
-__all__ = ["NULL_OBS", "Observability", "activate", "current"]
+__all__ = ["NULL_OBS", "Observability", "WorkerReport", "WorkerSettings",
+           "activate", "current", "run_reported"]
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class WorkerSettings:
+    """The parent session's settings a worker-local session copies."""
+
+    profile: Optional[ProfileConfig] = None
+    telemetry: Optional[TelemetryConfig] = None
+    provenance: bool = False
+
+
+@dataclass(frozen=True)
+class WorkerReport:
+    """What one worker task's local session collected (picklable)."""
+
+    spans: Tuple[SpanRecord, ...] = ()
+    metrics: Optional[Dict[str, Any]] = None
+    heartbeats: Tuple[Dict[str, Any], ...] = ()
+    capsules: Tuple[Dict[str, Any], ...] = ()
 
 
 class Observability:
@@ -95,7 +123,7 @@ class Observability:
 
         Heartbeats stream into the run journal when one is attached;
         otherwise they buffer in :attr:`heartbeats` (the process-worker
-        path, adopted by the parent via :meth:`adopt_heartbeats`).
+        path, shipped home in the :class:`WorkerReport`).
         """
         if self.telemetry is None:
             return None
@@ -112,20 +140,6 @@ class Observability:
         if self._sampler is not None:
             self._sampler.stop()
 
-    def adopt_heartbeats(self, events) -> None:
-        """Graft heartbeats sampled by a worker session into this one.
-
-        The telemetry twin of :meth:`repro.obs.trace.Tracer.adopt`:
-        events go to the journal when one is attached, otherwise onto
-        this session's own buffer.  Heartbeats are journal-only either
-        way — they never enter pipeline event output.
-        """
-        for event in events:
-            if self.journal is not None:
-                self.journal.write(event)
-            else:
-                self.heartbeats.append(event)
-
     # -- provenance --------------------------------------------------------------
 
     def enable_provenance(self) -> "Observability":
@@ -140,17 +154,38 @@ class Observability:
             self.provenance = ProvenanceRecorder(journal=self.journal)
         return self
 
-    def adopt_provenance(self, capsules) -> None:
-        """Graft capsules captured by a worker session into this one.
+    # -- workers -----------------------------------------------------------------
 
-        The provenance twin of :meth:`adopt_heartbeats`; workers buffer
-        capsules (no journal) and the parent journals them on arrival.
+    def worker_settings(self) -> WorkerSettings:
+        """What a worker-local session needs to record like this one."""
+        return WorkerSettings(profile=self.profile,
+                              telemetry=self.telemetry,
+                              provenance=self.provenance is not None)
+
+    def adopt(self, report: Optional[WorkerReport],
+              parent_id: Optional[int] = None) -> None:
+        """Graft a worker's report into this session.
+
+        Spans get fresh ids under ``parent_id`` (``Tracer.adopt``),
+        metrics merge (``MetricsRegistry.merge``: counters add, gauges
+        last-write), heartbeats go to the journal when one is attached
+        and onto :attr:`heartbeats` otherwise, and capsules join the
+        provenance recorder (``ProvenanceRecorder.adopt``), enabled on
+        first arrival.  All of it is journal-only: pipeline event
+        output never changes.
         """
-        if not capsules:
+        if report is None:
             return
-        if self.provenance is None:
-            self.enable_provenance()
-        self.provenance.adopt(capsules)
+        self.tracer.adopt(report.spans, parent_id)
+        if report.metrics:
+            self.metrics.merge(report.metrics)
+        for event in report.heartbeats:
+            if self.journal is not None:
+                self.journal.write(event)
+            else:
+                self.heartbeats.append(event)
+        if report.capsules:
+            self.enable_provenance().provenance.adopt(report.capsules)
 
     # -- recording ---------------------------------------------------------------
 
@@ -237,13 +272,13 @@ class _NullObservability:
     def stop_telemetry(self) -> None:
         return None
 
-    def adopt_heartbeats(self, events: Any) -> None:
-        return None
-
     def enable_provenance(self) -> "_NullObservability":
         return self
 
-    def adopt_provenance(self, capsules: Any) -> None:
+    def worker_settings(self) -> None:
+        return None
+
+    def adopt(self, report: Any, parent_id: Optional[int] = None) -> None:
         return None
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -257,6 +292,17 @@ class _NullObservability:
 NULL_OBS = _NullObservability()
 
 _active: Union[Observability, _NullObservability] = NULL_OBS
+
+
+def _forget_parent_session() -> None:
+    global _active
+    _active = NULL_OBS
+
+
+# A forked worker starts outside any session: the one it inherited
+# belongs to the parent (its journal handle, and locks the parent's
+# sampler thread may have held at the fork).
+os.register_at_fork(after_in_child=_forget_parent_session)
 
 
 def current() -> Union[Observability, _NullObservability]:
@@ -278,3 +324,33 @@ def activate(obs: Observability) -> Iterator[Observability]:
         yield obs
     finally:
         _active = previous
+
+
+def run_reported(settings: Optional[WorkerSettings],
+                 task: Callable[[], T]) -> Tuple[T, Optional[WorkerReport]]:
+    """Run a worker's ``task``; return its result and its report.
+
+    With the parent's ``settings`` the task runs under a worker-local
+    session configured from them (sampling heartbeats while it runs)
+    and the session's :class:`WorkerReport` rides home beside the
+    result.  Without them (the parent records nothing) the task runs
+    under the worker's ambient session and the report is ``None``.
+    """
+    if settings is None:
+        return task(), None
+    local = Observability(profile=settings.profile,
+                          telemetry=settings.telemetry)
+    if settings.provenance:
+        local.enable_provenance()
+    with activate(local):
+        local.start_telemetry()
+        try:
+            result = task()
+        finally:
+            local.stop_telemetry()
+    return result, WorkerReport(
+        spans=tuple(local.tracer.spans()),
+        metrics=local.metrics.snapshot(),
+        heartbeats=tuple(local.heartbeats),
+        capsules=(tuple(local.provenance.capsules)
+                  if local.provenance is not None else ()))

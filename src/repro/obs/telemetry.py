@@ -25,10 +25,10 @@ enabled is the tracer's ``track_open`` bookkeeping, and when disabled
 there is no thread, no registry read, nothing.
 
 Process workers cannot write the parent's journal, so they sample into
-a local buffer and ship the collected heartbeats home with their spans
-and metrics; the parent writes them through
-:meth:`repro.obs.runtime.Observability.adopt_heartbeats`, mirroring
-:meth:`repro.obs.trace.Tracer.adopt`.
+a local buffer and ship the collected heartbeats home in their
+:class:`~repro.obs.runtime.WorkerReport`, beside their spans and
+metrics; the parent journals them through
+:meth:`repro.obs.runtime.Observability.adopt`.
 """
 
 from __future__ import annotations

@@ -9,12 +9,9 @@ span handles around:
         with tracer.span("curate.country", country="SY"):
             ...
 
-Work handed to a pool thread starts with an empty stack; the scheduler
-captures the submitting thread's current span id and passes it as an
-explicit ``parent`` so shard spans still hang off the run's tree.  Work
-in a *process* worker records into its own tracer, and the parent
+Work in a process worker records into its own tracer, and the parent
 :meth:`Tracer.adopt`\\ s the returned records — remapping span ids so the
-child tree grafts under the shard's parent without collisions.
+child tree grafts under the parent's current span without collisions.
 
 Timing uses the monotonic :func:`time.perf_counter` anchored once to the
 wall clock, so span starts are comparable across workers while durations
@@ -204,14 +201,9 @@ class Tracer:
             self._stack.spans = stack
         if self.track_open:
             parent_path = stack[-1]._path if stack else None
+            span._path = (f"{parent_path}/{span.name}"
+                          if parent_path else span.name)
             with self._lock:
-                if parent_path is None and span.parent_id is not None:
-                    # Pool-thread spans start on an empty stack with an
-                    # explicit parent id; resolve lineage through the
-                    # open registry so their path keeps the full chain.
-                    parent_path = self._open.get(span.parent_id)
-                span._path = (f"{parent_path}/{span.name}"
-                              if parent_path else span.name)
                 self._open[span.span_id] = span._path
         stack.append(span)
 

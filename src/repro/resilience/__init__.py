@@ -21,8 +21,8 @@ failure a first-class, *deterministic* part of the system:
 
 The headline invariants, enforced by tests/test_resilience_exec.py:
 a fault-injected run whose every fault is retriable within policy is
-**byte-identical** to a fault-free run on the serial, thread, and
-process backends; a permanently failing country is **quarantined** —
+**byte-identical** to a fault-free run on the serial and process
+backends; a permanently failing country is **quarantined** —
 the merge proceeds with the survivors and the run reports
 ``degraded=True`` plus the quarantined countries in
 :class:`~repro.exec.ExecStats` and the obs journal.

@@ -26,7 +26,6 @@ each source tripped and recovered.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from typing import Dict
 
@@ -68,13 +67,12 @@ class BreakerPolicy:
 
 
 class CircuitBreaker:
-    """The state machine guarding one source; thread-safe."""
+    """The state machine guarding one source."""
 
     def __init__(self, policy: BreakerPolicy | None = None, *,
                  source: str = ""):
         self._policy = policy or BreakerPolicy()
         self._source = source
-        self._lock = threading.Lock()
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._rejections = 0
@@ -90,38 +88,33 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """Whether the next call may proceed (open breakers reject)."""
-        with self._lock:
-            if self._state is not BreakerState.OPEN:
-                return True
-            self._rejections += 1
-            if self._rejections >= self._policy.cooldown_calls:
-                self._transition(BreakerState.HALF_OPEN)
-                return True
-            current().metrics.counter("resilience.breaker.rejected",
-                                      source=self._source).inc()
-            return False
+        if self._state is not BreakerState.OPEN:
+            return True
+        self._rejections += 1
+        if self._rejections >= self._policy.cooldown_calls:
+            self._transition(BreakerState.HALF_OPEN)
+            return True
+        current().metrics.counter("resilience.breaker.rejected",
+                                  source=self._source).inc()
+        return False
 
     def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            if self._state is BreakerState.HALF_OPEN:
-                self._probe_successes += 1
-                if self._probe_successes >= \
-                        self._policy.half_open_successes:
-                    self._transition(BreakerState.CLOSED)
+        self._consecutive_failures = 0
+        if self._state is BreakerState.HALF_OPEN:
+            self._probe_successes += 1
+            if self._probe_successes >= self._policy.half_open_successes:
+                self._transition(BreakerState.CLOSED)
 
     def record_failure(self) -> None:
-        with self._lock:
-            self._consecutive_failures += 1
-            if self._state is BreakerState.HALF_OPEN:
-                self._transition(BreakerState.OPEN)
-            elif (self._state is BreakerState.CLOSED
-                    and self._consecutive_failures
-                    >= self._policy.failure_threshold):
-                self._transition(BreakerState.OPEN)
+        self._consecutive_failures += 1
+        if self._state is BreakerState.HALF_OPEN:
+            self._transition(BreakerState.OPEN)
+        elif (self._state is BreakerState.CLOSED
+                and self._consecutive_failures
+                >= self._policy.failure_threshold):
+            self._transition(BreakerState.OPEN)
 
     def _transition(self, state: BreakerState) -> None:
-        # Lock held by the caller.
         self._state = state
         self._rejections = 0
         self._probe_successes = 0
@@ -138,19 +131,16 @@ class BreakerBoard:
 
     def __init__(self, policy: BreakerPolicy | None = None):
         self._policy = policy or BreakerPolicy()
-        self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def get(self, source: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(source)
-            if breaker is None:
-                breaker = self._breakers[source] = CircuitBreaker(
-                    self._policy, source=source)
-            return breaker
+        breaker = self._breakers.get(source)
+        if breaker is None:
+            breaker = self._breakers[source] = CircuitBreaker(
+                self._policy, source=source)
+        return breaker
 
     def open_sources(self) -> list[str]:
         """Sources currently tripped (open), sorted."""
-        with self._lock:
-            return sorted(name for name, b in self._breakers.items()
-                          if b.state is BreakerState.OPEN)
+        return sorted(name for name, b in self._breakers.items()
+                      if b.state is BreakerState.OPEN)

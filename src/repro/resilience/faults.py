@@ -20,11 +20,11 @@ function* of ``(plan seed, site, operation key, attempt, call index)``:
 - the **call index** counts ``maybe_fault`` calls within that scope —
   a deterministic sequence, because each attempt runs serial code.
 
-Nothing depends on wall clocks, thread scheduling, or global counters
-shared across units of work, so the same plan injects the same faults
-on the serial, thread, and process backends — which is what lets the
-test suite assert that a fully recovered fault-injected run is
-byte-identical to a fault-free one.
+Nothing depends on wall clocks, scheduling, or global counters shared
+across units of work, so the same plan injects the same faults on the
+serial and process backends — which is what lets the test suite assert
+that a fully recovered fault-injected run is byte-identical to a
+fault-free one.
 
 Plans parse from a compact CLI spec (``repro run --inject-faults SPEC``)
 of ``key=value`` clauses joined by ``;``::
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,12 +219,10 @@ class FaultScope:
         return index
 
 
-# The active plan is process-global (mirroring repro.obs: pool threads
-# must see the run's plan without inheriting context variables); the
-# scope is thread-local because concurrent units of work each get their
-# own attempt accounting.
+# The active plan and the open scopes are process-global, mirroring
+# repro.obs; units of work run one at a time in each process.
 _active_plan: Optional[FaultPlan] = None
-_scopes = threading.local()
+_scopes: List[FaultScope] = []
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -237,8 +234,7 @@ def active_plan() -> Optional[FaultPlan]:
 def inject(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
     """Install ``plan`` for the ``with`` block (None/empty = no-op).
 
-    Process workers re-install the plan locally; thread workers see the
-    process-global automatically.
+    Process workers re-install the plan locally.
     """
     global _active_plan
     previous = _active_plan
@@ -259,20 +255,16 @@ def fault_scope(key: str, attempt: int = 0) -> Iterator[FaultScope]:
     Scopes nest; the innermost wins.
     """
     scope = FaultScope(key=key, attempt=attempt)
-    stack = getattr(_scopes, "stack", None)
-    if stack is None:
-        stack = _scopes.stack = []
-    stack.append(scope)
+    _scopes.append(scope)
     try:
         yield scope
     finally:
-        stack.pop()
+        _scopes.pop()
 
 
 def current_scope() -> Optional[FaultScope]:
-    """The innermost open fault scope on this thread (or None)."""
-    stack = getattr(_scopes, "stack", None)
-    return stack[-1] if stack else None
+    """The innermost open fault scope (or None)."""
+    return _scopes[-1] if _scopes else None
 
 
 def maybe_fault(site: str, key: Optional[str] = None) -> None:

@@ -263,7 +263,7 @@ def trailing_median(values: np.ndarray, window: int, *,
     uniq = sv[new_flag]
     n_uniq = uniq.shape[0]
     if n_uniq == 1:
-        out[first:] = uniq[0]
+        out[first:] = (uniq[0] + uniq[0]) / 2.0  # the central pair's mean
         return out
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.cumsum(new_flag) - 1
@@ -333,13 +333,11 @@ def trailing_median_at(values: np.ndarray, window: int,
             out[k] = np.nan
             continue
         w = v[max(0, j - window):j]
-        c = w.shape[0]
-        h = (c - 1) // 2
-        if c % 2:
-            out[k] = np.partition(w, h)[h]
-        else:
-            part = np.partition(w, (h, h + 1))
-            out[k] = (part[h] + part[h + 1]) / 2.0
+        # The central pair is one element for odd counts; averaging it
+        # anyway keeps the arithmetic (and overflow) of the columnar path.
+        lo, hi = (w.shape[0] - 1) // 2, w.shape[0] // 2
+        part = np.partition(w, (lo, hi))
+        out[k] = (part[lo] + part[hi]) / 2.0
     return out
 
 

@@ -35,27 +35,28 @@ regressing watermark, bins still missing when the watermark passes
 them, or pushes into an adjudicated window.  Exact duplicates are
 idempotent no-ops.
 
-Backends mirror the batch executor: ``serial`` adjudicates inline,
-``thread`` fans countries out over a thread pool sharing the platform,
+Backends mirror the batch executor and share its dispatch rule
+(:func:`repro.exec.workers.pool_size`): ``serial`` adjudicates inline,
 ``process`` ships (windows, episodes, RNG state) to workers holding the
-worker-resident world (:mod:`repro.stream.workers`).  Countries are
-independent — same substream discipline as the batch shards — so all
-three produce the same bytes.
+worker-resident world (:mod:`repro.stream.workers`) whenever two or
+more workers would get a country, and runs inline otherwise.  Countries
+are independent — same substream discipline as the batch shards — so
+both produce the same bytes.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
     Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamError
-from repro.exec.workers import worker_init
+from repro.exec.workers import pool_size, worker_init
 from repro.ioda.curation import CurationPipeline, WindowAdjudication, \
     finalize_records
 from repro.ioda.detectors import DETECTOR_CONFIGS
@@ -69,12 +70,13 @@ from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.stream.models import BinSegment, SignalBin, StreamEvent, \
     bin_grid
-from repro.stream.workers import adjudicate_country_subprocess
+from repro.stream.workers import WindowWork, adjudicate_country, \
+    adjudicate_country_subprocess
 from repro.timeutils.timestamps import TimeRange
 
 __all__ = ["STREAM_BACKENDS", "StreamEngine"]
 
-STREAM_BACKENDS = ("serial", "thread", "process")
+STREAM_BACKENDS = ("serial", "process")
 
 
 class _SeriesState:
@@ -599,27 +601,20 @@ class StreamEngine:
 
     def _adjudicate(self, due: Dict[str, List[_WindowState]]
                     ) -> Dict[str, List[WindowAdjudication]]:
-        if not due:
-            return {}
         work = {
             iso2: [(ws.window, self._episodes_of(ws, provisional=False))
                    for ws in states]
             for iso2, states in due.items()}
-        if (self._backend == "serial" or self._workers <= 1
-                or len(due) == 1):
+        if not pool_size(self._backend, self._workers, len(due)):
             return {iso2: self._adjudicate_country(iso2, work[iso2])
                     for iso2 in sorted(due)}
-        if self._backend == "thread":
-            with ThreadPoolExecutor(
-                    max_workers=min(self._workers, len(due))) as pool:
-                futures = {
-                    iso2: pool.submit(self._adjudicate_country, iso2,
-                                      work[iso2])
-                    for iso2 in sorted(due)}
-                return {iso2: future.result()
-                        for iso2, future in futures.items()}
         obs = current()
-        with_provenance = obs.provenance is not None
+        # Workers adjudicate for well under a heartbeat interval; the
+        # parent's sampler already reports the stream's progress.
+        settings = obs.worker_settings()
+        if settings is not None:
+            settings = replace(settings, telemetry=None)
+        parent_id = obs.tracer.current_id()
         pool = self._ensure_pool()
         futures = {}
         for iso2 in sorted(due):
@@ -629,32 +624,22 @@ class StreamEngine:
                 self._platform_config, self._curation_config,
                 self._period, iso2, work[iso2],
                 cs.rng.bit_generator.state, cs.next_record_id,
-                with_provenance, cs.draws.index)
+                cs.draws.index, settings)
         out: Dict[str, List[WindowAdjudication]] = {}
         for iso2, future in futures.items():
-            (adjudications, rng_state, next_record_id, capsules,
-             draw_index) = future.result()
             cs = self._countries[iso2]
-            cs.rng.bit_generator.state = rng_state
-            cs.next_record_id = next_record_id
-            cs.draws.index = draw_index
-            if capsules:
-                obs.adopt_provenance(capsules)
-            out[iso2] = adjudications
+            (out[iso2], cs.rng.bit_generator.state, cs.next_record_id,
+             cs.draws.index, report) = future.result()
+            obs.adopt(report, parent_id)
         return out
 
-    def _adjudicate_country(
-            self, iso2: str,
-            work: Sequence[Tuple[TimeRange,
-                                 Dict[SignalKind, List[AlertEpisode]]]]
-    ) -> List[WindowAdjudication]:
+    def _adjudicate_country(self, iso2: str, work: Sequence[WindowWork]
+                            ) -> List[WindowAdjudication]:
         cs = self._countries[iso2]
         record_ids = itertools.count(cs.next_record_id)
-        adjudications = [
-            self._pipeline.adjudicate_window(iso2, window, self._period,
-                                             episodes, cs.rng, record_ids,
-                                             draws=cs.draws)
-            for window, episodes in work]
+        adjudications = adjudicate_country(
+            self._pipeline, iso2, work, self._period, cs.rng, record_ids,
+            cs.draws, backend="serial")
         cs.next_record_id = next(record_ids)
         return adjudications
 

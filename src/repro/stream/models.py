@@ -5,8 +5,8 @@ StreamSession` boundary: :class:`BinSegment` going in (a contiguous run
 of one series' bins, the feed's unit), :class:`SignalBin` (one bin, for
 per-bin callers), :class:`StreamEvent` coming out (one step of an
 outage-event lifecycle).  Everything here is a frozen, picklable
-dataclass so the same payloads flow unchanged through the serial,
-thread, and process backends and into the run journal.
+dataclass so the same payloads flow unchanged through the serial and
+process backends and into the run journal.
 """
 
 from __future__ import annotations

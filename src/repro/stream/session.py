@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from repro.core.pipeline import ReproPipeline
 from repro.errors import StreamError
+from repro.exec import backend_label
 from repro.ioda.api import IODAClient
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform, PlatformConfig
@@ -104,8 +105,8 @@ class StreamSession:
             # it so the remaining stages become its siblings, exactly
             # as in a batch run.
             self._curate_cm = obs.span(
-                "stage:curate", workers=workers, backend=backend,
-                streaming=True)
+                "stage:curate", workers=workers,
+                backend=backend_label(backend, workers), streaming=True)
             self._curate_span = self._curate_cm.__enter__()
         except BaseException:
             self._stack.close()

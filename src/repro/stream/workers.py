@@ -1,46 +1,66 @@
-"""Process-backend adjudication for the stream engine.
+"""Per-country adjudication for the stream engine, inline or in a worker.
 
 The engine's feed phase is cheap numpy; the expensive part of an
 advance is adjudicating the windows the watermark just closed (control
-queries, scope descent).  Under the ``process`` backend those are
-shipped here, to a pool whose workers hold the same worker-resident
-world the batch executor uses (:func:`repro.exec.workers.
-resident_world`): only configs, the windows' accumulated alert
-episodes, and the country's RNG state cross the process boundary.
+queries, scope descent).  :func:`adjudicate_country` does that for one
+country, inside a ``stream.adjudicate`` span, and is what both backends
+run.  Under the ``process`` backend the engine ships the work to
+:func:`adjudicate_country_subprocess`, in a pool whose workers hold the
+same worker-resident world the batch executor uses
+(:func:`repro.exec.workers.resident_world`): only configs, the
+windows' accumulated alert episodes, and the country's RNG state cross
+the process boundary.
 
 Curation consumes its per-country RNG substream strictly in candidate
 order, so the engine ships the generator's exact bit-state out and
 takes the advanced state back — the draws land exactly where a serial
 run would land them, which is what keeps the process backend
-byte-identical.  Stream workers do not collect spans or heartbeats
-(the engine's telemetry reports watermark progress from the parent
-side), but when the parent session records provenance they build a
-worker-local recorder, thread the country's RNG-draw cursor through
-adjudication, and ship the minted lineage capsules home alongside the
-advanced cursor — the provenance twin of
-:meth:`repro.obs.trace.Tracer.adopt`.
+byte-identical.  The country's record-id counter and RNG-draw cursor
+(the provenance coordinate) travel the same way.  When the parent
+records observability the worker adjudicates under a worker-local
+session built from the parent's settings (minus heartbeats, which the
+parent's sampler reports), and its spans, metrics and lineage capsules
+ride home as one :class:`~repro.obs.runtime.WorkerReport`, which the
+parent adopts under its curate span.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ioda.curation import CurationConfig, CurationPipeline, \
     WindowAdjudication
 from repro.ioda.platform import PlatformConfig
 from repro.obs.provenance import DrawCursor
-from repro.obs.runtime import Observability, activate
+from repro.obs.runtime import WorkerReport, WorkerSettings, current, \
+    run_reported
 from repro.rng import substream
 from repro.signals.alerts import AlertEpisode
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange
 from repro.world.scenario import ScenarioConfig
 
-__all__ = ["adjudicate_country_subprocess"]
+__all__ = ["WindowWork", "adjudicate_country",
+           "adjudicate_country_subprocess"]
 
 #: One country's due work: (window, its accumulated per-signal episodes).
-_WindowWork = Tuple[TimeRange, Dict[SignalKind, List[AlertEpisode]]]
+WindowWork = Tuple[TimeRange, Dict[SignalKind, List[AlertEpisode]]]
+
+
+def adjudicate_country(pipeline: CurationPipeline, iso2: str,
+                       work: Sequence[WindowWork], period: TimeRange,
+                       rng: np.random.Generator, record_ids: Iterator[int],
+                       draws: DrawCursor, *, backend: str
+                       ) -> List[WindowAdjudication]:
+    """Adjudicate one country's closed windows, in window order."""
+    with current().span("stream.adjudicate", country=iso2,
+                        windows=len(work), backend=backend):
+        return [pipeline.adjudicate_window(iso2, window, period, episodes,
+                                           rng, record_ids, draws=draws)
+                for window, episodes in work]
 
 
 def adjudicate_country_subprocess(
@@ -49,19 +69,19 @@ def adjudicate_country_subprocess(
         curation_config: CurationConfig,
         period: TimeRange,
         iso2: str,
-        work: Sequence[_WindowWork],
+        work: Sequence[WindowWork],
         rng_state: dict,
         next_record_id: int,
-        provenance: bool = False,
-        draw_index: int = 0,
-) -> Tuple[List[WindowAdjudication], dict, int, List[dict], int]:
+        draw_index: int,
+        settings: Optional[WorkerSettings] = None,
+) -> Tuple[List[WindowAdjudication], dict, int, int,
+           Optional[WorkerReport]]:
     """Adjudicate one country's closed windows over the resident world.
 
     Module-level so it pickles by reference.  Returns the adjudications
-    in window order plus the advanced RNG state, next record id, any
-    lineage capsules captured (empty unless ``provenance``), and the
-    advanced RNG-draw cursor index, for the parent to fold back into
-    its country state.
+    in window order, the advanced RNG state, next record id and
+    RNG-draw cursor index for the parent to fold back into its country
+    state, and the worker's report (``None`` without ``settings``).
     """
     from repro.exec.workers import resident_world
 
@@ -71,20 +91,9 @@ def adjudicate_country_subprocess(
     rng.bit_generator.state = rng_state
     record_ids = itertools.count(next_record_id)
     draws = DrawCursor(draw_index)
-    if provenance:
-        local = Observability()
-        local.enable_provenance()
-        with activate(local):
-            adjudications = [
-                pipeline.adjudicate_window(iso2, window, period, episodes,
-                                           rng, record_ids, draws=draws)
-                for window, episodes in work]
-        capsules = list(local.provenance.capsules)
-    else:
-        adjudications = [
-            pipeline.adjudicate_window(iso2, window, period, episodes, rng,
-                                       record_ids)
-            for window, episodes in work]
-        capsules = []
+    adjudications, report = run_reported(
+        settings, lambda: adjudicate_country(
+            pipeline, iso2, work, period, rng, record_ids, draws,
+            backend="process"))
     return (adjudications, rng.bit_generator.state, next(record_ids),
-            capsules, draws.index)
+            draws.index, report)

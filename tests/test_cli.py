@@ -312,6 +312,51 @@ class TestResilienceFlags:
         assert "repro: error:" in capsys.readouterr().err
 
 
+class TestBackendFlag:
+    """The ``--backend`` surface: ``serial`` and ``process`` only, and
+    ``--workers 2`` alone runs the process pool (small scenario, shrunk
+    the same way :class:`TestResilienceFlags` does)."""
+
+    @pytest.fixture()
+    def small_cli(self, monkeypatch):
+        from repro.timeutils.timestamps import TimeRange, utc
+        from repro.world.scenario import ScenarioConfig
+
+        monkeypatch.setattr(
+            "repro.cli.ScenarioConfig",
+            lambda seed: ScenarioConfig(seed=seed, years=(2018,)))
+        monkeypatch.setattr(
+            "repro.cli.STUDY_PERIOD",
+            TimeRange(utc(2018, 1, 1), utc(2018, 5, 1)))
+
+    def test_thread_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--backend", "thread", "run"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_workers_without_backend_run_the_process_pool(
+            self, capsys, tmp_path, small_cli):
+        import json
+        import os
+
+        from repro.obs import read_journal
+
+        journal = tmp_path / "run.jsonl"
+        status = main(["--seed", "7", "--cache-dir", str(tmp_path),
+                       "--workers", "2", "run", "--stats", "--json",
+                       "--journal", str(journal)])
+        assert status == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["backend"] == "process"
+        shards = [e for e in read_journal(journal, types={"span"})
+                  if e["name"] == "exec.shard"]
+        assert len(shards) == report["n_shards"]
+        pids = {e["worker"].split("/")[0] for e in shards}
+        assert str(os.getpid()) not in pids
+        assert all(e["attrs"]["backend"] == "process" for e in shards)
+
+
 class TestHealthAndPerf:
     """The health/perf commands on the small test scenario.
 

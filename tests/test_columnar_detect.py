@@ -31,7 +31,7 @@ from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats import rolling
 from repro.stats.rolling import TrailingMedianStream, rolling_median, \
-    trailing_median
+    trailing_median, trailing_median_at
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES, TimeRange, utc
@@ -119,6 +119,27 @@ class TestTrailingMedian:
             trailing_median(np.ones(10), 0)
         with pytest.raises(SignalError):
             trailing_median(np.ones((5, 2)), 3)
+
+    def test_sparse_positions_overflow_like_the_columnar_path(self):
+        values = np.array([1e308, 1.1e308, 1.2e308, 1e308, 1.3e308])
+        want = np.array([np.nan, np.inf, np.inf, np.inf, np.inf])
+        for got in (trailing_median(values, 3),
+                    trailing_median_at(values, 3, np.arange(5))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(min_value=8.0e307, max_value=1.79e308),
+                           min_size=1, max_size=60),
+           window=st.integers(1, 12), data=st.data())
+    def test_sparse_positions_bitwise_near_the_float_limit(
+            self, values, window, data):
+        v = np.array(values)
+        idx = np.array(data.draw(st.lists(
+            st.integers(0, len(v) - 1), min_size=1,
+            max_size=rolling._SPARSE_ROWS)))
+        got = trailing_median_at(v, window, idx)
+        want = trailing_median(v, window)[idx]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _stream_values(rng, kind, n, chunk_starts=()):
@@ -471,6 +492,6 @@ class TestPipelineByteIdentity:
 
     def test_flag_off_matches_across_backends(self, small_run):
         kwargs, production = small_run
-        parallel = api.run(workers=2, backend="thread", **kwargs)
+        parallel = api.run(workers=2, backend="process", **kwargs)
         assert self._record_bytes(parallel) \
             == self._record_bytes(production)

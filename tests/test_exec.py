@@ -32,7 +32,7 @@ from repro.exec import (
     fingerprint,
 )
 from repro.core.pipeline import ReproPipeline
-from repro.exec.workers import _curate_shard
+from repro.exec.workers import _curate_shard, backend_label, pool_size
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform, PlatformConfig
 from repro.obs import Observability
@@ -176,7 +176,25 @@ class TestExecutorConfig:
     def test_defaults(self):
         config = ExecutorConfig()
         assert config.workers == 1
+        assert config.backend == "process"
         assert config.n_shards is None
+
+    @pytest.mark.parametrize("entry", ["ExecutorConfig", "run", "stream"])
+    def test_thread_backend_rejected(self, entry):
+        import repro.api as api
+
+        construct = {"ExecutorConfig": ExecutorConfig, "run": api.run,
+                     "stream": api.stream}[entry]
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            construct(backend="thread")
+
+    @pytest.mark.parametrize("backend,workers,units,size", [
+        ("process", 1, 8, 0), ("process", 2, 1, 0), ("process", 2, 8, 2),
+        ("process", 4, 3, 3), ("serial", 4, 8, 0)])
+    def test_pool_only_when_two_workers_get_work(self, backend, workers,
+                                                 units, size):
+        assert pool_size(backend, workers, units) == size
+        assert backend_label(backend, 1) == "serial"
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
@@ -204,7 +222,7 @@ class TestExecStats:
         assert stats.shard_skew == pytest.approx(1.5)
 
     def test_as_dict_shape(self):
-        stats = ExecStats(workers=4, backend="thread", n_shards=8)
+        stats = ExecStats(workers=4, backend="process", n_shards=8)
         stats.add_stage("curate", 1.25)
         report = stats.as_dict()
         assert set(report) == {"workers", "backend", "n_shards", "stages",
@@ -228,18 +246,14 @@ class TestExecStats:
 
 
 class TestEquivalence:
-    def test_thread_pool_is_byte_identical_to_serial(self, small_scenario,
-                                                     serial_records):
-        parallel, stats = _curate(small_scenario, workers=4,
-                                  backend="thread")
-        assert _record_bytes(parallel) == _record_bytes(serial_records)
-        assert stats.n_shards == DEFAULT_N_SHARDS
-        assert len(stats.shard_seconds) == stats.n_shards
-
     def test_process_pool_is_byte_identical_to_serial(self, small_scenario,
                                                       serial_records):
-        parallel, _ = _curate(small_scenario, workers=2, backend="process")
+        parallel, stats = _curate(small_scenario, workers=2,
+                                  backend="process")
         assert _record_bytes(parallel) == _record_bytes(serial_records)
+        assert stats.backend == "process"
+        assert stats.n_shards == DEFAULT_N_SHARDS
+        assert len(stats.shard_seconds) == stats.n_shards
 
     def test_process_pool_builds_world_once_per_worker(self, small_scenario,
                                                        serial_records):
@@ -294,14 +308,14 @@ class TestStageCache:
         cache = CacheStore(tmp_path)
 
         cold, cold_stats = _curate(small_scenario, workers=2,
-                                   backend="thread", cache=cache)
+                                   backend="process", cache=cache)
         assert cold_stats.cache_hits == 0
         assert cold_stats.cache_misses == cold_stats.n_shards
         assert not cold_stats.curate_skipped
         assert _record_bytes(cold) == _record_bytes(serial_records)
 
         warm, warm_stats = _curate(small_scenario, workers=2,
-                                   backend="thread", cache=cache)
+                                   backend="process", cache=cache)
         assert warm_stats.cache_hits == warm_stats.n_shards
         assert warm_stats.cache_misses == 0
         assert warm_stats.curate_skipped
@@ -322,7 +336,7 @@ class TestStageCache:
         cache = CacheStore(tmp_path)
         _curate(small_scenario, workers=1, cache=cache)
         resized, stats = _curate(small_scenario, workers=4,
-                                 backend="thread", cache=cache)
+                                 backend="process", cache=cache)
         assert stats.curate_skipped
         assert _record_bytes(resized) == _record_bytes(serial_records)
 
@@ -340,7 +354,7 @@ class TestPipelineIntegration:
                                               serial_records):
         pipeline = ReproPipeline(
             scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-            executor=ExecutorConfig(workers=4, backend="thread"))
+            executor=ExecutorConfig(workers=4, backend="process"))
         result = pipeline.run()
         assert _record_bytes(result.curated_records) \
             == _record_bytes(serial_records)

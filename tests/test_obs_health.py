@@ -196,7 +196,7 @@ def _statistics(total=10.0, curate=8.0, records=278.0, shutdowns=53.0):
 
 def _baseline(name="base", **kwargs):
     return PerfBaseline.capture(
-        name=name, config={"seed": 2023, "backend": "thread"},
+        name=name, config={"seed": 2023, "backend": "serial"},
         statistics=_statistics(**kwargs), health_grade="pass")
 
 
@@ -261,7 +261,7 @@ class TestPerfBaseline:
 
     def test_config_mismatch_regresses(self):
         other = PerfBaseline.capture(
-            name="now", config={"seed": 7, "backend": "thread"},
+            name="now", config={"seed": 7, "backend": "serial"},
             statistics=_statistics())
         comparison = compare_baselines(other, _baseline())
         assert any(e.name == "config.seed" for e in comparison.regressions)
@@ -270,7 +270,7 @@ class TestPerfBaseline:
         stats = _statistics()
         del stats["perf.stage_seconds.curate"]
         current = PerfBaseline.capture(
-            name="now", config={"seed": 2023, "backend": "thread"},
+            name="now", config={"seed": 2023, "backend": "serial"},
             statistics=stats)
         comparison = compare_baselines(current, _baseline())
         assert any(e.status == "missing" for e in comparison.regressions)

@@ -3,7 +3,7 @@
 The acceptance bar for the observability subsystem:
 
 - a traced run produces a span tree in which the executor's shard spans
-  nest under the ``stage:curate`` span — across BOTH the thread and the
+  nest under the ``stage:curate`` span — on BOTH the serial and the
   process backends (process workers trace in their own interpreter and
   the parent grafts their spans back in);
 - the JSONL run journal replays through ``summarize_events`` and the
@@ -63,7 +63,7 @@ def _assert_shards_nest_under_curate(spans):
             f"shard span {shard.attrs} does not nest under stage:curate")
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_shard_spans_nest_under_curate(backend):
     _, _, obs = _traced_run(backend)
     spans = obs.tracer.spans()
@@ -88,19 +88,18 @@ def test_process_shard_spans_carry_worker_pids():
 def test_tracing_does_not_perturb_results():
     baseline = api.run(scenario_config=SMALL_CONFIG,
                        study_period=SMALL_PERIOD)
-    for backend in ("thread", "process"):
-        traced, _, _ = _traced_run(backend)
-        assert _record_bytes(traced.curated_records) \
-            == _record_bytes(baseline.curated_records)
+    traced, _, _ = _traced_run("process")
+    assert _record_bytes(traced.curated_records) \
+        == _record_bytes(baseline.curated_records)
 
 
 def test_stats_derived_from_spans_keeps_contract():
-    _, stats, obs = _traced_run("thread")
+    _, stats, obs = _traced_run("process")
     payload = stats.as_dict()
     assert set(payload) == STATS_KEYS
     assert set(payload["stages"]) == {"scenario", "curate", "kio",
                                       "merge", "datasets"}
-    assert payload["backend"] == "thread"
+    assert payload["backend"] == "process"
     assert payload["workers"] == 2
     assert payload["n_records"] > 0
     assert payload["n_shards"] == len(
@@ -110,7 +109,7 @@ def test_stats_derived_from_spans_keeps_contract():
 
 def test_journal_and_trace_exports(tmp_path):
     journal_path = tmp_path / "run.jsonl"
-    _, _, obs = _traced_run("thread", journal=RunJournal(journal_path))
+    _, _, obs = _traced_run("process", journal=RunJournal(journal_path))
     events = read_journal(journal_path)
     kinds = [e["type"] for e in events]
     assert kinds[0] == "run_start" and kinds[-1] == "run_end"
@@ -130,7 +129,7 @@ def test_journal_and_trace_exports(tmp_path):
 
 
 def test_hot_path_metrics_are_recorded():
-    _, _, obs = _traced_run("thread")
+    _, _, obs = _traced_run("process")
     counters = obs.metrics_snapshot()["counters"]
     assert counters.get("curation.records_finalized", 0) > 0
     assert counters.get("matching.window_comparisons", 0) > 0
@@ -144,7 +143,7 @@ class TestProfiledRuns:
     def test_profiling_does_not_perturb_results(self):
         baseline = api.run(scenario_config=SMALL_CONFIG,
                            study_period=SMALL_PERIOD)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             profiled = api.run(
                 scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
                 workers=1 if backend == "serial" else 2, backend=backend,

@@ -3,10 +3,10 @@
 The acceptance bar for the telemetry subsystem:
 
 - heartbeats are **journal-only**: curated records are byte-identical
-  with telemetry on or off on every backend (serial, thread, process);
+  with telemetry on or off on every backend (serial, process);
 - every backend leaves well-formed heartbeat events in the parent
-  journal — process workers sample locally and their beats are adopted
-  home with their spans and metrics;
+  journal — process workers sample locally and their beats come home in
+  the worker report, with their spans and metrics;
 - the journal readers survive a journal that is still being written:
   a torn final line (even torn inside a multi-byte UTF-8 sequence)
   is skipped and the readable prefix replays intact.
@@ -31,7 +31,8 @@ from repro.obs import (
     read_journal,
     summarize_events,
 )
-from repro.obs.runtime import NULL_OBS
+from repro.obs.runtime import NULL_OBS, WorkerReport, WorkerSettings, \
+    run_reported
 from repro.obs.telemetry import HEARTBEATS_COUNTER
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
@@ -235,30 +236,40 @@ class TestObservabilityWiring:
         assert len(beats) == 1 and beats[0]["final"]
 
     def test_worker_session_buffers_and_parent_adopts(self, tmp_path):
-        worker = Observability(telemetry=TelemetryConfig(interval=60.0))
-        worker.start_telemetry()
-        worker.stop_telemetry()
-        assert len(worker.heartbeats) == 1
+        settings = Observability(
+            telemetry=TelemetryConfig(interval=60.0)).worker_settings()
+        result, report = run_reported(settings, lambda: 42)
+        assert result == 42
+        assert len(report.heartbeats) == 1
 
         path = tmp_path / "parent.jsonl"
         parent = Observability(journal=str(path))
-        parent.adopt_heartbeats(worker.heartbeats)
+        parent.adopt(report)
         parent.finish()
         beats = read_journal(path, types={"heartbeat"})
         assert len(beats) == 1
-        assert beats[0]["pid"] == worker.heartbeats[0]["pid"]
+        assert beats[0]["pid"] == report.heartbeats[0]["pid"]
+        assert parent.heartbeats == []
+
+    def test_parent_without_journal_buffers_adopted_beats(self):
+        settings = WorkerSettings(telemetry=TelemetryConfig(interval=60.0))
+        _, report = run_reported(settings, lambda: None)
+        parent = Observability()
+        parent.adopt(report)
+        assert parent.heartbeats == list(report.heartbeats)
 
     def test_null_observability_is_inert(self):
         NULL_OBS.enable_telemetry("1s")
         NULL_OBS.start_telemetry()
         NULL_OBS.stop_telemetry()
-        NULL_OBS.adopt_heartbeats([{"type": "heartbeat"}])
+        assert NULL_OBS.worker_settings() is None
+        NULL_OBS.adopt(WorkerReport(heartbeats=({"type": "heartbeat"},)))
         assert NULL_OBS.telemetry is None
         assert NULL_OBS.heartbeats == []
 
 
 class TestPipelineIntegration:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_heartbeats_land_in_journal_on_every_backend(
             self, tmp_path, backend):
         path = tmp_path / f"{backend}.jsonl"
@@ -287,7 +298,7 @@ class TestPipelineIntegration:
         baseline = api.run(scenario_config=SMALL_CONFIG,
                            study_period=SMALL_PERIOD)
         expected = _record_bytes(baseline.events.curated_records)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             obs = Observability(
                 telemetry=TelemetryConfig(interval=0.05))
             result = api.run(

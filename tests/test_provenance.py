@@ -196,7 +196,7 @@ class TestByteIdentity:
     """Records and capsule ids are backend- and chunking-independent."""
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 4), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_backend_invariance(self, plain_bytes, prov_run, backend,
                                 workers):
         result = small_run(provenance=True, backend=backend,

@@ -4,8 +4,8 @@ The two headline invariants of :mod:`repro.resilience`:
 
 - **Recovery is invisible.**  A fault-injected run whose every fault is
   retriable within the policy budget produces byte-identical curated
-  records to a fault-free run — on the serial, thread, and process
-  backends alike.
+  records to a fault-free run — on the serial and process backends
+  alike.
 - **Exhaustion is contained.**  A country whose source never recovers
   is quarantined: the merge proceeds with the survivors, the run
   reports ``degraded=True`` plus the quarantined codes, and the
@@ -68,7 +68,7 @@ def clean():
 
 class TestByteIdentityUnderRecoverableFaults:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 4), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     def test_recovered_run_is_byte_identical(self, clean, backend,
                                              workers):
         _, baseline = clean
@@ -154,8 +154,7 @@ class TestQuarantine:
         assert curate.attrs["degraded"] is True
         assert curate.attrs["quarantined"] == ["SY"]
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_quarantine_is_backend_independent(self, degraded, backend,
                                                workers):
         serial_pipeline, serial_result = degraded

@@ -59,7 +59,7 @@ class TestCanonicalEquivalence:
     """finalize() ≡ run() on the canonical scenario, every backend."""
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 4), ("process", 4)])
+        ("serial", 1), ("process", 4)])
     def test_stream_matches_batch(self, pipeline_result, backend,
                                   workers):
         session = api.stream(seed=CANONICAL_SEED, backend=backend,
@@ -108,7 +108,7 @@ class TestChunkingInvariance:
 
 
 class TestBackendsSmall:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, batch_small_bytes,
                                             backend):
         session = small_stream(backend=backend, workers=3)
@@ -116,6 +116,39 @@ class TestBackendsSmall:
             pass
         result = session.finalize()
         assert record_bytes(result.curated_records) == batch_small_bytes
+
+    def test_process_workers_report_metrics_and_spans(self):
+        """Process workers' counters and spans reach the parent."""
+        import os
+
+        def replayed(backend, workers):
+            obs = api.Observability()
+            session = small_stream(backend=backend, workers=workers,
+                                   observability=obs)
+            for _ in session.replay(6 * 3600):
+                pass
+            result = session.finalize()
+            decisions = {
+                key: value for key, value
+                in obs.metrics_snapshot()["counters"].items()
+                if key.startswith("curation.decision.")}
+            return result, decisions, obs.tracer.spans()
+
+        serial, serial_decisions, _ = replayed("serial", 1)
+        process, process_decisions, spans = replayed("process", 2)
+        assert sum(serial_decisions.values()) > 0
+        assert process_decisions == serial_decisions
+        assert record_bytes(process.curated_records) \
+            == record_bytes(serial.curated_records)
+        assert process.stats.backend == "process"
+        assert serial.stats.backend == "serial"
+        curate, = [s for s in spans if s.name == "stage:curate"]
+        here = f"{os.getpid()}/"
+        workers = [s for s in spans if s.name == "stream.adjudicate"
+                   and not s.worker.startswith(here)]
+        assert workers, "no worker spans adopted"
+        assert all(s.parent_id == curate.span_id for s in workers)
+        assert all(s.attrs["backend"] == "process" for s in workers)
 
 
 class TestPushContract:
