@@ -300,11 +300,13 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
 
     ``workers``/``backend`` schedule the observation+curation stage
     through the sharded executor (results are byte-identical at any
-    worker count): ``workers=2`` or more curates cold shards in a
-    ``process`` pool (the default backend), which keeps the generated
-    world resident per worker, so each process builds it once per run;
-    one worker, or ``backend="serial"``, curates inline and the run
-    records its backend as ``serial``.  ``cache_dir`` enables the
+    worker count): its worker pool
+    (:class:`repro.exec.workers.WorkerPool`, which :func:`stream`
+    shares) curates cold shards on a ``process`` pool (the default
+    backend) when two or more workers get shards, and each worker
+    process keeps the generated world resident, building it once per
+    run; one worker, or ``backend="serial"``, curates inline and the
+    run records its backend as ``serial``.  ``cache_dir`` enables the
     content-addressed stage cache so warm re-runs skip straight to the
     merge.  ``seed`` is shorthand for
     ``scenario_config=ScenarioConfig(seed=...)`` and is ignored when an
@@ -430,11 +432,12 @@ def stream(*, seed: int = 2023, workers: int = 1,
     **byte-identical** to ``run()`` with the same configuration —
     however the bins were chunked, on every backend.
 
-    ``workers``/``backend`` schedule window adjudication as in
-    :func:`run`: with two or more workers, ``process`` (the default)
-    fans the countries whose windows an advance closes out to a pool
-    whose workers keep the generated world resident (a pool only when
-    at least two countries are due); one worker, or ``serial``,
+    ``workers``/``backend`` schedule window adjudication through the
+    same worker pool as :func:`run`, one unit per country whose
+    windows an advance closes: with two or more workers, ``process``
+    (the default) runs an advance with two or more due countries on
+    process workers that keep the generated world resident for the
+    whole session; one worker, ``serial``, or a single due country
     adjudicates inline.  ``journal=``/``observability=``/
     ``telemetry=`` work as in :func:`run`; a journaled stream
     additionally records every lifecycle event as a ``stream.event``
@@ -491,8 +494,8 @@ def stream(*, seed: int = 2023, workers: int = 1,
     return StreamSession(
         pipeline, seed=active_config.seed, period=study_period,
         platform_config=platform_config,
-        curation_config=curation_config, backend=backend,
-        workers=workers, resilience=resilience, package=package)
+        curation_config=curation_config, resilience=resilience,
+        package=package)
 
 
 def client(result: Union[RunResult, PipelineResult],

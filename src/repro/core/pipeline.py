@@ -132,6 +132,11 @@ class ReproPipeline:
         return self._stats
 
     @property
+    def executor_config(self) -> ExecutorConfig:
+        """How the observation+curation stage is scheduled."""
+        return self._executor.config
+
+    @property
     def health(self) -> Optional[HealthReport]:
         """Fidelity scorecard of the most recent :meth:`run` (or None).
 

@@ -3,13 +3,17 @@
 The observation+curation stage dominates pipeline cost and is
 embarrassingly parallel by country (the paper observes its 155 countries
 independently, §3–4).  This package splits that work into deterministic
-country shards, runs them inline or in a process pool,
-caches each shard's output content-addressed by everything that
-determines it, and merges the results byte-identically to a serial run.
+country shards, runs them through one worker pool — inline, or on
+process workers that keep the world resident — caches each shard's
+output content-addressed by everything that determines it, and merges
+the results byte-identically to a serial run.  The stream engine sends
+its per-country adjudication through the same pool.
 
 Public surface:
 
 - :class:`ExecutorConfig` / :class:`ShardedCurationExecutor` — scheduling.
+- :class:`~repro.exec.workers.WorkerPool` — the one dispatcher of
+  per-country work, batch and stream.
 - :class:`ShardPlan` — deterministic country sharding.
 - :class:`CacheStore` / :func:`fingerprint` / :data:`CACHE_VERSION` —
   content-addressed stage caching.

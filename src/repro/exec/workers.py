@@ -1,27 +1,23 @@
-"""The sharded curation executor.
+"""The sharded curation executor and the one worker pool.
 
 Splits the scenario's triggered countries into shards
 (:mod:`repro.exec.shards`), serves warm shards from the content-addressed
-cache (:mod:`repro.exec.cachestore`), runs cold shards inline or in a
-process pool, and merges the per-country outputs through
+cache (:mod:`repro.exec.cachestore`), runs cold shards through a
+:class:`WorkerPool`, and merges the per-country outputs through
 :func:`repro.ioda.curation.finalize_records` so the parallel result is
 byte-identical to a serial run.
 
-Backends:
-
-- ``serial``  — in-process loop over the shards.
-- ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; the
-  world is **worker-resident**: a pool initializer (plus a module-level
-  memo keyed by the config fingerprint) makes each worker process
-  regenerate the deterministic scenario and build its platform exactly
-  once per run, reusing them across every shard it executes.  Only
-  small config dataclasses and the shard's investigation windows cross
-  the process boundary.
-
-Batch and stream dispatch share one rule (:func:`pool_size`): a pool
-starts only when two or more workers would get work, so a one-worker
-run, or a run with one cold shard, executes inline whatever the
-backend; :func:`backend_label` is the name such a run records.
+:class:`WorkerPool` is the one dispatcher of per-country work: batch
+shards here, and the stream engine's window adjudication
+(:mod:`repro.stream.engine`).  It applies one rule, :func:`pool_size`:
+a unit list runs inline on the parent's world unless two or more
+workers would get work, in which case it runs on a
+:class:`~concurrent.futures.ProcessPoolExecutor` whose workers hold a
+**worker-resident** world — the initializer, :func:`resident_world`,
+regenerates the deterministic scenario and builds its platform once
+per worker, and every unit that worker runs reuses them.  Only small
+config dataclasses and each unit's own arguments cross the process
+boundary.  :func:`backend_label` is the name such a run records.
 
 The full-world investigation-window map is computed once, in
 :meth:`ShardedCurationExecutor.curate` — it feeds both the LPT shard
@@ -30,9 +26,9 @@ work list, so no shard recomputes it.
 
 When an observability session is active (:mod:`repro.obs`), every
 executed shard is traced as an ``exec.shard`` span under the curate
-stage: inline shards record straight into the session, and process
-workers collect into a worker-local session whose
-:class:`~repro.obs.runtime.WorkerReport` the parent adopts on
+stage: inline units record straight into the session, and pooled units
+collect into a worker-local session whose
+:class:`~repro.obs.runtime.WorkerReport` the pool adopts on
 completion.  Cache hits/misses are counted into the session's metrics
 registry.  None of this touches the RNG substreams, so results remain
 byte-identical with tracing on or off.
@@ -42,17 +38,20 @@ one retried, breaker-guarded unit of work: transient source failures
 back off and retry deterministically, and a country that exhausts its
 budget is quarantined — the merge proceeds with the survivors and the
 run reports ``degraded=True`` (or, under ``fail_fast``, the first
-exhausted country aborts the run).  Runs with an active fault plan
-bypass the shard cache entirely, in both directions.
+exhausted country aborts the run).  Pool workers re-install the
+parent's ambient fault plan, so they fault exactly where an inline run
+does.  Runs with an active fault plan bypass the shard cache entirely,
+in both directions.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Mapping, \
+    Optional, Sequence, Tuple
 
 from repro import io
 from repro.errors import CircuitOpenError, ConfigurationError, \
@@ -67,14 +66,15 @@ from repro.ioda.curation import CurationConfig, CurationPipeline, \
     finalize_records
 from repro.ioda.platform import IODAPlatform, PlatformConfig
 from repro.ioda.records import OutageRecord
-from repro.resilience import BreakerBoard, ResilienceConfig, \
+from repro.resilience import BreakerBoard, FaultPlan, ResilienceConfig, \
     call_with_retry, inject
+from repro.resilience.faults import active_plan
 from repro.timeutils.timestamps import TimeRange
 from repro.world.scenario import ScenarioConfig, ScenarioGenerator, \
     WorldScenario
 
 __all__ = ["BACKENDS", "ExecutorConfig", "ShardedCurationExecutor",
-           "backend_label", "pool_size", "resident_world", "worker_init"]
+           "WorkerPool", "backend_label", "pool_size", "resident_world"]
 
 BACKENDS = ("serial", "process")
 
@@ -188,109 +188,164 @@ def _curate_shard(scenario: WorldScenario,
     return survivors, tuple(quarantined)
 
 
-#: What one scheduled shard sends back: records, quarantined countries,
-#: wall seconds, and — from a process worker under an observability
-#: session — the worker's report for the parent to adopt.
-_ShardOutcome = Tuple[_ShardRecords, _Quarantined, float,
-                      Optional[WorkerReport]]
+#: What one shard sends back: records, quarantined countries, and the
+#: wall seconds it took where it ran.
+_ShardOutcome = Tuple[_ShardRecords, _Quarantined, float]
 
-#: The worker-resident world: one (scenario, platform) pair per process,
-#: keyed by the fingerprint of everything that shaped it.  A pool worker
-#: executing several shards of one run reuses the entry; a key change
-#: (different run config in a hypothetically reused process) rebuilds
-#: and replaces it.  Lives at module level so it survives across
-#: :func:`_curate_shard_subprocess` calls within one worker process —
-#: worker processes are forked per run, so entries never leak between
-#: runs.
-_WORKER_WORLD: Dict[str, Tuple[WorldScenario, IODAPlatform]] = {}
+#: The worker-resident world: one platform (and the scenario it
+#: observes) per process, keyed by the fingerprint of everything that
+#: shaped it.  A pool worker reuses the entry for every unit of work it
+#: runs; a key change rebuilds and replaces it.  Lives at module level
+#: so it survives across units within one worker process — worker
+#: processes are forked per pool, so entries never leak between runs.
+_WORKER_WORLD: Dict[str, IODAPlatform] = {}
 
-#: How many times this process built the world (the acceptance check
-#: that the process backend generates the scenario once per worker per
-#: run reads this through a per-pid gauge).
+#: How many times this process built the world (each pool worker
+#: reports it through a per-pid gauge, which is how a run shows that
+#: every worker built the world once).
 _WORLD_BUILDS = 0
 
 
 def resident_world(scenario_config: ScenarioConfig,
-                    platform_config: PlatformConfig
-                    ) -> Tuple[WorldScenario, IODAPlatform]:
-    """This process's scenario+platform, built at most once per config.
+                   platform_config: PlatformConfig) -> IODAPlatform:
+    """This process's platform, built at most once per config.
 
-    Scenario generation is deterministic, so the resident world matches
-    the parent's exactly; the platform's country caches accumulate
-    across all shards the worker executes.
+    The pool initializer: it runs before a worker's first unit, outside
+    any fault scope or observability session (fault hooks are inert
+    outside a scope, so generation here matches generation inside a
+    chaos run byte for byte).  Scenario generation is deterministic, so
+    the resident world matches the parent's exactly; the platform's
+    country caches accumulate across every unit the worker runs.
     """
     global _WORLD_BUILDS
     key = fingerprint(scenario_config, platform_config)
-    entry = _WORKER_WORLD.get(key)
-    if entry is None:
+    platform = _WORKER_WORLD.get(key)
+    if platform is None:
         scenario = ScenarioGenerator(scenario_config).generate()
-        platform = IODAPlatform(scenario, platform_config)
         _WORKER_WORLD.clear()
-        entry = _WORKER_WORLD[key] = (scenario, platform)
+        platform = _WORKER_WORLD[key] = IODAPlatform(scenario,
+                                                     platform_config)
         _WORLD_BUILDS += 1
-    return entry
+    return platform
 
 
-def worker_init(scenario_config: ScenarioConfig,
-                 platform_config: PlatformConfig) -> None:
-    """Pool initializer: pre-build the resident world once per process.
+#: A unit of work: ``fn(platform, backend, *args)``, with ``fn``
+#: module-level so it pickles by reference.
+_Unit = Callable[..., Any]
 
-    Runs before the worker's first shard, outside any fault scope or
-    observability session (fault hooks are inert outside a scope, so
-    generation here matches generation inside a chaos run byte for
-    byte).  The build is memoized, so the first shard call finds it.
+
+def _run_unit(world: Tuple[ScenarioConfig, PlatformConfig],
+              plan: Optional[FaultPlan],
+              settings: Optional[WorkerSettings], fn: _Unit,
+              args: tuple) -> Tuple[Any, Optional[WorkerReport]]:
+    """Pool-side: run one unit over the resident world, reported home.
+
+    ``plan`` is the fault plan ambient in the parent when the unit was
+    handed over, installed here for the unit — injection decisions are
+    pure functions of the plan, so the worker faults exactly where an
+    inline run would.
     """
-    resident_world(scenario_config, platform_config)
+    platform = resident_world(*world)
 
-
-def _curate_shard_subprocess(
-        scenario_config: ScenarioConfig,
-        platform_config: PlatformConfig,
-        curation_config: CurationConfig,
-        period: TimeRange,
-        countries: Tuple[str, ...],
-        shard_index: int = -1,
-        resilience: Optional[ResilienceConfig] = None,
-        windows: Optional[Mapping[str, Sequence[TimeRange]]] = None,
-        settings: Optional[WorkerSettings] = None) -> _ShardOutcome:
-    """Process-pool entry point: curate over the worker-resident world.
-
-    Module-level so it pickles by reference.  The scenario and platform
-    come from the per-process memo (:func:`resident_world`) — built by
-    the pool initializer, reused by every shard this worker executes —
-    so a shard call ships only configs and its own countries' windows
-    across the process boundary.  With the parent session's
-    ``settings`` the shard runs under a worker-local session
-    (:func:`repro.obs.runtime.run_reported`) whose report rides home in
-    the outcome.  The fault plan does not survive the process boundary
-    as ambient state, so the worker re-installs it from the (picklable)
-    resilience config — injection decisions are pure functions of the
-    plan, so the worker faults exactly where the serial backend would.
-    """
-    started = time.perf_counter()
-    plan = resilience.fault_plan if resilience is not None else None
-
-    def shard() -> _ShardResult:
-        obs = current()
-        with obs.span(SHARD_SPAN, shard=shard_index,
-                      countries=len(countries), backend="process"):
-            scenario, platform = resident_world(scenario_config,
-                                                platform_config)
-            result = _curate_shard(
-                scenario, platform_config, curation_config, period,
-                countries, windows=windows, platform=platform,
-                resilience=resilience)
+    def unit() -> Any:
+        result = fn(platform, "process", *args)
         # Gauges merge last-write-wins per series, so each worker
-        # process reports its cumulative build count under its own pid
-        # — the parent-side sum counts world builds per process (the
-        # "generated at most once per worker per run" assertion).
-        obs.metrics.gauge("exec.worker.world_builds",
-                          pid=os.getpid()).set(float(_WORLD_BUILDS))
+        # reports its cumulative build count under its own pid.
+        current().metrics.gauge("exec.worker.world_builds",
+                                pid=os.getpid()).set(float(_WORLD_BUILDS))
         return result
 
     with inject(plan):
-        (records, quarantined), report = run_reported(settings, shard)
-    return records, quarantined, time.perf_counter() - started, report
+        return run_reported(settings, unit)
+
+
+class WorkerPool:
+    """The one dispatcher of per-country work, batch and stream alike.
+
+    :meth:`map` runs ``fn(platform, backend, *args)`` for each ``args``
+    of a list of units and yields the results in order.  Where follows
+    :func:`pool_size`: below two busy workers every unit runs inline on
+    the parent's ``platform`` (``backend="serial"``); otherwise on a
+    process pool whose initializer is :func:`resident_world`
+    (``backend="process"``), so each worker builds the world once.  A
+    pooled unit runs under :func:`~repro.obs.runtime.run_reported` with
+    the parent's ambient fault plan re-installed, and its report is
+    adopted under the span open where :meth:`map` is iterated.
+
+    ``max_units`` is the most units one call will hand over; it sizes
+    the pool, which starts on first use and lives until :meth:`close`,
+    so a stream's advances share one set of workers.
+    ``heartbeats=False`` keeps workers from sampling telemetry of their
+    own, for units far shorter than a heartbeat interval.
+    """
+
+    def __init__(self, config: ExecutorConfig, platform: IODAPlatform,
+                 max_units: int, *, heartbeats: bool = True):
+        self._platform = platform
+        self._size = pool_size(config.backend, config.workers, max_units)
+        self._heartbeats = heartbeats
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn: _Unit, units: Sequence[tuple]) -> Iterator[Any]:
+        """Yield ``fn(platform, backend, *args)`` per unit, in order."""
+        if min(self._size, len(units)) < 2:
+            for args in units:
+                yield fn(self._platform, "serial", *args)
+            return
+        obs = current()
+        settings = obs.worker_settings()
+        if settings is not None and not self._heartbeats:
+            settings = replace(settings, telemetry=None)
+        world = (self._platform.scenario.config, self._platform.config)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._size, initializer=resident_world,
+                initargs=world)
+        futures = [self._pool.submit(_run_unit, world, active_plan(),
+                                     settings, fn, args)
+                   for args in units]
+        # Worker spans were recorded in other processes; they join the
+        # tree under the caller's span.
+        parent_id = obs.tracer.current_id()
+        for future in futures:
+            result, report = future.result()
+            obs.adopt(report, parent_id)
+            yield result
+
+    def close(self) -> None:
+        """Shut the pool down (a no-op if no unit ever needed it)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+def _curate_shard_subprocess(platform: IODAPlatform, backend: str,
+                             curation_config: CurationConfig,
+                             period: TimeRange, countries: Tuple[str, ...],
+                             shard_index: int,
+                             windows: Mapping[str, Sequence[TimeRange]],
+                             resilience: Optional[ResilienceConfig]
+                             ) -> _ShardOutcome:
+    """One shard as a :class:`WorkerPool` unit, inline or in a worker.
+
+    Traced as an ``exec.shard`` span.  ``perfbench/ledger.py`` wraps
+    this function by name, and pool workers resolve it by name, so each
+    worker's shard is one top-level span in the benchmark ledger.
+    """
+    started = time.perf_counter()
+    with current().span(SHARD_SPAN, shard=shard_index,
+                        countries=len(countries), backend=backend):
+        records, quarantined = _curate_shard(
+            platform.scenario, platform.config, curation_config, period,
+            countries, windows=windows, platform=platform,
+            resilience=resilience)
+    return records, quarantined, time.perf_counter() - started
 
 
 class ShardedCurationExecutor:
@@ -370,8 +425,7 @@ class ShardedCurationExecutor:
 
         quarantined: List[str] = []
         if cold:
-            executed = self._execute(scenario, platform, windows, cold,
-                                     stats)
+            executed = self._execute(platform, windows, cold, stats)
             for shard, (shard_records, shard_quarantined) \
                     in executed.items():
                 by_shard[shard.index] = shard_records
@@ -400,58 +454,23 @@ class ShardedCurationExecutor:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _execute(self, scenario: WorldScenario, platform: IODAPlatform,
+    def _execute(self, platform: IODAPlatform,
                  windows: Mapping[str, List[TimeRange]],
                  cold: List[Shard],
                  stats: ExecStats) -> Dict[Shard, _ShardResult]:
-        obs = current()
-
-        def shard_windows(shard: Shard) -> Dict[str, List[TimeRange]]:
-            return {iso2: windows[iso2] for iso2 in shard.countries}
-        workers = pool_size(self._config.backend, self._config.workers,
-                            len(cold))
+        metrics = current().metrics
+        units = [(self._curation_config, self._period, shard.countries,
+                  shard.index,
+                  {iso2: windows[iso2] for iso2 in shard.countries},
+                  self._resilience)
+                 for shard in cold]
         results: Dict[Shard, _ShardResult] = {}
-        if not workers:
-            for shard in cold:
-                started = time.perf_counter()
-                with obs.span(SHARD_SPAN, shard=shard.index,
-                              countries=len(shard.countries),
-                              backend="serial"):
-                    results[shard] = _curate_shard(
-                        scenario, self._platform_config,
-                        self._curation_config, self._period,
-                        shard.countries, windows=shard_windows(shard),
-                        platform=platform, resilience=self._resilience)
-                stats.record_shard(
-                    shard.index, time.perf_counter() - started)
-                publish_shard_done(obs.metrics)
-            return results
-
-        # Worker spans are recorded in other processes; they are
-        # adopted under the curate stage's span, captured here.
-        parent_id = obs.tracer.current_id()
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=worker_init,
-                initargs=(scenario.config, self._platform_config)) as pool:
-            futures = {
-                pool.submit(
-                    _curate_shard_subprocess, scenario.config,
-                    self._platform_config, self._curation_config,
-                    self._period, shard.countries, shard.index,
-                    self._resilience, windows=shard_windows(shard),
-                    settings=obs.worker_settings(),
-                ): shard
-                for shard in cold}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    shard = futures[future]
-                    records, quarantined, seconds, report = future.result()
-                    results[shard] = (records, quarantined)
-                    stats.record_shard(shard.index, seconds)
-                    publish_shard_done(obs.metrics)
-                    obs.adopt(report, parent_id)
+        with WorkerPool(self._config, platform, len(cold)) as pool:
+            for shard, (records, quarantined, seconds) in zip(
+                    cold, pool.map(_curate_shard_subprocess, units)):
+                results[shard] = (records, quarantined)
+                stats.record_shard(shard.index, seconds)
+                publish_shard_done(metrics)
         return results
 
     # -- cache ------------------------------------------------------------------

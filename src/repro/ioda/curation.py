@@ -197,8 +197,8 @@ class WindowAdjudication:
     (country-level records, then any scope-descent records), in order.
     ``outcomes`` adds the per-candidate verdicts the streaming engine
     turns into lifecycle events; ``descended`` says whether the curator
-    fell through to sub-national views.  Frozen and picklable, so
-    process-backend stream workers ship it home unchanged.
+    fell through to sub-national views.  Frozen and picklable, so a
+    process worker of the stream's worker pool ships it home unchanged.
     """
 
     records: Tuple[OutageRecord, ...]

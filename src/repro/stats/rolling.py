@@ -48,8 +48,9 @@ class RollingMedian:
 
     Values are pushed one bin at a time; :attr:`median` reflects only the
     values currently inside the window.  The median is the interpolating
-    median (mean of central pair for even counts), matching
-    :func:`repro.stats.descriptive.median`.
+    median: the mean of the central pair, which for odd counts is the
+    middle value averaged with itself — ``(a + a) / 2``, so values above
+    ~8.99e307 overflow to inf exactly as in :func:`trailing_median`.
     """
 
     def __init__(self, window: int):
@@ -88,9 +89,8 @@ class RollingMedian:
         if n == 0:
             return None
         mid = n // 2
-        if n % 2:
-            return float(self._sorted[mid])
-        return (self._sorted[mid - 1] + self._sorted[mid]) / 2.0
+        low = self._sorted[mid] if n % 2 else self._sorted[mid - 1]
+        return (low + self._sorted[mid]) / 2.0
 
 
 class TrailingMedianStream:
@@ -240,7 +240,9 @@ def trailing_median(values: np.ndarray, window: int, *,
     :func:`~numpy.lib.stride_tricks.sliding_window_view` sort, which
     also bounds the memory of the widest (2016-bin telescope) windows:
     no ``n x window`` matrix is ever materialized.  Output bits match
-    :class:`RollingMedian` exactly for every input.
+    :class:`RollingMedian` for every finite input, including values
+    whose central pair overflows to inf; NaNs have no order, so the two
+    may differ on them.
     """
     if window <= 0:
         raise SignalError(f"window must be positive: {window}")

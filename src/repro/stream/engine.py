@@ -35,31 +35,34 @@ regressing watermark, bins still missing when the watermark passes
 them, or pushes into an adjudicated window.  Exact duplicates are
 idempotent no-ops.
 
-Backends mirror the batch executor and share its dispatch rule
-(:func:`repro.exec.workers.pool_size`): ``serial`` adjudicates inline,
-``process`` ships (windows, episodes, RNG state) to workers holding the
-worker-resident world (:mod:`repro.stream.workers`) whenever two or
-more workers would get a country, and runs inline otherwise.  Countries
-are independent — same substream discipline as the batch shards — so
-both produce the same bytes.
+Each advance hands its due countries to the batch executor's
+dispatcher, :class:`repro.exec.workers.WorkerPool`, one unit per
+country (:func:`_adjudicate_windows`): inline below two busy workers,
+otherwise on the pool's worker-resident world, which the engine keeps
+for its whole life.  Curation consumes a country's RNG substream
+strictly in candidate order, so each unit takes the country's RNG
+bit-state, next record id and RNG-draw cursor (the provenance
+coordinate) in and hands the advanced three back, the same way on
+both paths — the draws land exactly where a serial run lands them,
+which keeps every backend byte-identical.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
     Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, StreamError
-from repro.exec.workers import pool_size, worker_init
-from repro.ioda.curation import CurationPipeline, WindowAdjudication, \
-    finalize_records
+from repro.errors import StreamError
+from repro.exec.workers import ExecutorConfig, WorkerPool
+from repro.ioda.curation import CurationConfig, CurationPipeline, \
+    WindowAdjudication, finalize_records
 from repro.ioda.detectors import DETECTOR_CONFIGS
+from repro.ioda.platform import IODAPlatform
 from repro.ioda.records import OutageRecord
 from repro.obs.provenance import DrawCursor
 from repro.obs.runtime import current
@@ -70,13 +73,12 @@ from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.stream.models import BinSegment, SignalBin, StreamEvent, \
     bin_grid
-from repro.stream.workers import WindowWork, adjudicate_country, \
-    adjudicate_country_subprocess
 from repro.timeutils.timestamps import TimeRange
 
-__all__ = ["STREAM_BACKENDS", "StreamEngine"]
+__all__ = ["StreamEngine"]
 
-STREAM_BACKENDS = ("serial", "process")
+#: One country's due work: (window, its accumulated per-signal episodes).
+WindowWork = Tuple[TimeRange, Dict[SignalKind, List[AlertEpisode]]]
 
 
 class _SeriesState:
@@ -132,22 +134,53 @@ class _WindowState:
 
 
 class _CountryState:
-    """One country's windows, RNG substream, and curated records."""
+    """One country's windows, adjudication cursor, and curated records."""
 
-    __slots__ = ("iso2", "windows", "by_start", "rng", "next_record_id",
-                 "records", "draws")
+    __slots__ = ("iso2", "windows", "by_start", "rng_state",
+                 "next_record_id", "draw_index", "records")
 
     def __init__(self, iso2: str, windows: Sequence[TimeRange], seed: int):
         self.iso2 = iso2
         self.windows = [_WindowState(w) for w in windows]
         self.by_start = {w.window.start: w for w in self.windows}
-        self.rng = substream(seed, "curation", iso2)
+        # Where adjudication resumes: the curation substream's
+        # bit-state, the next country-local record id, and the RNG-draw
+        # cursor for provenance capsules.  They persist across advances,
+        # so draws, ids and capsule coordinates are chunking-independent
+        # and match a batch run.
+        self.rng_state = substream(seed, "curation",
+                                   iso2).bit_generator.state
         self.next_record_id = 1
+        self.draw_index = 0
         self.records: List[OutageRecord] = []
-        # RNG-draw cursor for provenance capsules; persists across
-        # advances (and ships to process workers) so capsule substream
-        # coordinates are chunking-independent and match a batch run.
-        self.draws = DrawCursor()
+
+
+def _adjudicate_windows(platform: IODAPlatform, backend: str,
+                        config: CurationConfig, period: TimeRange,
+                        iso2: str, work: Sequence[WindowWork],
+                        rng_state: dict, next_record_id: int,
+                        draw_index: int
+                        ) -> Tuple[List[WindowAdjudication], dict, int, int]:
+    """One country's closed windows as a :class:`WorkerPool` unit.
+
+    Adjudicates in window order inside a ``stream.adjudicate`` span,
+    resuming from the country's RNG bit-state, next record id and draw
+    cursor, and returns the adjudications with the advanced three.
+    """
+    pipeline = CurationPipeline(platform, config)
+    bit_generator = np.random.PCG64()
+    bit_generator.state = rng_state
+    rng = np.random.Generator(bit_generator)
+    record_ids = itertools.count(next_record_id)
+    draws = DrawCursor(draw_index)
+    with current().span("stream.adjudicate", country=iso2,
+                        windows=len(work), backend=backend):
+        adjudications = [
+            pipeline.adjudicate_window(iso2, window, period, episodes, rng,
+                                       record_ids, draws=draws)
+            for window, episodes in work]
+    return (adjudications, bit_generator.state, next(record_ids),
+            draws.index)
 
 
 def _as_segments(items: Iterable[Union[BinSegment, SignalBin]]
@@ -187,27 +220,18 @@ class StreamEngine:
 
     def __init__(self, pipeline: CurationPipeline,
                  windows: Mapping[str, Sequence[TimeRange]],
-                 period: TimeRange, *, backend: str = "serial",
-                 workers: int = 1):
-        if backend not in STREAM_BACKENDS:
-            raise ConfigurationError(
-                f"unknown stream backend {backend!r}; expected one of "
-                f"{STREAM_BACKENDS}")
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1: {workers}")
+                 period: TimeRange, *, executor: ExecutorConfig):
         self._pipeline = pipeline
         self._period = period
-        self._backend = backend
-        self._workers = workers
-        platform = pipeline.platform
-        scenario = platform.scenario
-        self._scenario_config = scenario.config
-        self._platform_config = platform.config
-        self._curation_config = pipeline.config
         self._order = sorted(windows)
         self._countries = {
-            iso2: _CountryState(iso2, windows[iso2], scenario.seed)
+            iso2: _CountryState(iso2, windows[iso2],
+                                pipeline.platform.scenario.seed)
             for iso2 in self._order}
+        # Units here last well under a heartbeat interval; the parent's
+        # sampler already reports the stream's progress.
+        self._pool = WorkerPool(executor, pipeline.platform,
+                                len(self._order), heartbeats=False)
         # Every window keyed by its (country, window) rank: the order
         # each advance visits, adjudicates and emits in.
         ranked = [((c, w), iso2, ws)
@@ -227,7 +251,6 @@ class StreamEngine:
         self._max_bin_end: Optional[int] = None
         self._bins_pushed = 0
         self._seq = itertools.count(1)
-        self._process_pool: Optional[ProcessPoolExecutor] = None
 
     # -- introspection (the session's telemetry reads these) ------------------
 
@@ -353,7 +376,7 @@ class StreamEngine:
 
         Feeds every started, unadjudicated window's contiguous elapsed
         prefix to its detectors, adjudicates windows whose last bin
-        elapsed (fanned out per country on the configured backend), and
+        elapsed (one unit of pool work per country), and
         returns the lifecycle events of this advance in deterministic
         (country, window) order.  A regressing watermark raises;
         re-advancing to the current watermark is a no-op.
@@ -597,58 +620,24 @@ class StreamEngine:
             watermark=self._watermark, outcome=outcome, record=record,
             capsule_id=capsule_id)
 
-    # -- adjudication backends -------------------------------------------------
+    # -- adjudication ----------------------------------------------------------
 
     def _adjudicate(self, due: Dict[str, List[_WindowState]]
                     ) -> Dict[str, List[WindowAdjudication]]:
-        work = {
-            iso2: [(ws.window, self._episodes_of(ws, provisional=False))
-                   for ws in states]
-            for iso2, states in due.items()}
-        if not pool_size(self._backend, self._workers, len(due)):
-            return {iso2: self._adjudicate_country(iso2, work[iso2])
-                    for iso2 in sorted(due)}
-        obs = current()
-        # Workers adjudicate for well under a heartbeat interval; the
-        # parent's sampler already reports the stream's progress.
-        settings = obs.worker_settings()
-        if settings is not None:
-            settings = replace(settings, telemetry=None)
-        parent_id = obs.tracer.current_id()
-        pool = self._ensure_pool()
-        futures = {}
-        for iso2 in sorted(due):
-            cs = self._countries[iso2]
-            futures[iso2] = pool.submit(
-                adjudicate_country_subprocess, self._scenario_config,
-                self._platform_config, self._curation_config,
-                self._period, iso2, work[iso2],
-                cs.rng.bit_generator.state, cs.next_record_id,
-                cs.draws.index, settings)
+        order = sorted(due)
+        units = [
+            (self._pipeline.config, self._period, iso2,
+             [(ws.window, self._episodes_of(ws, provisional=False))
+              for ws in due[iso2]],
+             cs.rng_state, cs.next_record_id, cs.draw_index)
+            for iso2 in order for cs in (self._countries[iso2],)]
         out: Dict[str, List[WindowAdjudication]] = {}
-        for iso2, future in futures.items():
+        for iso2, adjudicated in zip(
+                order, self._pool.map(_adjudicate_windows, units)):
             cs = self._countries[iso2]
-            (out[iso2], cs.rng.bit_generator.state, cs.next_record_id,
-             cs.draws.index, report) = future.result()
-            obs.adopt(report, parent_id)
+            (out[iso2], cs.rng_state, cs.next_record_id,
+             cs.draw_index) = adjudicated
         return out
-
-    def _adjudicate_country(self, iso2: str, work: Sequence[WindowWork]
-                            ) -> List[WindowAdjudication]:
-        cs = self._countries[iso2]
-        record_ids = itertools.count(cs.next_record_id)
-        adjudications = adjudicate_country(
-            self._pipeline, iso2, work, self._period, cs.rng, record_ids,
-            cs.draws, backend="serial")
-        cs.next_record_id = next(record_ids)
-        return adjudications
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self._workers, initializer=worker_init,
-                initargs=(self._scenario_config, self._platform_config))
-        return self._process_pool
 
     # -- completion ------------------------------------------------------------
 
@@ -684,7 +673,5 @@ class StreamEngine:
             self._countries[iso2].records for iso2 in self._order)
 
     def close(self) -> None:
-        """Release the process pool (no-op for other backends)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown()
-            self._process_pool = None
+        """Release the worker pool (a no-op if it never started)."""
+        self._pool.close()

@@ -14,6 +14,14 @@ activation, fault-plan injection, telemetry, the ``run`` and
         ...                      # live open/update/close lifecycle
     result = session.finalize()  # a RunResult, byte-identical to run()
 
+Adjudication is scheduled by the pipeline's
+:class:`~repro.exec.ExecutorConfig` (the ``workers``/``backend`` of
+:func:`repro.api.stream`): the engine sends each advance's due
+countries through the batch executor's worker pool
+(:class:`~repro.exec.workers.WorkerPool`), whose process workers, once
+started, keep the world resident until the session finalizes or
+closes.
+
 ``push``/``advance_watermark`` are the raw feed interface (any bin
 order, duplicate-tolerant, :class:`~repro.stream.models.BinSegment`\\ s
 and :class:`~repro.stream.models.SignalBin`\\ s alike — see
@@ -70,7 +78,6 @@ class StreamSession:
                  period: TimeRange,
                  platform_config: Optional[PlatformConfig] = None,
                  curation_config: Optional[CurationConfig] = None,
-                 backend: str = "serial", workers: int = 1,
                  resilience: Optional[ResilienceConfig] = None,
                  package: Optional[Callable] = None):
         self._pipeline = pipeline
@@ -96,17 +103,18 @@ class StreamSession:
             self._curation = CurationPipeline(
                 self._platform, curation_config)
             windows = self._curation.country_windows(period)
-            self._engine = StreamEngine(
-                self._curation, windows, period, backend=backend,
-                workers=workers)
+            executor = pipeline.executor_config
+            self._engine = StreamEngine(self._curation, windows, period,
+                                        executor=executor)
             self._source = ScenarioBinSource(
                 self._platform, windows, resilience=resilience)
             # Held open for the whole streamed stage; finalize closes
             # it so the remaining stages become its siblings, exactly
             # as in a batch run.
             self._curate_cm = obs.span(
-                "stage:curate", workers=workers,
-                backend=backend_label(backend, workers), streaming=True)
+                "stage:curate", workers=executor.workers,
+                backend=backend_label(executor.backend, executor.workers),
+                streaming=True)
             self._curate_span = self._curate_cm.__enter__()
         except BaseException:
             self._stack.close()

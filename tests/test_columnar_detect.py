@@ -141,6 +141,19 @@ class TestTrailingMedian:
         want = trailing_median(v, window)[idx]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(min_value=8.0e307, max_value=1.79e308),
+                           min_size=2, max_size=60),
+           window=st.integers(1, 12))
+    def test_rolling_median_bitwise_near_the_float_limit(self, values,
+                                                         window):
+        """The reference averages the central pair for odd counts too,
+        so it overflows to inf exactly where the columnar path does."""
+        v = np.array(values)
+        got = np.array(rolling_median(values, window)[1:], dtype=np.float64)
+        want = trailing_median(v, window)[1:]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 def _stream_values(rng, kind, n, chunk_starts=()):
     """Non-negative series shapes a detector window sees (no -0.0:

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro import io
 from repro.errors import ConfigurationError
 from repro.exec import (
@@ -37,7 +38,7 @@ from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform, PlatformConfig
 from repro.obs import Observability
 from repro.obs.runtime import activate
-from repro.timeutils.timestamps import TimeRange, utc
+from repro.timeutils.timestamps import HOUR, TimeRange, utc
 from repro.world.scenario import ScenarioConfig, ScenarioGenerator
 
 SMALL_CONFIG = ScenarioConfig(seed=7, years=(2018,))
@@ -181,8 +182,6 @@ class TestExecutorConfig:
 
     @pytest.mark.parametrize("entry", ["ExecutorConfig", "run", "stream"])
     def test_thread_backend_rejected(self, entry):
-        import repro.api as api
-
         construct = {"ExecutorConfig": ExecutorConfig, "run": api.run,
                      "stream": api.stream}[entry]
         with pytest.raises(ConfigurationError, match="unknown backend"):
@@ -255,14 +254,25 @@ class TestEquivalence:
         assert stats.n_shards == DEFAULT_N_SHARDS
         assert len(stats.shard_seconds) == stats.n_shards
 
+    @pytest.mark.parametrize("path", ["batch", "stream"])
     def test_process_pool_builds_world_once_per_worker(self, small_scenario,
-                                                       serial_records):
-        """Observed process workers build one world each, same records."""
+                                                       serial_records, path):
+        """Observed process workers build one world each, whether they
+        curate batch shards or adjudicate a stream's advances."""
         obs = Observability()
-        with activate(obs):
-            parallel, _ = _curate(small_scenario, workers=2,
-                                  backend="process")
-        assert _record_bytes(parallel) == _record_bytes(serial_records)
+        if path == "batch":
+            with activate(obs):
+                parallel, _ = _curate(small_scenario, workers=2,
+                                      backend="process")
+            assert _record_bytes(parallel) == _record_bytes(serial_records)
+        else:
+            session = api.stream(
+                scenario_config=SMALL_CONFIG,
+                study_period=TimeRange(utc(2018, 1, 1), utc(2018, 5, 1)),
+                workers=2, backend="process", observability=obs)
+            for _ in session.replay(6 * HOUR):
+                pass
+            assert session.finalize().curated_records
         builds = {key: value
                   for key, value in obs.metrics.snapshot()["gauges"].items()
                   if key.startswith("exec.worker.world_builds")}
