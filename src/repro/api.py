@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.observability import execution_report, health_report
-from repro.core.matching import MatchingConfig
 from repro.core.pipeline import PipelineResult, ReproPipeline
 from repro.datasets import DatasetSource, default_sources
 from repro.exec import ExecStats, ExecutorConfig, backend_label
@@ -46,9 +45,8 @@ from repro.exec.cachestore import fingerprint
 from repro.io import dump_records, load_records
 from repro.ioda.api import IODAClient
 from repro.ioda.curation import CurationConfig
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import IODAPlatform
 from repro.ioda.records import OutageRecord
-from repro.kio.compiler import KIOCompilerConfig
 from repro.obs import HealthCheck, HealthPolicy, HealthReport, \
     Observability, PerfBaseline, ProfileConfig, RunJournal, RunRecord, \
     RunRegistry, TelemetryConfig, compare_baselines, default_policy, \
@@ -110,10 +108,7 @@ __all__ = [
 def _pipeline(*, seed: int, workers: int, backend: str,
               shards: Optional[int], cache_dir: Optional[Path | str],
               scenario_config: Optional[ScenarioConfig],
-              platform_config: Optional[PlatformConfig],
               curation_config: Optional[CurationConfig],
-              kio_config: Optional[KIOCompilerConfig],
-              matching_config: Optional[MatchingConfig],
               study_period: TimeRange,
               observability: Optional[Observability],
               resilience: Optional[ResilienceConfig],
@@ -123,10 +118,7 @@ def _pipeline(*, seed: int, workers: int, backend: str,
               provenance: bool = False) -> ReproPipeline:
     return ReproPipeline(
         scenario_config=scenario_config or ScenarioConfig(seed=seed),
-        platform_config=platform_config,
         curation_config=curation_config,
-        kio_config=kio_config,
-        matching_config=matching_config,
         study_period=study_period,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         executor=ExecutorConfig(
@@ -273,10 +265,7 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
         shards: Optional[int] = None,
         cache_dir: Optional[Path | str] = None,
         scenario_config: Optional[ScenarioConfig] = None,
-        platform_config: Optional[PlatformConfig] = None,
         curation_config: Optional[CurationConfig] = None,
-        kio_config: Optional[KIOCompilerConfig] = None,
-        matching_config: Optional[MatchingConfig] = None,
         study_period: TimeRange = STUDY_PERIOD,
         observability: Optional[Observability] = None,
         journal: Optional[RunJournal | str | Path] = None,
@@ -380,8 +369,7 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=shards,
         cache_dir=cache_dir, scenario_config=scenario_config,
-        platform_config=platform_config, curation_config=curation_config,
-        kio_config=kio_config, matching_config=matching_config,
+        curation_config=curation_config,
         study_period=study_period, observability=observability,
         resilience=resilience, profile=profile, health_policy=health_policy,
         telemetry=telemetry, provenance=provenance)
@@ -404,10 +392,7 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
 def stream(*, seed: int = 2023, workers: int = 1,
            backend: str = "process",
            scenario_config: Optional[ScenarioConfig] = None,
-           platform_config: Optional[PlatformConfig] = None,
            curation_config: Optional[CurationConfig] = None,
-           kio_config: Optional[KIOCompilerConfig] = None,
-           matching_config: Optional[MatchingConfig] = None,
            study_period: TimeRange = STUDY_PERIOD,
            observability: Optional[Observability] = None,
            journal: Optional[RunJournal | str | Path] = None,
@@ -470,8 +455,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=None,
         cache_dir=None, scenario_config=scenario_config,
-        platform_config=platform_config, curation_config=curation_config,
-        kio_config=kio_config, matching_config=matching_config,
+        curation_config=curation_config,
         study_period=study_period, observability=observability,
         resilience=resilience, profile=profile,
         health_policy=health_policy, telemetry=telemetry,
@@ -493,7 +477,6 @@ def stream(*, seed: int = 2023, workers: int = 1,
 
     return StreamSession(
         pipeline, seed=active_config.seed, period=study_period,
-        platform_config=platform_config,
         curation_config=curation_config, resilience=resilience,
         package=package)
 

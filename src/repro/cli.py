@@ -42,7 +42,7 @@
 - ``runs``     — the cross-run registry (``--runs-dir``): ``runs list``
   renders the trend table across registered runs, ``runs show RUN``
   one run's record (capsule counts and decision tallies included),
-  ``runs diff A B`` a tolerance-banded comparison (add
+  ``runs diff A B`` an exact config and fidelity comparison (add
   ``--provenance`` to attribute the record delta to the earliest
   flipped curation decision), and ``runs register RUN.jsonl`` files an
   existing journal.
@@ -50,8 +50,9 @@
   snapshot as OpenMetrics/Prometheus text exposition.
 - ``perf``     — perf-baseline trajectory: ``perf record NAME`` stores a
   perf+fidelity baseline under ``benchmarks/baselines/``, ``perf
-  compare BASELINE`` re-runs and diffs with tolerance bands (non-zero
-  exit on regression), ``perf report`` renders the trajectory table.
+  compare BASELINE`` re-runs and diffs it (config and fidelity exactly,
+  non-zero exit on regression; wall seconds are trend rows), ``perf
+  report`` renders the trajectory table.
 - ``serve``    — the async serving layer: ``serve build`` precomputes a
   run's content-addressed artifact store (event feeds, signal tiles,
   reports; blake2b addresses double as HTTP ETags), ``serve run``
@@ -61,7 +62,7 @@
   in-process, ``--tcp`` against a private spawned server, or ``--url``
   against a running one — printing the SLO report (p50/p99 per route,
   throughput, cache hit-rate) with ``--record``/``--compare`` gating
-  it against a stored perf baseline.
+  its request/response counts against a stored perf baseline.
 
 ``run`` also accepts ``--profile`` (per-span CPU/RSS readings into the
 span attributes and journal) and ``--profile-alloc DEPTH`` (add
@@ -335,17 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print one registered run's record")
     runs_show.add_argument("run", help="run ID (or unique prefix/name)")
     runs_diff = runs_commands.add_parser(
-        "diff", help="tolerance-banded comparison of two registered "
-                     "runs; exits non-zero on regression")
+        "diff", help="compare two registered runs' config and "
+                     "fidelity exactly (perf rows are trend data); "
+                     "exits non-zero on regression")
     runs_diff.add_argument("run_a", help="baseline run ID")
     runs_diff.add_argument("run_b", help="compared run ID")
-    runs_diff.add_argument("--tolerance", type=float, default=1.0,
-                           help="scale on every perf tolerance band "
-                                "(default 1.0)")
-    runs_diff.add_argument("--min-seconds", type=float, default=1.0,
-                           dest="min_seconds",
-                           help="absolute slack in seconds added to "
-                                "every perf band (default 1.0)")
     runs_diff.add_argument("--provenance", action="store_true",
                            help="diff the runs' lineage capsules "
                                 "instead: attribute the record delta "
@@ -394,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="baseline_dir",
                          help=f"baseline directory (default "
                               f"{BASELINE_DIR})")
-    compare.add_argument("--tolerance", type=float, default=1.0,
-                         help="scale on every perf tolerance band "
-                              "(default 1.0; CI uses a generous value, "
-                              "0 disables relative slack)")
-    compare.add_argument("--min-seconds", type=float, default=1.0,
-                         dest="min_seconds",
-                         help="absolute slack in seconds added to every "
-                              "perf band (default 1.0)")
     perf_report = perf_commands.add_parser(
         "report", help="render the trajectory across stored baselines")
     perf_report.add_argument("--dir", type=Path, default=BASELINE_DIR,
@@ -502,15 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                                dest="baseline_dir",
                                help=f"baseline directory (default "
                                     f"{BASELINE_DIR})")
-    serve_loadgen.add_argument("--tolerance", type=float, default=1.0,
-                               help="scale on the perf tolerance bands "
-                                    "(default 1.0)")
-    serve_loadgen.add_argument("--min-seconds", type=float,
-                               default=0.05, dest="min_seconds",
-                               help="absolute slack in seconds on "
-                                    "every latency band (default "
-                                    "0.05; latencies are milliseconds, "
-                                    "not pipeline stages)")
     return parser
 
 
@@ -631,19 +609,28 @@ def _read_events(token: str, args: argparse.Namespace):
     return events
 
 
+def _heartbeat_ok(args: argparse.Namespace) -> bool:
+    """Validate ``--heartbeat`` (error printed on False); warn when no
+    journal will keep the heartbeats."""
+    if args.heartbeat is None:
+        return True
+    try:
+        parse_interval(args.heartbeat)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return False
+    if args.journal is None and args.runs_dir is None:
+        print("repro: warning: --heartbeat without --journal or "
+              "--runs-dir; heartbeats are journal-only and will "
+              "be discarded", file=sys.stderr)
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    if args.heartbeat is not None:
-        try:
-            parse_interval(args.heartbeat)
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-        if args.journal is None and args.runs_dir is None:
-            print("repro: warning: --heartbeat without --journal or "
-                  "--runs-dir; heartbeats are journal-only and will "
-                  "be discarded", file=sys.stderr)
+    if not _heartbeat_ok(args):
+        return 2
     if args.provenance and args.journal is None and args.runs_dir is None:
         print("repro: warning: --provenance without --journal or "
               "--runs-dir; capsules are journal-only and 'repro "
@@ -728,16 +715,8 @@ def _parse_step(spec: str) -> int:
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     step = _parse_step(args.step)
-    if args.heartbeat is not None:
-        try:
-            parse_interval(args.heartbeat)
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-        if args.journal is None and args.runs_dir is None:
-            print("repro: warning: --heartbeat without --journal or "
-                  "--runs-dir; heartbeats are journal-only and will "
-                  "be discarded", file=sys.stderr)
+    if not _heartbeat_ok(args):
+        return 2
     session = api.stream(
         scenario_config=ScenarioConfig(seed=args.seed),
         study_period=STUDY_PERIOD,
@@ -937,9 +916,8 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print("\n".join(diff.rows(label_a=record_a.name,
                                       label_b=record_b.name)))
             return 0 if diff.empty else 1
-        comparison = compare_baselines(
-            record_b.as_baseline(), record_a.as_baseline(),
-            tolerance=args.tolerance, min_seconds=args.min_seconds)
+        comparison = compare_baselines(record_b.as_baseline(),
+                                       record_a.as_baseline())
         print("\n".join(comparison.rows()))
         return 0 if comparison.ok else 1
     return 2
@@ -1004,6 +982,23 @@ def _run_for_baseline(args: argparse.Namespace):
     return statistics, config, result.health
 
 
+def _find_baseline(token: str,
+                   directory: Path) -> Optional[PerfBaseline]:
+    """A baseline named under ``directory``, or a path to a baseline
+    JSON; None (error printed) when no such baseline file exists."""
+    as_path = Path(token)
+    path = (as_path if as_path.suffix == ".json" or as_path.exists()
+            else directory / f"{token}.json")
+    if not path.exists():
+        print(f"repro: error: no such baseline: {path}", file=sys.stderr)
+        return None
+    try:
+        return load_baseline(path)
+    except ValueError:
+        print(f"repro: error: not a baseline: {path}", file=sys.stderr)
+        return None
+
+
 def _cmd_perf(args: argparse.Namespace) -> int:
     if args.perf_command == "record":
         statistics, config, health = _run_for_baseline(args)
@@ -1016,21 +1011,14 @@ def _cmd_perf(args: argparse.Namespace) -> int:
               f"{statistics['perf.total_seconds']:.2f}s total)")
         return 0
     if args.perf_command == "compare":
-        as_path = Path(args.baseline)
-        path = (as_path if as_path.suffix == ".json" or as_path.exists()
-                else args.baseline_dir / f"{args.baseline}.json")
-        if not path.exists():
-            print(f"repro: error: no such baseline: {path}",
-                  file=sys.stderr)
+        baseline = _find_baseline(args.baseline, args.baseline_dir)
+        if baseline is None:
             return 2
-        baseline = load_baseline(path)
         statistics, config, health = _run_for_baseline(args)
         current = PerfBaseline.capture(
             name="current", config=config, statistics=statistics,
             health_grade=health.grade)
-        comparison = compare_baselines(
-            current, baseline, tolerance=args.tolerance,
-            min_seconds=args.min_seconds)
+        comparison = compare_baselines(current, baseline)
         print("\n".join(comparison.rows()))
         return 0 if comparison.ok else 1
     if args.perf_command == "report":
@@ -1123,21 +1111,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 baseline, args.baseline_dir / f"{args.record}.json")
             print(f"wrote {path}")
         if args.compare is not None:
-            as_path = Path(args.compare)
-            path = (as_path
-                    if as_path.suffix == ".json" or as_path.exists()
-                    else args.baseline_dir / f"{args.compare}.json")
-            if not path.exists():
-                print(f"repro: error: no such baseline: {path}",
-                      file=sys.stderr)
+            baseline = _find_baseline(args.compare, args.baseline_dir)
+            if baseline is None:
                 return 2
-            baseline = load_baseline(path)
             current = PerfBaseline.capture(
                 name="current", config=config.as_dict(),
                 statistics=report.statistics())
-            comparison = compare_baselines(
-                current, baseline, tolerance=args.tolerance,
-                min_seconds=args.min_seconds)
+            comparison = compare_baselines(current, baseline)
             print("\n".join(comparison.rows()))
             return 0 if comparison.ok else 1
         return 0

@@ -31,7 +31,8 @@ On top of the session, three health/performance layers
   journal as a ``health`` event and replays via ``repro health``.
 - **Perf baselines**: ``repro perf record/compare/report`` stores
   named perf+fidelity snapshots under ``benchmarks/baselines/`` and
-  fails CI on tolerance-band regressions.
+  fails CI on any config or fidelity drift; wall seconds ride along
+  as trend data.
 
 Instrumentation is **zero-cost when disabled**: library code records
 into :func:`current`, which returns a no-op session unless a run has

@@ -1,8 +1,8 @@
 """Stored perf+fidelity baselines and regression comparison.
 
-The ROADMAP's north star — "as fast as the hardware allows" — is only
-checkable against a memory: what did this configuration cost *last*
-time, and did the outputs still reproduce the paper?  A
+A reproduction is only checkable against a memory: did this
+configuration still reproduce the paper, and what did it cost *last*
+time?  A
 :class:`PerfBaseline` is that memory: one JSON file (under
 ``benchmarks/baselines/`` by convention) capturing a named run's
 
@@ -14,17 +14,17 @@ time, and did the outputs still reproduce the paper?  A
 - **health** — the scorecard grade at record time.
 
 ``repro perf record`` writes one, ``repro perf compare`` re-runs the
-pipeline and diffs it against one with per-metric tolerance bands
-(exit status is the CI contract: non-zero on regression), and ``repro
-perf report`` renders the trajectory across every stored baseline.
+pipeline and diffs it against one (exit status is the CI contract:
+non-zero on regression), and ``repro perf report`` renders the
+trajectory across every stored baseline.
 
-Comparison semantics: fidelity must match **exactly** — the pipeline
-is deterministic, so any drift on an unchanged config is a behaviour
-change, not noise.  Perf metrics regress only when the current value
-overshoots ``baseline * (1 + band * tolerance) + min_seconds``: the
-relative band absorbs machine-to-machine speed differences and the
-absolute slack keeps sub-second stages from flapping on scheduler
-noise.  Running *faster* is never a regression.
+Comparison semantics: config and fidelity must match **exactly** — the
+pipeline is deterministic, so any drift on an unchanged config is a
+behaviour change, not noise, and a value missing on either side is a
+regression too.  The perf half (``perf.*`` wall seconds, ``cache.*``
+counters) is reported beside them as trend data and never fails a
+comparison: wall time on a shared machine is judged by the repository
+benchmark (``perfbench/``), which rescales it to the host's speed.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ BASELINE_VERSION = 1
 
 #: Conventional home of committed baselines (the BENCH trajectory).
 BASELINE_DIR = Path("benchmarks/baselines")
-
-#: Relative tolerance band per perf metric (fractions of the baseline
-#: value); the ``total`` entry covers ``perf.total_seconds`` and the
-#: ``stage`` entry every ``perf.stage_seconds.*`` metric.
-DEFAULT_BANDS: Mapping[str, float] = {"total": 0.50, "stage": 1.00}
-
-#: Absolute slack (seconds) added on top of every perf band, so
-#: near-zero baseline stages cannot flap on scheduler noise.
-DEFAULT_MIN_SECONDS = 1.0
 
 _FIDELITY_EPS = 1e-9
 
@@ -131,7 +122,9 @@ def save_baseline(baseline: PerfBaseline,
 
 def load_baseline(path: Union[str, Path]) -> PerfBaseline:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
+    # Every saved baseline carries its schema version; other JSON under
+    # the baseline directory (the ledger work counts) is not one.
+    if not isinstance(data, dict) or "version" not in data:
         raise ValueError(f"not a baseline file: {path}")
     return PerfBaseline.from_dict(data)
 
@@ -160,19 +153,14 @@ class ComparisonEntry:
     kind: str  # "config" | "fidelity" | "perf"
     baseline: Optional[float]
     current: Optional[float]
-    #: The value the current reading must stay at or under (perf only).
-    limit: Optional[float]
-    status: str  # "ok" | "improved" | "regression" | "missing"
+    status: str  # "ok" | "regression" | "missing"
 
     def row(self) -> str:
         def fmt(value: Optional[float]) -> str:
             return "-" if value is None else f"{value:g}"
 
-        limit = f"  limit {fmt(self.limit)}" if self.limit is not None \
-            else ""
         return (f"  [{self.status:<10}] {self.name:<32} "
-                f"{fmt(self.baseline):>12} -> {fmt(self.current):>12}"
-                f"{limit}")
+                f"{fmt(self.baseline):>12} -> {fmt(self.current):>12}")
 
 
 @dataclass(frozen=True)
@@ -200,24 +188,9 @@ class BaselineComparison:
         return lines
 
 
-def _perf_band(name: str, bands: Mapping[str, float]) -> float:
-    if name.startswith("perf.stage_seconds."):
-        return bands.get("stage", DEFAULT_BANDS["stage"])
-    return bands.get("total", DEFAULT_BANDS["total"])
-
-
-def compare_baselines(current: PerfBaseline, baseline: PerfBaseline, *,
-                      tolerance: float = 1.0,
-                      min_seconds: float = DEFAULT_MIN_SECONDS,
-                      bands: Mapping[str, float] = DEFAULT_BANDS
-                      ) -> BaselineComparison:
-    """Diff ``current`` against ``baseline`` (see module docstring).
-
-    ``tolerance`` scales every perf band (0 = no relative slack; CI
-    passes a generous value to absorb runner speed differences);
-    ``min_seconds`` is the absolute slack added on top.  Fidelity and
-    config must match exactly regardless of tolerance.
-    """
+def compare_baselines(current: PerfBaseline,
+                      baseline: PerfBaseline) -> BaselineComparison:
+    """Diff ``current`` against ``baseline`` (see module docstring)."""
     entries: List[ComparisonEntry] = []
 
     for key in sorted(set(baseline.config) | set(current.config)):
@@ -225,8 +198,7 @@ def compare_baselines(current: PerfBaseline, baseline: PerfBaseline, *,
         if base != cur:
             entries.append(ComparisonEntry(
                 name=f"config.{key}", kind="config",
-                baseline=None, current=None, limit=None,
-                status="regression"))
+                baseline=None, current=None, status="regression"))
 
     for name in sorted(set(baseline.fidelity) | set(current.fidelity)):
         base = baseline.fidelity.get(name)
@@ -239,33 +211,13 @@ def compare_baselines(current: PerfBaseline, baseline: PerfBaseline, *,
             status = "regression"
         entries.append(ComparisonEntry(
             name=name, kind="fidelity", baseline=base, current=cur,
-            limit=base, status=status))
+            status=status))
 
+    # Trend data: reported, never a regression (see module docstring).
     for name in sorted(baseline.perf):
-        base = baseline.perf[name]
-        cur = current.perf.get(name)
-        if not name.startswith("perf."):
-            # cache.* counters are trend data, not budgets.
-            entries.append(ComparisonEntry(
-                name=name, kind="perf", baseline=base, current=cur,
-                limit=None, status="ok"))
-            continue
-        if cur is None:
-            entries.append(ComparisonEntry(
-                name=name, kind="perf", baseline=base, current=None,
-                limit=None, status="missing"))
-            continue
-        band = _perf_band(name, bands)
-        limit = base * (1.0 + band * tolerance) + min_seconds
-        if cur > limit:
-            status = "regression"
-        elif cur < base:
-            status = "improved"
-        else:
-            status = "ok"
         entries.append(ComparisonEntry(
-            name=name, kind="perf", baseline=base, current=cur,
-            limit=round(limit, 6), status=status))
+            name=name, kind="perf", baseline=baseline.perf[name],
+            current=current.perf.get(name), status="ok"))
 
     return BaselineComparison(baseline_name=baseline.name,
                               entries=tuple(entries))

@@ -53,7 +53,7 @@ from repro.errors import StreamError
 from repro.exec import backend_label
 from repro.ioda.api import IODAClient
 from repro.ioda.curation import CurationConfig, CurationPipeline
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import IODAPlatform
 from repro.obs.runtime import activate
 from repro.resilience import ResilienceConfig, inject
 from repro.stream.engine import StreamEngine
@@ -76,7 +76,6 @@ class StreamSession:
 
     def __init__(self, pipeline: ReproPipeline, *, seed: int,
                  period: TimeRange,
-                 platform_config: Optional[PlatformConfig] = None,
                  curation_config: Optional[CurationConfig] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  package: Optional[Callable] = None):
@@ -99,7 +98,7 @@ class StreamSession:
             self._stack.enter_context(obs.span("run", seed=seed))
             with obs.span("stage:scenario"):
                 self._scenario = pipeline.build_scenario()
-            self._platform = IODAPlatform(self._scenario, platform_config)
+            self._platform = IODAPlatform(self._scenario)
             self._curation = CurationPipeline(
                 self._platform, curation_config)
             windows = self._curation.country_windows(period)

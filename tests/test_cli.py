@@ -93,11 +93,12 @@ class TestParser:
     def test_perf_subcommands(self):
         args = build_parser().parse_args(["perf", "record", "main"])
         assert (args.perf_command, args.name) == ("record", "main")
-        args = build_parser().parse_args(
-            ["perf", "compare", "main", "--tolerance", "2.5",
-             "--min-seconds", "0.5"])
-        assert args.perf_command == "compare"
-        assert (args.tolerance, args.min_seconds) == (2.5, 0.5)
+        args = build_parser().parse_args(["perf", "compare", "main"])
+        assert (args.perf_command, args.baseline) == ("compare", "main")
+        # Wall time is not banded here, so there is no band to widen.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["perf", "compare", "main", "--tolerance", "10"])
         args = build_parser().parse_args(
             ["perf", "report", "--dir", "b"])
         assert args.perf_command == "report"
@@ -447,8 +448,8 @@ class TestHealthAndPerf:
         assert main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
                      "perf", "record", "main",
                      "--dir", str(baselines)]) == 0
-        # Tamper the stored baseline: an impossibly fast total plus a
-        # fidelity drift must both be flagged.
+        # Tamper the stored baseline: a fidelity drift is flagged, an
+        # impossibly fast total is trend data and is not.
         path = baselines / "main.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         data["perf"]["perf.total_seconds"] = 0.0
@@ -456,12 +457,12 @@ class TestHealthAndPerf:
         path.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         status = main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                       "perf", "compare", "main", "--dir", str(baselines),
-                       "--tolerance", "0", "--min-seconds", "0"])
+                       "perf", "compare", "main", "--dir", str(baselines)])
         assert status == 1
         output = capsys.readouterr().out
-        assert "REGRESSION" in output
-        assert "records.curated" in output
+        assert "REGRESSION: 1 regressed" in output
+        assert "[regression] records.curated" in output
+        assert "[ok        ] perf.total_seconds" in output
 
     def test_perf_compare_missing_baseline_exits_2(self, capsys,
                                                    tmp_path, small_cli):
@@ -469,6 +470,12 @@ class TestHealthAndPerf:
                        "--dir", str(tmp_path)])
         assert status == 2
         assert "no such baseline" in capsys.readouterr().err
+        # Other JSON beside the baselines, such as the ledger counts.
+        (tmp_path / "counts.json").write_text('{"counts": {}}',
+                                              encoding="utf-8")
+        assert main(["perf", "compare", "counts",
+                     "--dir", str(tmp_path)]) == 2
+        assert "not a baseline" in capsys.readouterr().err
 
     def test_perf_report_renders_the_trajectory(self, capsys, tmp_path,
                                                 small_cli):

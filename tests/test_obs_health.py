@@ -220,6 +220,9 @@ class TestPerfBaseline:
     def test_list_baselines_skips_unreadable_files(self, tmp_path):
         save_baseline(_baseline("a"), tmp_path / "a.json")
         (tmp_path / "junk.json").write_text("not json", encoding="utf-8")
+        # Other JSON kept beside the baselines (no schema version).
+        (tmp_path / "counts.json").write_text('{"counts": {}}',
+                                              encoding="utf-8")
         names = [b.name for b in list_baselines(tmp_path)]
         assert names == ["a"]
 
@@ -228,34 +231,36 @@ class TestPerfBaseline:
         assert comparison.ok
         assert not comparison.regressions
 
-    def test_faster_run_is_never_a_regression(self):
-        comparison = compare_baselines(
-            _baseline("now", total=1.0, curate=0.5), _baseline(),
-            tolerance=0.0, min_seconds=0.0)
-        assert comparison.ok
-        assert {e.status for e in comparison.entries
-                if e.name.startswith("perf.")} == {"improved"}
-
-    def test_slower_run_regresses_when_bands_are_tight(self):
-        comparison = compare_baselines(
-            _baseline("now", total=20.0), _baseline(total=10.0),
-            tolerance=0.0, min_seconds=0.0)
-        assert not comparison.ok
-        assert any(e.name == "perf.total_seconds"
-                   and e.status == "regression"
-                   for e in comparison.regressions)
-
-    def test_bands_absorb_machine_speed_differences(self):
-        # 2x slower total is within the default 50% band at tolerance 2.
-        comparison = compare_baselines(
-            _baseline("now", total=19.0, curate=15.0),
-            _baseline(total=10.0, curate=8.0), tolerance=2.0)
-        assert comparison.ok
+    def test_perf_is_trend_data_while_fidelity_and_config_gate(self):
+        # Wall time is the benchmark harness's to judge: a 100x slower
+        # or a missing perf.* value still compares OK ...
+        slow = compare_baselines(
+            _baseline("now", total=1000.0, curate=800.0), _baseline())
+        assert slow.ok
+        assert {e.status for e in slow.entries
+                if e.name.startswith("perf.")} == {"ok"}
+        stats = _statistics()
+        del stats["perf.stage_seconds.curate"]
+        missing = compare_baselines(
+            PerfBaseline.capture(
+                name="now", config={"seed": 2023, "backend": "serial"},
+                statistics=stats), _baseline())
+        assert missing.ok
+        # ... while fidelity and config drift still regress, however
+        # fast the run was.
+        drift = compare_baselines(
+            _baseline("now", total=0.1, shutdowns=52.0), _baseline())
+        assert [e.name for e in drift.regressions] \
+            == ["events.union_shutdowns"]
+        other = PerfBaseline.capture(
+            name="now", config={"seed": 7, "backend": "serial"},
+            statistics=_statistics(total=1000.0))
+        assert [e.name for e in compare_baselines(
+            other, _baseline()).regressions] == ["config.seed"]
 
     def test_fidelity_drift_always_regresses(self):
         comparison = compare_baselines(
-            _baseline("now", shutdowns=52.0), _baseline(),
-            tolerance=100.0, min_seconds=100.0)
+            _baseline("now", shutdowns=52.0), _baseline())
         assert not comparison.ok
         assert any(e.kind == "fidelity" for e in comparison.regressions)
 
@@ -266,22 +271,12 @@ class TestPerfBaseline:
         comparison = compare_baselines(other, _baseline())
         assert any(e.name == "config.seed" for e in comparison.regressions)
 
-    def test_missing_perf_metric_regresses(self):
-        stats = _statistics()
-        del stats["perf.stage_seconds.curate"]
-        current = PerfBaseline.capture(
-            name="now", config={"seed": 2023, "backend": "serial"},
-            statistics=stats)
-        comparison = compare_baselines(current, _baseline())
-        assert any(e.status == "missing" for e in comparison.regressions)
-
     def test_cache_counters_are_trend_only(self):
         comparison = compare_baselines(
-            _baseline("now"), _baseline(), tolerance=0.0, min_seconds=0.0)
+            _baseline("now"), _baseline())
         cache = [e for e in comparison.entries
                  if e.name == "cache.hit_rate"]
-        assert cache and cache[0].status == "ok" \
-            and cache[0].limit is None
+        assert cache and cache[0].status == "ok"
 
     def test_comparison_rows_render(self):
         rows = compare_baselines(_baseline("now"), _baseline()).rows()
