@@ -35,10 +35,10 @@ SLACK_SECONDS = 0.005
 
 
 def _run_once(provenance):
-    obs = Observability()
+    obs = Observability(provenance=provenance)
     pipeline = ReproPipeline(
         scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-        observability=obs, provenance=provenance)
+        observability=obs)
     start = time.perf_counter()
     pipeline.run()
     return time.perf_counter() - start, obs

@@ -32,10 +32,10 @@ SLACK_SECONDS = 0.005
 
 
 def _run_once(telemetry):
-    obs = Observability()
+    obs = Observability(telemetry=telemetry)
     pipeline = ReproPipeline(
         scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-        observability=obs, telemetry=telemetry)
+        observability=obs)
     start = time.perf_counter()
     pipeline.run()
     return time.perf_counter() - start, obs

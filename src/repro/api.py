@@ -110,12 +110,9 @@ def _pipeline(*, seed: int, workers: int, backend: str,
               scenario_config: Optional[ScenarioConfig],
               curation_config: Optional[CurationConfig],
               study_period: TimeRange,
-              observability: Optional[Observability],
+              observability: Observability,
               resilience: Optional[ResilienceConfig],
-              profile: Optional[ProfileConfig | bool],
-              health_policy: Optional[HealthPolicy],
-              telemetry: Optional[TelemetryConfig | str | float],
-              provenance: bool = False) -> ReproPipeline:
+              health_policy: Optional[HealthPolicy]) -> ReproPipeline:
     return ReproPipeline(
         scenario_config=scenario_config or ScenarioConfig(seed=seed),
         curation_config=curation_config,
@@ -125,42 +122,30 @@ def _pipeline(*, seed: int, workers: int, backend: str,
             workers=workers, backend=backend, n_shards=shards),
         observability=observability,
         resilience=resilience,
-        profile=profile,
-        health_policy=health_policy,
-        telemetry=telemetry,
-        provenance=provenance)
+        health_policy=health_policy)
 
 
-def _journal_setup(journal: Optional[RunJournal | str | Path],
-                   observability: Optional[Observability],
-                   runs_dir: Optional[Path | str]
-                   ) -> tuple[Optional[Observability], Optional[Path]]:
-    """Resolve the ``journal``/``observability``/``runs_dir`` knobs.
+def _session(observability: Optional[Observability],
+             runs_dir: Optional[Path | str]
+             ) -> tuple[Observability, Optional[Path]]:
+    """The run's session, journaled when the registry needs it.
 
-    Returns the observability session to run under (None when neither
-    knob was passed and no registry is in play) and the pending
-    registry journal path, when one was auto-created.
+    Returns the caller's session (or a fresh one) and, when ``runs_dir``
+    is set and the session has no journal, the pending journal attached
+    to it under ``runs_dir`` before the run starts, so every span,
+    heartbeat and capsule lands in what the registry files.
     """
-    if journal is not None and observability is not None:
-        raise ValueError(
-            "pass either journal= or observability= (the journal "
-            "shorthand builds its own Observability session)")
-    pending: Optional[Path] = None
-    if runs_dir is not None and journal is None and observability is None:
-        # The registry needs a journal; write one under the runs dir
-        # and file it (by content hash) once the run completes.
-        root = Path(runs_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        pending = root / f"pending-{os.getpid()}-{time.time_ns()}.jsonl"
-        journal = pending
-    if journal is not None:
-        observability = Observability(
-            journal=journal if isinstance(journal, RunJournal)
-            else RunJournal(str(journal)))
-    return observability, pending
+    obs = observability if observability is not None else Observability()
+    if runs_dir is None or obs.journal is not None:
+        return obs, None
+    root = Path(runs_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    pending = root / f"pending-{os.getpid()}-{time.time_ns()}.jsonl"
+    obs.attach_journal(pending)
+    return obs, pending
 
 
-def _file_run(observability: Optional[Observability], *,
+def _file_run(obs: Observability, *,
               runs_dir: Optional[Path | str], pending: Optional[Path],
               run_name: Optional[str], active_config: ScenarioConfig,
               workers: int, backend: str, shards: Optional[int]
@@ -171,9 +156,7 @@ def _file_run(observability: Optional[Observability], *,
     when ``runs_dir`` filed the journal into the registry.
     """
     backend = backend_label(backend, workers)
-    journal_path = None
-    if observability is not None and observability.journal is not None:
-        journal_path = observability.journal.path
+    journal_path = obs.journal.path if obs.journal is not None else None
     run_id: Optional[str] = None
     run_dir: Optional[Path] = None
     if runs_dir is not None and journal_path is not None:
@@ -219,10 +202,11 @@ class RunResult:
     run_id: Optional[str] = None
     #: The run's registry directory (``runs_dir=`` only).
     run_dir: Optional[Path] = None
-    #: The run's lineage capsules (``provenance=True`` only), in a
-    #: backend-independent order — one per adjudicated candidate, plus
-    #: streaming lifecycle capsules.  Journal-only evidence: the event
-    #: datasets are byte-identical with or without them.
+    #: The run's lineage capsules (``Observability(provenance=True)``
+    #: only), in a backend-independent order — one per adjudicated
+    #: candidate, plus streaming lifecycle capsules.  Journal-only
+    #: evidence: the event datasets are byte-identical with or without
+    #: them.
     provenance: Tuple[Mapping, ...] = ()
 
     # -- convenience passthroughs into the event datasets ------------------
@@ -268,12 +252,8 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
         curation_config: Optional[CurationConfig] = None,
         study_period: TimeRange = STUDY_PERIOD,
         observability: Optional[Observability] = None,
-        journal: Optional[RunJournal | str | Path] = None,
         resilience: Optional[ResilienceConfig] = None,
-        profile: Optional[ProfileConfig | bool] = None,
         health_policy: Optional[HealthPolicy] = None,
-        telemetry: Optional[TelemetryConfig | str | float] = None,
-        provenance: bool = False,
         runs_dir: Optional[Path | str] = None,
         run_name: Optional[str] = None) -> RunResult:
     """Run the full reproduction pipeline; return a :class:`RunResult`.
@@ -301,16 +281,16 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
     ``scenario_config=ScenarioConfig(seed=...)`` and is ignored when an
     explicit ``scenario_config`` is given.
 
-    ``journal`` is shorthand for
-    ``observability=Observability(journal=...)``: pass a path (or
-    :class:`RunJournal`) and the run streams its JSONL journal there,
-    with the resolved path returned as ``result.journal_path``.  For
-    full control pass an :class:`Observability` session instead
-    (optionally constructed with its own journal) — afterwards
-    ``observability.tracer.spans()`` feeds :func:`write_chrome_trace`
-    and ``observability.metrics_snapshot()`` is the ``--metrics-json``
-    payload.  Tracing never perturbs results.  The two knobs are
-    mutually exclusive.
+    ``observability`` is the run's :class:`Observability` session and
+    the one place its reporting is configured: a journal
+    (``Observability(journal=path)``, whose path is returned as
+    ``result.journal_path``), per-span profiling (``profile=``), live
+    heartbeats (``telemetry=``) and lineage capsules
+    (``provenance=True``, returned as ``result.provenance``).
+    Afterwards ``observability.tracer.spans()`` feeds
+    :func:`write_chrome_trace` and ``observability.metrics_snapshot()``
+    is the ``--metrics-json`` payload.  None of it perturbs results:
+    event output is byte-identical whatever the session records.
 
     ``resilience`` (a :class:`ResilienceConfig`) enables the
     resilience layer: its ``faults`` (a :class:`FaultPlan` or CLI-style
@@ -323,70 +303,40 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
     ``result.stats.degraded`` / ``.quarantined`` for what a degraded
     run gave up on.
 
-    ``profile=True`` (or a :class:`ProfileConfig`) turns on per-span
-    resource profiling — CPU vs wall seconds, peak-RSS growth, and
-    optionally tracemalloc allocation deltas attached to every span;
-    the readings never touch the RNG substreams, so a profiled run is
-    byte-identical to an unprofiled one.  Every run is also graded
-    against a fidelity scorecard (``health_policy``; default: the
-    paper-target policy) whose ``result.health.grade`` is ``"pass"``,
-    ``"warn"``, or ``"fail"`` and whose ``result.health.rows()``
-    renders the scorecard; the same report is streamed into the run
-    journal as a ``health`` event, replayable with
-    ``repro health RUN.jsonl``.
+    Every run is graded against a fidelity scorecard
+    (``health_policy``; default: the paper-target policy) whose
+    ``result.health.grade`` is ``"pass"``, ``"warn"``, or ``"fail"``
+    and whose ``result.health.rows()`` renders the scorecard; the same
+    report is streamed into the run journal as a ``health`` event,
+    replayable with ``repro health RUN.jsonl``.
 
-    ``telemetry`` turns on live heartbeats: pass an interval (``"1s"``,
-    ``0.5``) or a :class:`TelemetryConfig` and a background sampler
-    appends periodic ``heartbeat`` events to the run journal — shard
-    progress with ETA, open span paths, counter deltas, histogram
-    tails, process RSS/CPU — while the run executes (process workers
-    sample locally and their heartbeats are adopted into the parent's
-    journal).  Heartbeats are journal-only: event output stays
-    byte-identical with telemetry on or off.
-
-    ``provenance=True`` captures a lineage capsule at every curation
-    decision point — the triggering alert, visibility, corroboration
-    (with the exact RNG substream coordinate), control-group checks,
-    cause attribution — exposed as ``result.provenance`` and journaled
-    as ``provenance`` events (plus a ``provenance.manifest`` mapping
-    record ids to capsules; ``repro explain RUN RECORD_ID`` renders
-    one).  Capsules are journal-only: event output is byte-identical
-    with provenance on or off, on every backend.  A provenance run
-    bypasses the shard cache (a warm hit would skip the very decisions
-    being captured).
-
-    ``runs_dir`` enables the cross-run registry: the journal (an
-    auto-created one, unless ``journal=`` names a path) is filed under
-    a content-addressed run ID together with the run's health stats and
-    config fingerprint, and the result carries ``run_id``/``run_dir``.
+    ``runs_dir`` enables the cross-run registry: the session's journal
+    (or, when it has none, one attached under ``runs_dir`` before the
+    run starts) is filed under a content-addressed run ID together
+    with the run's health stats and config fingerprint, and the result
+    carries ``run_id``/``run_dir``.
     Registered runs power ``repro runs list/show/diff`` and resolve by
     ID anywhere a journal path is accepted (``repro trace summarize``,
     ``repro health``, ``repro trace diff``).  ``run_name`` labels the
     registry entry (default: the ID's first 8 hex chars).
     """
-    observability, pending = _journal_setup(journal, observability,
-                                            runs_dir)
+    obs, pending = _session(observability, runs_dir)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=shards,
         cache_dir=cache_dir, scenario_config=scenario_config,
         curation_config=curation_config,
-        study_period=study_period, observability=observability,
-        resilience=resilience, profile=profile, health_policy=health_policy,
-        telemetry=telemetry, provenance=provenance)
+        study_period=study_period, observability=obs,
+        resilience=resilience, health_policy=health_policy)
     events = pipeline.run()
     assert pipeline.stats is not None and pipeline.health is not None
     journal_path, run_id, run_dir = _file_run(
-        observability, runs_dir=runs_dir, pending=pending,
-        run_name=run_name,
+        obs, runs_dir=runs_dir, pending=pending, run_name=run_name,
         active_config=scenario_config or ScenarioConfig(seed=seed),
         workers=workers, backend=backend, shards=shards)
-    run_obs = pipeline.observability
     return RunResult(events=events, stats=pipeline.stats,
                      health=pipeline.health, journal_path=journal_path,
                      run_id=run_id, run_dir=run_dir,
-                     provenance=sorted_capsules(
-                         run_obs.provenance if run_obs is not None
-                         else None))
+                     provenance=sorted_capsules(obs.provenance))
 
 
 def stream(*, seed: int = 2023, workers: int = 1,
@@ -395,12 +345,8 @@ def stream(*, seed: int = 2023, workers: int = 1,
            curation_config: Optional[CurationConfig] = None,
            study_period: TimeRange = STUDY_PERIOD,
            observability: Optional[Observability] = None,
-           journal: Optional[RunJournal | str | Path] = None,
            resilience: Optional[ResilienceConfig] = None,
-           profile: Optional[ProfileConfig | bool] = None,
            health_policy: Optional[HealthPolicy] = None,
-           telemetry: Optional[TelemetryConfig | str | float] = None,
-           provenance: bool = False,
            runs_dir: Optional[Path | str] = None,
            run_name: Optional[str] = None) -> StreamSession:
     """Open the reproduction as an incremental run; return its session.
@@ -423,13 +369,12 @@ def stream(*, seed: int = 2023, workers: int = 1,
     (the default) runs an advance with two or more due countries on
     process workers that keep the generated world resident for the
     whole session; one worker, ``serial``, or a single due country
-    adjudicates inline.  ``journal=``/``observability=``/
-    ``telemetry=`` work as in :func:`run`; a journaled stream
-    additionally records every lifecycle event as a ``stream.event``
-    line, and heartbeats carry a ``stream`` block with the live
-    watermark, lag, and open-event count.  ``runs_dir`` files the
-    finalized journal into the cross-run registry, so a streamed run
-    diffs against a batch run with ``repro runs diff``.
+    adjudicates inline.  ``observability=`` works as in :func:`run`;
+    a journaled stream additionally records every lifecycle event as a
+    ``stream.event`` line, and heartbeats carry a ``stream`` block with
+    the live watermark, lag, and open-event count.  ``runs_dir`` files
+    the finalized journal into the cross-run registry, so a streamed
+    run diffs against a batch run with ``repro runs diff``.
 
     ``resilience=`` (a :class:`ResilienceConfig`) injects its
     deterministic faults into the session's *bin source* (site
@@ -437,11 +382,11 @@ def stream(*, seed: int = 2023, workers: int = 1,
     perturbing the streamed bytes, so a recovered stream finalizes
     byte-identical to a calm one.
 
-    ``provenance=True`` works as in :func:`run`, with one streaming
-    extra: every lifecycle event carries the ``capsule_id`` of the
-    lineage capsule behind it (the adjudication capsule on a decided
-    ``close``; a lifecycle capsule on provisional states and merges),
-    and the finalized ``RunResult.provenance`` holds them all.  The
+    A session with ``provenance=True`` has one streaming extra: every
+    lifecycle event carries the ``capsule_id`` of the lineage capsule
+    behind it (the adjudication capsule on a decided ``close``; a
+    lifecycle capsule on provisional states and merges), and the
+    finalized ``RunResult.provenance`` holds them all.  The
     record payloads — and the finalized datasets — stay byte-identical
     with provenance on or off, however the bins were chunked.
 
@@ -449,24 +394,20 @@ def stream(*, seed: int = 2023, workers: int = 1,
     (``cache_dir``, ``shards``) are absent: a stream is incremental by
     construction and never consults the shard cache.
     """
-    observability, pending = _journal_setup(journal, observability,
-                                            runs_dir)
+    obs, pending = _session(observability, runs_dir)
     active_config = scenario_config or ScenarioConfig(seed=seed)
     pipeline = _pipeline(
         seed=seed, workers=workers, backend=backend, shards=None,
         cache_dir=None, scenario_config=scenario_config,
         curation_config=curation_config,
-        study_period=study_period, observability=observability,
-        resilience=resilience, profile=profile,
-        health_policy=health_policy, telemetry=telemetry,
-        provenance=provenance)
+        study_period=study_period, observability=obs,
+        resilience=resilience, health_policy=health_policy)
 
     def package(pipeline: ReproPipeline, obs: Observability,
                 events: PipelineResult) -> RunResult:
         assert pipeline.stats is not None and pipeline.health is not None
         journal_path, run_id, run_dir = _file_run(
-            obs if obs.enabled else None, runs_dir=runs_dir,
-            pending=pending, run_name=run_name,
+            obs, runs_dir=runs_dir, pending=pending, run_name=run_name,
             active_config=active_config, workers=workers,
             backend=backend, shards=None)
         return RunResult(events=events, stats=pipeline.stats,

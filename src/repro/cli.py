@@ -76,7 +76,6 @@ the run registry under a content-addressed run ID.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -536,14 +535,26 @@ def _profile_config(args: argparse.Namespace) -> Optional[ProfileConfig]:
     return None
 
 
+def _observability(args: argparse.Namespace) -> Observability:
+    """The run's session, from its ``--journal``, ``--profile``,
+    ``--profile-alloc``, ``--heartbeat`` and ``--provenance`` flags."""
+    return Observability(
+        journal=getattr(args, "journal", None),
+        profile=_profile_config(args),
+        telemetry=getattr(args, "heartbeat", None),
+        provenance=getattr(args, "provenance", False))
+
+
 def _run(args: argparse.Namespace,
-         observability: Observability | None = None) -> api.RunResult:
+         observability: Observability | None = None, *,
+         cached: bool = True) -> api.RunResult:
     """One pipeline execution through the :mod:`repro.api` facade.
 
     Every data-producing subcommand funnels through here, so the CLI
     exercises exactly the surface downstream callers program against.
     ``ScenarioConfig`` and ``STUDY_PERIOD`` are read off this module so
     tests can shrink the run while keeping the real flag wiring.
+    ``cached=False`` neither reads nor fills the shard cache.
     """
     return api.run(
         scenario_config=ScenarioConfig(seed=args.seed),
@@ -551,12 +562,10 @@ def _run(args: argparse.Namespace,
         workers=args.workers,
         backend=args.backend,
         shards=args.shards,
-        cache_dir=_usable_cache_dir(args.cache_dir),
-        observability=observability,
+        cache_dir=_usable_cache_dir(args.cache_dir) if cached else None,
+        observability=(observability if observability is not None
+                       else _observability(args)),
         resilience=_resilience(args),
-        profile=_profile_config(args),
-        telemetry=getattr(args, "heartbeat", None),
-        provenance=getattr(args, "provenance", False),
         runs_dir=getattr(args, "runs_dir", None),
         run_name=getattr(args, "run_name", None))
 
@@ -635,33 +644,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("repro: warning: --provenance without --journal or "
               "--runs-dir; capsules are journal-only and 'repro "
               "explain' needs the journal", file=sys.stderr)
-    profile = _profile_config(args)
-    journal = args.journal
-    needs_obs = bool(args.trace or journal or args.metrics_json
-                     or profile is not None)
-    if needs_obs and journal is None and args.runs_dir is not None:
-        # The exports need an in-process session, which bypasses the
-        # facade's auto-journal; write the journal under the runs dir
-        # so api.run still files the run into the registry (it moves
-        # runs-dir journals rather than copying them).
-        args.runs_dir.mkdir(parents=True, exist_ok=True)
-        journal = (args.runs_dir
-                   / f"pending-{os.getpid()}-{time.time_ns()}.jsonl")
-    obs = Observability(journal=journal) if needs_obs else None
-    result = _run(args, observability=obs)
+    obs = _observability(args)
+    result = _run(args, obs)
+    # A registry-only run reports its run ID; its journal is listed
+    # only beside the exports (or the profile) it carries.
+    lists_journal = bool(args.trace or args.journal or args.metrics_json
+                         or obs.profile is not None)
     exported = []
-    if obs is not None:
-        if args.trace:
-            exported.append(write_chrome_trace(obs.tracer.spans(),
-                                               args.trace))
-        if journal is not None:
-            exported.append(result.journal_path or journal)
-        if args.metrics_json:
-            args.metrics_json.parent.mkdir(parents=True, exist_ok=True)
-            args.metrics_json.write_text(
-                json.dumps(obs.metrics_snapshot(), indent=2),
-                encoding="utf-8")
-            exported.append(args.metrics_json)
+    if args.trace:
+        exported.append(write_chrome_trace(obs.tracer.spans(), args.trace))
+    if lists_journal and result.journal_path is not None:
+        exported.append(result.journal_path)
+    if args.metrics_json:
+        args.metrics_json.parent.mkdir(parents=True, exist_ok=True)
+        args.metrics_json.write_text(
+            json.dumps(obs.metrics_snapshot(), indent=2),
+            encoding="utf-8")
+        exported.append(args.metrics_json)
     if result.run_id is not None:
         print(f"registered run {result.run_id} under {args.runs_dir}",
               file=sys.stderr)
@@ -722,10 +721,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         study_period=STUDY_PERIOD,
         workers=args.workers,
         backend=args.backend,
-        journal=args.journal,
+        observability=_observability(args),
         resilience=_resilience(args),
-        telemetry=args.heartbeat,
-        provenance=getattr(args, "provenance", False),
         runs_dir=getattr(args, "runs_dir", None),
         run_name=getattr(args, "run_name", None))
     counts = {"open": 0, "update": 0, "close": 0, "recorded": 0}
@@ -970,8 +967,12 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 
 def _run_for_baseline(args: argparse.Namespace):
-    """Run the pipeline and capture the baseline-shaped snapshot."""
-    result = _run(args)
+    """Run the pipeline and capture the baseline-shaped snapshot.
+
+    Uncached, so a baseline measures the code rather than the cache
+    state: a warm shard cache would skip the curate stage it times.
+    """
+    result = _run(args, cached=False)
     statistics = run_statistics(result.events, result.stats)
     config = {
         "seed": args.seed,

@@ -26,9 +26,7 @@ from repro.exec.cachestore import CACHE_VERSION, CacheStore
 from repro.exec.stats import ExecStats
 from repro.exec.workers import ExecutorConfig, ShardedCurationExecutor
 from repro.obs.health import HealthPolicy, HealthReport, evaluate_run
-from repro.obs.profile import ProfileConfig
 from repro.obs.runtime import Observability, activate
-from repro.obs.telemetry import TelemetryConfig
 from repro.core.merge import MergedDataset, build_merged_dataset
 from repro.datasets import (
     CoupDataset,
@@ -97,10 +95,7 @@ class ReproPipeline:
                  executor: ExecutorConfig | None = None,
                  observability: Observability | None = None,
                  resilience: ResilienceConfig | None = None,
-                 profile: ProfileConfig | bool | None = None,
-                 health_policy: HealthPolicy | None = None,
-                 telemetry: TelemetryConfig | str | float | None = None,
-                 provenance: bool = False):
+                 health_policy: HealthPolicy | None = None):
         self._scenario_config = scenario_config or ScenarioConfig()
         self._platform_config = platform_config
         self._curation_config = curation_config
@@ -117,11 +112,7 @@ class ReproPipeline:
             config=executor,
             resilience=resilience)
         self._observability = observability
-        self._profile = (ProfileConfig() if profile is True
-                         else profile or None)
-        self._telemetry = TelemetryConfig.coerce(telemetry)
         self._health_policy = health_policy
-        self._provenance = bool(provenance)
         self._last_obs: Optional[Observability] = None
         self._stats: Optional[ExecStats] = None
         self._health: Optional[HealthReport] = None
@@ -162,15 +153,14 @@ class ReproPipeline:
         """Stage 1: the synthetic world."""
         return ScenarioGenerator(self._scenario_config).generate()
 
-    def curate(self, scenario: WorldScenario,
-               stats: ExecStats | None = None) -> List[OutageRecord]:
+    def curate(self, scenario: WorldScenario) -> List[OutageRecord]:
         """Stage 2: IODA observation + curation.
 
         Delegates to the sharded executor: warm shards load from the
         content-addressed cache, cold shards run in the configured worker
         pool, and the merge is byte-identical to a serial run.
         """
-        return self._executor.curate(scenario, stats)
+        return self._executor.curate(scenario)
 
     def compile_kio(self, scenario: WorldScenario) -> List[KIOEvent]:
         """Stage 3: KIO reporting → annual snapshots → harmonization."""
@@ -191,17 +181,14 @@ class ReproPipeline:
         the executor's shard work nests under the curate stage, and hot
         paths count into the session's metrics registry.  The
         :class:`ExecStats` report surfaced as :attr:`stats` is derived
-        from that span tree afterwards — same keys and rows as when the
-        pipeline filled it in by hand.  Callers wanting the journal /
-        Chrome-trace exports pass their own session via the
+        from that span tree afterwards.  Callers wanting a journal,
+        profiling, heartbeats, lineage capsules or the Chrome-trace
+        export pass their own :class:`Observability` session via the
         ``observability`` constructor argument (see :mod:`repro.api`).
 
         Afterwards the run is graded against its health policy
         (:attr:`health`; default: paper-fidelity targets), and the
-        scorecard is journaled as a ``health`` event.  With a
-        ``profile`` config, every span additionally carries CPU / RSS /
-        allocation readings — profiling samples OS counters only, so a
-        profiled run stays byte-identical to an unprofiled one.
+        scorecard is journaled as a ``health`` event.
         """
         obs = self.build_observability()
         plan = (self._resilience.fault_plan
@@ -224,25 +211,14 @@ class ReproPipeline:
         return result
 
     def build_observability(self) -> Observability:
-        """The run's observability session, profiling/telemetry applied.
+        """The run's session: the constructor's, or a fresh one.
 
-        Returns the constructor-supplied session (or a fresh one),
-        with the pipeline's profile and telemetry configs enabled on it
-        exactly as :meth:`run` would.  Drivers that own the run loop —
-        the streaming session (:mod:`repro.stream.session`) — call this
-        then :meth:`complete`/:meth:`finish` around their own stages.
+        Drivers that own the run loop — the streaming session
+        (:mod:`repro.stream.session`) — call this then
+        :meth:`complete`/:meth:`finish` around their own stages.
         """
-        obs = (self._observability if self._observability is not None
-               else Observability())
-        if self._profile is not None and obs.enabled \
-                and obs.profile is None:
-            obs.enable_profiling(self._profile)
-        if self._telemetry is not None and obs.enabled \
-                and obs.telemetry is None:
-            obs.enable_telemetry(self._telemetry)
-        if self._provenance and obs.enabled and obs.provenance is None:
-            obs.enable_provenance()
-        return obs
+        return (self._observability if self._observability is not None
+                else Observability())
 
     def complete(self, scenario: WorldScenario,
                  records: List[OutageRecord]) -> PipelineResult:

@@ -6,15 +6,14 @@ granularity, and the per-shard timing spread.  ``--stats --json`` emits
 :meth:`ExecStats.as_dict` so benchmark trajectory files can track
 executor performance across revisions.
 
-Since the :mod:`repro.obs` subsystem landed, the pipeline no longer
-fills this report in by hand: it is **derived** from the run's span
-tree and metrics registry via :meth:`ExecStats.from_obs` — stage
-timings come from the ``stage:*`` spans, shard timings from the
-``exec.shard`` spans, cache counters from the ``exec.cache.*``
-counters, and the executor shape from the curate-stage span
-attributes.  The dataclass (and its mutating helpers) remain for
-direct executor callers and for constructing reports by hand; the
-``as_dict()``/``rows()`` output is byte-compatible either way.
+The report has one producer: :meth:`ExecStats.from_obs` **derives** it
+from the run's span tree and metrics registry — stage timings come from
+the ``stage:*`` spans, shard timings from the ``exec.shard`` spans,
+cache counters from the ``exec.cache.*`` counters, and the executor
+shape from the curate-stage span attributes.  Nothing fills it in by
+hand; a caller driving the executor directly runs it under an
+activated session and a ``stage:curate`` span and derives the report
+the same way.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ in both directions.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, \
@@ -58,7 +57,7 @@ from repro.errors import CircuitOpenError, ConfigurationError, \
     RetriesExhaustedError, SchemaError
 from repro.exec.cachestore import CacheStore, fingerprint
 from repro.exec.shards import DEFAULT_N_SHARDS, Shard, ShardPlan
-from repro.exec.stats import SHARD_SPAN, ExecStats, publish_shard_done, \
+from repro.exec.stats import SHARD_SPAN, publish_shard_done, \
     publish_shard_plan
 from repro.obs.runtime import WorkerReport, WorkerSettings, current, \
     run_reported
@@ -187,10 +186,6 @@ def _curate_shard(scenario: WorldScenario,
         survivors.append((iso2, records))
     return survivors, tuple(quarantined)
 
-
-#: What one shard sends back: records, quarantined countries, and the
-#: wall seconds it took where it ran.
-_ShardOutcome = Tuple[_ShardRecords, _Quarantined, float]
 
 #: The worker-resident world: one platform (and the scenario it
 #: observes) per process, keyed by the fingerprint of everything that
@@ -331,21 +326,20 @@ def _curate_shard_subprocess(platform: IODAPlatform, backend: str,
                              shard_index: int,
                              windows: Mapping[str, Sequence[TimeRange]],
                              resilience: Optional[ResilienceConfig]
-                             ) -> _ShardOutcome:
+                             ) -> _ShardResult:
     """One shard as a :class:`WorkerPool` unit, inline or in a worker.
 
-    Traced as an ``exec.shard`` span.  ``perfbench/ledger.py`` wraps
-    this function by name, and pool workers resolve it by name, so each
+    Traced as an ``exec.shard`` span, whose duration is the shard's
+    time in the execution report.  ``perfbench/ledger.py`` wraps this
+    function by name, and pool workers resolve it by name, so each
     worker's shard is one top-level span in the benchmark ledger.
     """
-    started = time.perf_counter()
     with current().span(SHARD_SPAN, shard=shard_index,
                         countries=len(countries), backend=backend):
-        records, quarantined = _curate_shard(
+        return _curate_shard(
             platform.scenario, platform.config, curation_config, period,
             countries, windows=windows, platform=platform,
             resilience=resilience)
-    return records, quarantined, time.perf_counter() - started
 
 
 class ShardedCurationExecutor:
@@ -370,15 +364,17 @@ class ShardedCurationExecutor:
 
     # -- main entry -------------------------------------------------------------
 
-    def curate(self, scenario: WorldScenario,
-               stats: ExecStats | None = None) -> List[OutageRecord]:
-        """Curate every triggered country of ``scenario``, in shards."""
+    def curate(self, scenario: WorldScenario) -> List[OutageRecord]:
+        """Curate every triggered country of ``scenario``, in shards.
+
+        The run's shape and outcome are annotated on the active
+        session's open span (a pipeline's ``stage:curate``), where
+        :meth:`repro.exec.stats.ExecStats.from_obs` reads them.
+        """
         obs = current()
-        stats = stats if stats is not None else ExecStats()
-        stats.workers = self._config.workers
-        stats.backend = backend_label(self._config.backend,
-                                      self._config.workers)
-        obs.annotate(workers=stats.workers, backend=stats.backend)
+        obs.annotate(workers=self._config.workers,
+                     backend=backend_label(self._config.backend,
+                                           self._config.workers))
 
         platform = IODAPlatform(scenario, self._platform_config)
         pipeline = CurationPipeline(platform, self._curation_config)
@@ -394,7 +390,6 @@ class ShardedCurationExecutor:
         plan = ShardPlan.split(
             sorted(windows), self._config.n_shards or DEFAULT_N_SHARDS,
             weights=weights)
-        stats.n_shards = len(plan)
         obs.annotate(n_shards=len(plan))
         publish_shard_plan(obs.metrics, len(plan))
 
@@ -415,17 +410,15 @@ class ShardedCurationExecutor:
             cached = self._cache_get(scenario, shard) if use_cache else None
             if cached is not None:
                 by_shard[shard.index] = cached
-                stats.cache_hits += 1
             else:
                 cold.append(shard)
-        stats.cache_misses = len(cold)
-        obs.metrics.counter("exec.cache.hits").inc(stats.cache_hits)
+        obs.metrics.counter("exec.cache.hits").inc(len(by_shard))
         obs.metrics.counter("exec.cache.misses").inc(len(cold))
-        publish_shard_done(obs.metrics, stats.cache_hits)
+        publish_shard_done(obs.metrics, len(by_shard))
 
         quarantined: List[str] = []
         if cold:
-            executed = self._execute(platform, windows, cold, stats)
+            executed = self._execute(platform, windows, cold)
             for shard, (shard_records, shard_quarantined) \
                     in executed.items():
                 by_shard[shard.index] = shard_records
@@ -433,11 +426,9 @@ class ShardedCurationExecutor:
                 if use_cache and not shard_quarantined:
                     self._cache_put(scenario, shard, shard_records)
 
-        stats.degraded = bool(quarantined)
-        stats.quarantined = tuple(sorted(quarantined))
-        obs.annotate(degraded=stats.degraded,
-                     quarantined=list(stats.quarantined))
-        for iso2 in stats.quarantined:
+        quarantined.sort()
+        obs.annotate(degraded=bool(quarantined), quarantined=quarantined)
+        for iso2 in quarantined:
             obs.metrics.counter("resilience.quarantined",
                                 country=iso2).inc()
 
@@ -448,7 +439,6 @@ class ShardedCurationExecutor:
         merged = finalize_records(
             by_country[iso2] for iso2 in plan.countries
             if iso2 not in dropped)
-        stats.n_records = len(merged)
         obs.annotate(n_records=len(merged))
         return merged
 
@@ -456,8 +446,7 @@ class ShardedCurationExecutor:
 
     def _execute(self, platform: IODAPlatform,
                  windows: Mapping[str, List[TimeRange]],
-                 cold: List[Shard],
-                 stats: ExecStats) -> Dict[Shard, _ShardResult]:
+                 cold: List[Shard]) -> Dict[Shard, _ShardResult]:
         metrics = current().metrics
         units = [(self._curation_config, self._period, shard.countries,
                   shard.index,
@@ -466,10 +455,9 @@ class ShardedCurationExecutor:
                  for shard in cold]
         results: Dict[Shard, _ShardResult] = {}
         with WorkerPool(self._config, platform, len(cold)) as pool:
-            for shard, (records, quarantined, seconds) in zip(
+            for shard, result in zip(
                     cold, pool.map(_curate_shard_subprocess, units)):
-                results[shard] = (records, quarantined)
-                stats.record_shard(shard.index, seconds)
+                results[shard] = result
                 publish_shard_done(metrics)
         return results
 

@@ -47,7 +47,7 @@ class ProfileConfig:
     """What the per-span profiler samples.
 
     Keyword-only: part of the stable :mod:`repro.api` surface
-    (``profile=``), so fields may be added freely.
+    (``Observability(profile=...)``), so fields may be added freely.
     """
 
     #: Sample per-thread CPU time (wall vs CPU breakdown).

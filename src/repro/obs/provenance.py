@@ -116,7 +116,7 @@ class ProvenanceRecorder:
     """
 
     def __init__(self, journal=None):
-        self._journal = journal
+        self.journal = journal
         #: Every capsule captured (or adopted) by this session, in
         #: capture order.
         self.capsules: List[Dict[str, Any]] = []
@@ -151,8 +151,8 @@ class ProvenanceRecorder:
         """Journal a downstream provenance event (match/verdict)."""
         event = {"type": event_type, **payload}
         self.notes.append(event)
-        if self._journal is not None:
-            self._journal.write(event)
+        if self.journal is not None:
+            self.journal.write(event)
 
     def manifest(self, entries: Sequence[Tuple[int, str, int]]) -> None:
         """Map global record ids onto capsules after finalize.
@@ -168,8 +168,8 @@ class ProvenanceRecorder:
             rows.append([global_id, iso2, local_id, capsule_id])
             if capsule_id is not None:
                 self.record_map[global_id] = capsule_id
-        if self._journal is not None:
-            self._journal.write(
+        if self.journal is not None:
+            self.journal.write(
                 {"type": "provenance.manifest", "records": rows})
 
     def _absorb(self, capsule: Dict[str, Any]) -> None:
@@ -178,8 +178,8 @@ class ProvenanceRecorder:
         if record is not None and "local_id" in record:
             self.by_record[(capsule["country_iso2"],
                             record["local_id"])] = capsule["capsule_id"]
-        if self._journal is not None:
-            self._journal.write({"type": "provenance", **capsule})
+        if self.journal is not None:
+            self.journal.write({"type": "provenance", **capsule})
 
 
 def sorted_capsules(

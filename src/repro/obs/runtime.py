@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple, \
     TypeVar, Union
 
@@ -61,17 +62,41 @@ class WorkerReport:
 
 
 class Observability:
-    """One run's tracer + metrics + (optional) journal/profiler/sampler."""
+    """One run's tracer + metrics + (optional) journal/profiler/sampler.
+
+    The one place a run's reporting is configured; every option is
+    journal-only, so a run's event output is byte-identical whichever
+    are on:
+
+    - ``journal`` — a path (or :class:`RunJournal`) the run streams its
+      JSONL journal to: spans, metrics, health, heartbeats, capsules.
+    - ``profile`` — ``True`` or a :class:`ProfileConfig`: per-span CPU
+      vs wall seconds, peak-RSS growth and optionally tracemalloc
+      allocation deltas, sampled from OS counters only.
+    - ``telemetry`` — an interval (``"1s"``, ``0.5``) or a
+      :class:`TelemetryConfig`: a background sampler appends periodic
+      ``heartbeat`` events (shard progress with ETA, open span paths,
+      counter deltas, histogram tails, process RSS/CPU) to the journal
+      while the run executes; process workers sample locally and the
+      parent adopts their beats.
+    - ``provenance`` — ``True`` captures a lineage capsule at every
+      curation decision point (the triggering alert, visibility,
+      corroboration with its exact RNG substream coordinate,
+      control-group checks, cause attribution), exposed as
+      ``RunResult.provenance`` and journaled as ``provenance`` events
+      plus a ``provenance.manifest``.  A provenance run bypasses the
+      shard cache: a warm hit would skip the very decisions captured.
+    """
 
     enabled = True
 
-    def __init__(self, *, journal: Optional[Union[RunJournal, str]] = None,
+    def __init__(self, *,
+                 journal: Optional[Union[RunJournal, str, Path]] = None,
                  profile: Optional[Union[ProfileConfig, bool]] = None,
                  telemetry: Optional[Union[TelemetryConfig, float,
-                                           str]] = None):
-        if journal is not None and not isinstance(journal, RunJournal):
-            journal = RunJournal(journal)
-        self.journal = journal
+                                           str]] = None,
+                 provenance: bool = False):
+        self.journal: Optional[RunJournal] = None
         self.tracer = Tracer(on_close=self._on_span_close)
         self.metrics = MetricsRegistry()
         self.profile: Optional[ProfileConfig] = None
@@ -83,13 +108,32 @@ class Observability:
         #: Heartbeats collected when no journal is attached — how
         #: process workers buffer samples for the parent to adopt.
         self.heartbeats: list = []
-        #: Lineage-capsule recorder; ``None`` until
-        #: :meth:`enable_provenance`, so instrumented decision points
-        #: pay one attribute check when the feature is off.
+        #: Lineage-capsule recorder; ``None`` unless provenance is on,
+        #: so instrumented decision points pay one attribute check when
+        #: the feature is off.
         self.provenance: Optional[ProvenanceRecorder] = None
+        if provenance:
+            self.enable_provenance()
         if telemetry is not None:
             self.enable_telemetry(TelemetryConfig.coerce(telemetry))
+        if journal is not None:
+            self.attach_journal(journal)
         self._finished = False
+
+    def attach_journal(self, journal: Union[RunJournal, str, Path]
+                       ) -> "Observability":
+        """Stream the session's events into ``journal`` from now on.
+
+        For a session built without one (``repro.api`` attaches a
+        registry journal this way); attach before the run opens its
+        first span, so spans, heartbeats and capsules all land in it.
+        """
+        if not isinstance(journal, RunJournal):
+            journal = RunJournal(journal)
+        self.journal = journal
+        if self.provenance is not None:
+            self.provenance.journal = journal
+        return self
 
     def enable_profiling(self, config: Optional[ProfileConfig] = None
                          ) -> "Observability":
@@ -272,9 +316,6 @@ class _NullObservability:
     def stop_telemetry(self) -> None:
         return None
 
-    def enable_provenance(self) -> "_NullObservability":
-        return self
-
     def worker_settings(self) -> None:
         return None
 
@@ -339,9 +380,8 @@ def run_reported(settings: Optional[WorkerSettings],
     if settings is None:
         return task(), None
     local = Observability(profile=settings.profile,
-                          telemetry=settings.telemetry)
-    if settings.provenance:
-        local.enable_provenance()
+                          telemetry=settings.telemetry,
+                          provenance=settings.provenance)
     with activate(local):
         local.start_telemetry()
         try:

@@ -94,7 +94,7 @@ class TelemetryConfig:
     """How the heartbeat sampler runs.
 
     Keyword-only: part of the stable :mod:`repro.api` surface
-    (``telemetry=``), so fields may be added freely.
+    (``Observability(telemetry=...)``), so fields may be added freely.
     """
 
     #: Seconds between heartbeats.

@@ -35,7 +35,6 @@ from collections import deque
 from typing import Iterable, List, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SignalError
 
@@ -212,12 +211,6 @@ def rolling_median(values: Iterable[float],
 _MIN_COARSE_BUCKETS = 16
 _MAX_COARSE_BUCKETS = 64
 
-#: Prefix lengths up to this are answered by sorting the padded prefix
-#: matrix directly — cheaper than rank selection, and it keeps the
-#: early-warm-up median wander (which would force many fine buckets)
-#: out of the bucketed path.
-_SMALL_PREFIX = 64
-
 
 def trailing_median(values: np.ndarray, window: int, *,
                     first: int = 1) -> np.ndarray:
@@ -236,10 +229,8 @@ def trailing_median(values: np.ndarray, window: int, *,
     are <= rank r" for every bin at once, and the two central order
     statistics are selected per bin (coarse bucket via a cumulative
     bucket histogram, then the rank range containing the medians is
-    refined).  Short prefixes are handled by one
-    :func:`~numpy.lib.stride_tricks.sliding_window_view` sort, which
-    also bounds the memory of the widest (2016-bin telescope) windows:
-    no ``n x window`` matrix is ever materialized.  Output bits match
+    refined), so even the widest (2016-bin telescope) windows never
+    materialize an ``n x window`` matrix.  Output bits match
     :class:`RollingMedian` for every finite input, including values
     whose central pair overflows to inf; NaNs have no order, so the two
     may differ on them.
@@ -274,24 +265,8 @@ def trailing_median(values: np.ndarray, window: int, *,
     i = np.arange(first, n)
     lo = np.maximum(0, i - window)
     cnt = i - lo
-    med = np.empty(len(i))
-
-    # Short prefixes (window not yet sliding): sort the +inf-padded
-    # prefix matrix and read the central pair off each sorted row.
-    small = min(_SMALL_PREFIX, window, n - 1)
-    n_small = int((i <= small).sum())
-    if n_small:
-        padded = np.concatenate([np.full(small, np.inf), v[:small]])
-        rows = np.sort(sliding_window_view(padded, small)[i[:n_small]])
-        c = cnt[:n_small]
-        sel = np.arange(n_small)
-        med[:n_small] = (rows[sel, (c - 1) // 2] + rows[sel, c // 2]) / 2.0
-
-    if n_small < len(i):
-        med[n_small:] = _rank_select_medians(
-            v, uniq, inv, order, rank_starts,
-            i[n_small:], lo[n_small:], cnt[n_small:])
-    out[first:] = med
+    out[first:] = _rank_select_medians(v, uniq, inv, order, rank_starts,
+                                       i, lo, cnt)
     return out
 
 

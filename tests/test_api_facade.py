@@ -65,15 +65,33 @@ class TestRun:
         journal = tmp_path / "run.jsonl"
         result = api.run(
             scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-            journal=journal)
+            observability=api.Observability(journal=journal))
         assert result.journal_path == journal
         assert journal.exists()
         assert api.read_journal(journal)
 
-    def test_journal_and_observability_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
-            api.run(journal=tmp_path / "run.jsonl",
-                    observability=api.Observability())
+    @pytest.mark.parametrize("entry", ["run", "stream"])
+    def test_runs_dir_files_a_session_without_journal(self, tmp_path,
+                                                      cache_dir, entry):
+        """A caller's journal-less session still gets the registry's
+        journal, attached before the run starts."""
+        runs = tmp_path / "runs"
+        obs = api.Observability()
+        if entry == "run":
+            result = api.run(
+                scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+                cache_dir=cache_dir, observability=obs, runs_dir=runs)
+        else:
+            result = api.stream(
+                scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+                observability=obs, runs_dir=runs).finalize()
+        assert result.run_id is not None
+        assert result.journal_path.parent == result.run_dir
+        assert not list(runs.glob("pending-*"))
+        record = api.RunRegistry(runs).get(result.run_id)
+        assert record.journal_path == result.journal_path
+        spans = api.read_journal(result.journal_path, types={"span"})
+        assert any(e["name"] == "stage:curate" for e in spans)
 
     def test_facade_is_importable_from_package_root(self):
         assert repro.api.run is api.run

@@ -433,13 +433,33 @@ class TestHealthAndPerf:
                      "--dir", str(baselines)]) == 0
         assert (baselines / "main.json").exists()
         capsys.readouterr()
-        # Unchanged config and a warm cache: same fidelity, ample perf
-        # headroom — the CI contract is exit 0.
+        # Unchanged config: same fidelity, and wall seconds are trend
+        # rows — the CI contract is exit 0.
         status = main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
                        "perf", "compare", "main",
                        "--dir", str(baselines)])
         assert status == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_perf_compare_bypasses_a_warm_cache(self, capsys, tmp_path,
+                                                small_cli):
+        """A baseline times the code, not the cache: after a warm run
+        on the same cache dir, compare still curates every shard."""
+        cache, baselines = tmp_path / "c", tmp_path / "baselines"
+        assert main(["--seed", "7", "--cache-dir", str(cache),
+                     "run"]) == 0
+        assert list(cache.glob("curate-*.json"))
+        assert main(["--seed", "7", "--cache-dir", str(cache),
+                     "perf", "record", "main",
+                     "--dir", str(baselines)]) == 0
+        capsys.readouterr()
+        assert main(["--seed", "7", "--cache-dir", str(cache),
+                     "perf", "compare", "main",
+                     "--dir", str(baselines)]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()]
+        assert [row[-1] for row in rows if "cache.hits" in row] == ["0"]
+        assert [row[-1] for row in rows if "cache.misses" in row] != ["0"]
 
     def test_perf_compare_flags_deliberate_violation(self, capsys,
                                                      tmp_path, small_cli):

@@ -33,7 +33,8 @@ from repro.exec import (
     fingerprint,
 )
 from repro.core.pipeline import ReproPipeline
-from repro.exec.workers import _curate_shard, backend_label, pool_size
+from repro.exec.workers import WorkerPool, _curate_shard, backend_label, \
+    pool_size
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform, PlatformConfig
 from repro.obs import Observability
@@ -52,16 +53,24 @@ def _record_bytes(records):
 
 
 def _curate(scenario, *, workers=1, backend="serial", cache=None,
-            n_shards=None, curation_config=None):
-    stats = ExecStats()
+            n_shards=None, curation_config=None, obs=None):
+    """Curate under a session (``obs``, else a fresh one) and derive the
+    execution report from it, as a pipeline run does."""
+    obs = obs if obs is not None else Observability()
     executor = ShardedCurationExecutor(
         study_period=SMALL_PERIOD,
         curation_config=curation_config,
         cache=cache,
         config=ExecutorConfig(workers=workers, backend=backend,
                               n_shards=n_shards))
-    records = executor.curate(scenario, stats)
-    return records, stats
+    with activate(obs), obs.span("stage:curate"):
+        records = executor.curate(scenario)
+    return records, ExecStats.from_obs(obs)
+
+
+def _world_seed(platform, backend, offset):
+    """A pool unit: where it ran, and a value read off its world."""
+    return backend, platform.scenario.seed + offset
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +263,14 @@ class TestEquivalence:
         assert stats.n_shards == DEFAULT_N_SHARDS
         assert len(stats.shard_seconds) == stats.n_shards
 
+    def test_unobserved_process_pool(self, small_scenario):
+        """With no session active, pooled units run unreported."""
+        platform = IODAPlatform(small_scenario)
+        config = ExecutorConfig(workers=2, backend="process")
+        with WorkerPool(config, platform, 2) as pool:
+            results = list(pool.map(_world_seed, [(0,), (1,)]))
+        assert results == [("process", 7), ("process", 8)]
+
     @pytest.mark.parametrize("path", ["batch", "stream"])
     def test_process_pool_builds_world_once_per_worker(self, small_scenario,
                                                        serial_records, path):
@@ -261,9 +278,8 @@ class TestEquivalence:
         curate batch shards or adjudicate a stream's advances."""
         obs = Observability()
         if path == "batch":
-            with activate(obs):
-                parallel, _ = _curate(small_scenario, workers=2,
-                                      backend="process")
+            parallel, _ = _curate(small_scenario, workers=2,
+                                  backend="process", obs=obs)
             assert _record_bytes(parallel) == _record_bytes(serial_records)
         else:
             session = api.stream(

@@ -147,7 +147,7 @@ class TestProfiledRuns:
             profiled = api.run(
                 scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
                 workers=1 if backend == "serial" else 2, backend=backend,
-                profile=True)
+                observability=Observability(profile=True))
             assert _record_bytes(profiled.curated_records) \
                 == _record_bytes(baseline.curated_records), backend
 
@@ -156,7 +156,7 @@ class TestProfiledRuns:
             scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD).stats
         profiled = api.run(
             scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-            profile=True).stats
+            observability=Observability(profile=True)).stats
         # Same keys, same deterministic values — profile readings must
         # not leak into the --stats --json contract.
         assert set(profiled.as_dict()) == set(plain.as_dict())

@@ -274,8 +274,9 @@ class TestPipelineIntegration:
             self, tmp_path, backend):
         path = tmp_path / f"{backend}.jsonl"
         api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-                workers=2, backend=backend, journal=path,
-                telemetry="20ms")
+                workers=2, backend=backend,
+                observability=Observability(journal=path,
+                                            telemetry="20ms"))
         events = read_journal(path)
         beats = [e for e in events if e["type"] == "heartbeat"]
         assert beats, f"no heartbeats on the {backend} backend"

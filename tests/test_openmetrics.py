@@ -230,7 +230,7 @@ class TestCliExport:
     def journal(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("metrics") / "run.jsonl"
         api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-                journal=path)
+                observability=api.Observability(journal=path))
         return path
 
     def test_export_to_stdout(self, journal, capsys):

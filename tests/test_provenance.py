@@ -76,7 +76,8 @@ def journal_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def prov_run(journal_path):
-    return small_run(provenance=True, journal=journal_path)
+    return small_run(observability=Observability(provenance=True,
+                                                 journal=journal_path))
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +200,8 @@ class TestByteIdentity:
         ("serial", 1), ("process", 2)])
     def test_backend_invariance(self, plain_bytes, prov_run, backend,
                                 workers):
-        result = small_run(provenance=True, backend=backend,
-                           workers=workers)
+        result = small_run(observability=Observability(provenance=True),
+                           backend=backend, workers=workers)
         assert record_bytes(result.curated_records) == plain_bytes
         assert {c["capsule_id"] for c in result.provenance} \
             == {c["capsule_id"] for c in prov_run.provenance}
@@ -208,8 +209,9 @@ class TestByteIdentity:
     @pytest.mark.parametrize("step", [WEEK, 30 * 86400])
     def test_stream_chunking_invariance(self, plain_bytes, prov_run,
                                         step):
-        session = api.stream(scenario_config=SMALL_CONFIG,
-                             study_period=SMALL_PERIOD, provenance=True)
+        session = api.stream(
+            scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+            observability=Observability(provenance=True))
         closes = []
         for events in session.replay(step=step):
             closes += [e for e in events if e.state == "close"]
@@ -236,8 +238,9 @@ class TestByteIdentity:
 
 class TestMergedCapsule:
     def test_merge_into_neighbor_mints_a_lifecycle_capsule(self):
-        session = api.stream(scenario_config=SMALL_CONFIG,
-                             study_period=SMALL_PERIOD, provenance=True)
+        session = api.stream(
+            scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+            observability=Observability(provenance=True))
         for _ in session.replay(step=26 * WEEK):
             pass
         engine = session._engine
@@ -291,7 +294,8 @@ class TestExplain:
             explain_record(prov_events, "999999")
 
     def test_capsule_less_journal_raises(self, tmp_path):
-        result = small_run(journal=tmp_path / "plain.jsonl")
+        result = small_run(
+            observability=Observability(journal=tmp_path / "plain.jsonl"))
         assert result.provenance == ()
         with pytest.raises(ProvenanceError):
             explain_record(read_journal(tmp_path / "plain.jsonl"), "1")
@@ -306,7 +310,7 @@ class TestDiff:
     def test_cross_config_delta_attributes_to_corroboration(
             self, prov_run, prov_events):
         altered = small_run(
-            provenance=True,
+            observability=Observability(provenance=True),
             curation_config=CurationConfig(p_external_corroboration=0.0))
         diff = diff_provenance(prov_events, provenance_events(altered))
         assert not diff.empty
@@ -330,7 +334,8 @@ class TestDiff:
 
 class TestDecisionCounters:
     def test_counters_increment_without_provenance(self, tmp_path):
-        small_run(journal=tmp_path / "run.jsonl")
+        small_run(
+            observability=Observability(journal=tmp_path / "run.jsonl"))
         events = read_journal(tmp_path / "run.jsonl")
         counters = [e for e in events if e.get("type") == "metrics"][-1][
             "counters"]
@@ -372,7 +377,8 @@ class TestSummaryAndRegistry:
         assert f"{summary.n_provenance} capsules" in summary.rows()[0]
 
     def test_plain_summary_omits_capsules(self, tmp_path):
-        small_run(journal=tmp_path / "run.jsonl")
+        small_run(
+            observability=Observability(journal=tmp_path / "run.jsonl"))
         summary = summarize_events(read_journal(tmp_path / "run.jsonl"))
         assert summary.n_provenance == 0
         assert "capsules" not in summary.rows()[0]
@@ -420,7 +426,8 @@ class TestExplainCLI:
         assert "repro: error:" in capsys.readouterr().err
 
     def test_capsule_less_journal_exits_2(self, tmp_path, capsys):
-        small_run(journal=tmp_path / "plain.jsonl")
+        small_run(
+            observability=Observability(journal=tmp_path / "plain.jsonl"))
         assert main(["explain", str(tmp_path / "plain.jsonl"),
                      "1"]) == 2
         err = capsys.readouterr().err
@@ -428,16 +435,19 @@ class TestExplainCLI:
 
     def test_runs_diff_self_is_identical_exit_0(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        small_run(provenance=True, runs_dir=runs, run_name="base")
+        small_run(observability=Observability(provenance=True),
+                  runs_dir=runs, run_name="base")
         assert main(["--runs-dir", str(runs), "runs", "diff",
                      "--provenance", "base", "base"]) == 0
         assert "identical decision chains" in capsys.readouterr().out
 
     def test_runs_diff_cross_config_exit_1(self, tmp_path, capsys):
         runs = tmp_path / "runs"
-        small_run(provenance=True, runs_dir=runs, run_name="base")
+        small_run(observability=Observability(provenance=True),
+                  runs_dir=runs, run_name="base")
         small_run(
-            provenance=True, runs_dir=runs, run_name="no-corr",
+            observability=Observability(provenance=True),
+            runs_dir=runs, run_name="no-corr",
             curation_config=CurationConfig(p_external_corroboration=0.0))
         assert main(["--runs-dir", str(runs), "runs", "diff",
                      "--provenance", "base", "no-corr"]) == 1
@@ -454,7 +464,8 @@ class TestExplainCLI:
     def test_run_provenance_flag_registers_capsules(self, tmp_path,
                                                     capsys):
         runs = tmp_path / "runs"
-        small_run(provenance=True, runs_dir=runs, run_name="shown")
+        small_run(observability=Observability(provenance=True),
+                  runs_dir=runs, run_name="shown")
         assert main(["--runs-dir", str(runs), "runs", "show",
                      "shown"]) == 0
         out = capsys.readouterr().out

@@ -556,7 +556,9 @@ class TestLiveClient:
 class TestJournalAndTelemetry:
     def test_stream_events_journaled_and_heartbeat_block(self, tmp_path):
         journal = tmp_path / "stream.jsonl"
-        session = small_stream(journal=journal, telemetry="20ms")
+        session = small_stream(
+            observability=api.Observability(journal=journal,
+                                            telemetry="20ms"))
         for _ in session.replay(4 * WEEK):
             pass
         result = session.finalize()

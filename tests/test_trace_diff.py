@@ -153,7 +153,8 @@ class TestRealRun:
     def test_real_journal_self_diff_is_zero(self, tmp_path):
         path = tmp_path / "run.jsonl"
         api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-                workers=2, backend="process", journal=path)
+                workers=2, backend="process",
+                observability=api.Observability(journal=path))
         events = read_journal(path)
         diff = diff_events(events, events)
         assert diff.changed == ()
