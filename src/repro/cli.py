@@ -646,14 +646,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "explain' needs the journal", file=sys.stderr)
     obs = _observability(args)
     result = _run(args, obs)
-    # A registry-only run reports its run ID; its journal is listed
-    # only beside the exports (or the profile) it carries.
-    lists_journal = bool(args.trace or args.journal or args.metrics_json
-                         or obs.profile is not None)
     exported = []
     if args.trace:
         exported.append(write_chrome_trace(obs.tracer.spans(), args.trace))
-    if lists_journal and result.journal_path is not None:
+    if result.journal_path is not None:
         exported.append(result.journal_path)
     if args.metrics_json:
         args.metrics_json.parent.mkdir(parents=True, exist_ok=True)

@@ -9,13 +9,14 @@ the telescope).  Every implementation of that quantity lives here:
   reference the columnar functions are tested against, and the
   tracker behind telescope campaign suppression;
   :func:`rolling_median` is its batch convenience.
-- :func:`trailing_median` computes every trailing-window median of a
-  whole series at once with numpy bulk operations.  It is *exact*:
-  tests assert bitwise equality with :class:`RollingMedian` on every
-  series shape the detectors see.
 - :func:`trailing_median_at` answers the same question at selected
-  positions only, for callers (the alert detector's prefilter) that
-  can prove most bins need no baseline at all.
+  positions of a whole series.  A handful of positions (what the
+  alert detector's prefilter usually leaves) are answered one
+  :func:`numpy.partition` each; more go through one exact kernel, a
+  wavelet-matrix rank-select over the series' dense value ranks that
+  answers both central order statistics of every requested window
+  together, in ``log2`` of the distinct-value count levels, and
+  computes nothing at positions nobody asked for.
 - :class:`TrailingMedianStream` answers it chunk by chunk at O(window)
   state — the baseline engine of
   :class:`~repro.stream.detect.StreamingAlertDetector`.  A chunk short
@@ -25,7 +26,10 @@ the telescope).  Every implementation of that quantity lives here:
   :func:`trailing_median_at` over tail and chunk.
 
 All use the interpolating median (mean of the central pair for even
-counts), matching :func:`repro.stats.descriptive.median`.
+counts), matching :func:`repro.stats.descriptive.median`, and every path
+averages the central pair as ``(a + b) / 2.0`` for odd counts too, so
+their outputs are bitwise-equal for every finite input (zeros of either
+sign compare equal, so which one a median returns is not fixed).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from repro.errors import SignalError
 
 __all__ = ["RollingMedian", "TrailingMedianStream", "rolling_median",
-           "trailing_median", "trailing_median_at"]
+           "trailing_median_at"]
 
 
 class RollingMedian:
@@ -49,7 +53,7 @@ class RollingMedian:
     values currently inside the window.  The median is the interpolating
     median: the mean of the central pair, which for odd counts is the
     middle value averaged with itself — ``(a + a) / 2``, so values above
-    ~8.99e307 overflow to inf exactly as in :func:`trailing_median`.
+    ~8.99e307 overflow to inf exactly as in :func:`trailing_median_at`.
     """
 
     def __init__(self, window: int):
@@ -93,7 +97,8 @@ class RollingMedian:
 
 
 class TrailingMedianStream:
-    """Incremental counterpart to :func:`trailing_median` — O(window) state.
+    """Incremental counterpart to :func:`trailing_median_at` — O(window)
+    state.
 
     Values arrive chunk by chunk (the streaming detector feeds one chunk
     per watermark advance); the stream retains only the trailing
@@ -203,91 +208,33 @@ def rolling_median(values: Iterable[float],
     return medians
 
 
-#: Bounds on the coarse value-bucket count of the two-level rank select
-#: below.  The coarse histogram matrix is ``buckets x (n+1)`` and its
-#: cumsums dominate when buckets are plentiful, while the fine pass
-#: grows as buckets shrink — so the count adapts to ``sqrt(2 *
-#: n_unique)`` between these bounds.
-_MIN_COARSE_BUCKETS = 16
-_MAX_COARSE_BUCKETS = 64
-
-
-def trailing_median(values: np.ndarray, window: int, *,
-                    first: int = 1) -> np.ndarray:
-    """Every trailing-window median of ``values``, vectorized and exact.
-
-    ``out[i]`` is the interpolating median of
-    ``values[max(0, i - window):i]`` — the same strictly trailing
-    convention as :func:`rolling_median` — for every ``i >= first``;
-    positions before ``first`` are NaN.  Callers that only consume
-    medians from some index on (the alert detector's minimum-history
-    guard) pass ``first`` to skip the early warm-up entirely.
-
-    The computation is an exact two-level counting rank-select, not an
-    approximation: values are mapped to ranks of their sorted unique
-    values, cumulative rank histograms answer "how many window elements
-    are <= rank r" for every bin at once, and the two central order
-    statistics are selected per bin (coarse bucket via a cumulative
-    bucket histogram, then the rank range containing the medians is
-    refined), so even the widest (2016-bin telescope) windows never
-    materialize an ``n x window`` matrix.  Output bits match
-    :class:`RollingMedian` for every finite input, including values
-    whose central pair overflows to inf; NaNs have no order, so the two
-    may differ on them.
-    """
-    if window <= 0:
-        raise SignalError(f"window must be positive: {window}")
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise SignalError("trailing_median expects a one-dimensional array")
-    n = v.shape[0]
-    out = np.full(n, np.nan)
-    first = max(1, first)
-    if n <= first:
-        return out
-    # One stable argsort yields everything the rank select needs: the
-    # sorted unique values, each element's value rank, and the element
-    # positions grouped by rank (``order`` itself).
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    new_flag = np.empty(n, dtype=bool)
-    new_flag[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=new_flag[1:])
-    uniq = sv[new_flag]
-    n_uniq = uniq.shape[0]
-    if n_uniq == 1:
-        out[first:] = (uniq[0] + uniq[0]) / 2.0  # the central pair's mean
-        return out
-    inv = np.empty(n, dtype=np.int64)
-    inv[order] = np.cumsum(new_flag) - 1
-    rank_starts = np.flatnonzero(new_flag)
-
-    i = np.arange(first, n)
-    lo = np.maximum(0, i - window)
-    cnt = i - lo
-    out[first:] = _rank_select_medians(v, uniq, inv, order, rank_starts,
-                                       i, lo, cnt)
-    return out
-
-
 #: Requested-position counts up to this go through the per-position
-#: partition loop in :func:`trailing_median_at`; denser requests fall
-#: through to the columnar :func:`trailing_median`, whose fixed cost is
-#: amortized once enough rows share it.
-_SPARSE_ROWS = 32
+#: partition loop in :func:`trailing_median_at`; denser requests go
+#: through :func:`_wavelet_medians`, whose fixed cost (one argsort and
+#: one pass over the span per level) is amortized once enough
+#: positions share it.  Timed call by call on a canonical serial run's
+#: curation calls and the 2018 replay's feeds that reach this function
+#: (2-vCPU host): the loop takes ~5 us a position and the kernel
+#: ~110 us a call, so the loop wins 84-100% of calls up to 16
+#: positions, they tie at 17-24 and the kernel wins from 25 on.
+_SPARSE_ROWS = 20
 
 
 def trailing_median_at(values: np.ndarray, window: int,
                        idx: np.ndarray) -> np.ndarray:
     """Exact trailing-window medians at selected positions only.
 
-    ``out[k]`` equals ``trailing_median(values, window)[idx[k]]`` for
-    every requested position — the same strictly trailing window and
-    interpolating median, bit for bit — but computed per position with
-    :func:`numpy.partition`.  The alert detector calls this after its
-    necessary-condition prefilter has reduced thousands of bins to the
-    handful that could possibly alert; a request dense enough that the
-    columnar path is cheaper falls through to :func:`trailing_median`.
+    ``out[k]`` is the interpolating median of ``values[max(0, idx[k] -
+    window):idx[k]]`` — the same strictly trailing window as
+    :func:`rolling_median`, bit for bit — and NaN where ``idx[k]`` is 0
+    (no history).  Positions may come in any order and repeat.  The
+    alert detector calls this after its necessary-condition prefilter
+    has reduced a series to the bins that could possibly alert: a
+    handful are answered one :func:`numpy.partition` each, a denser
+    request by :func:`_wavelet_medians`.  Either way the central pair
+    is averaged as ``(a + b) / 2.0``, also for odd counts, so values
+    above ~8.99e307 overflow to inf on both paths alike; NaNs rank
+    above every number.
     """
     if window <= 0:
         raise SignalError(f"window must be positive: {window}")
@@ -302,8 +249,7 @@ def trailing_median_at(values: np.ndarray, window: int,
         raise SignalError(
             f"positions out of range for series of {v.shape[0]} bins")
     if idx.size > _SPARSE_ROWS:
-        first = max(1, int(idx.min()))
-        return trailing_median(v, window, first=first)[idx]
+        return _wavelet_medians(v, window, idx)
     out = np.empty(idx.size)
     for k, j in enumerate(idx.tolist()):
         if j == 0:
@@ -311,20 +257,89 @@ def trailing_median_at(values: np.ndarray, window: int,
             continue
         w = v[max(0, j - window):j]
         # The central pair is one element for odd counts; averaging it
-        # anyway keeps the arithmetic (and overflow) of the columnar path.
+        # anyway keeps the arithmetic (and overflow) of the kernel.
         lo, hi = (w.shape[0] - 1) // 2, w.shape[0] // 2
         part = np.partition(w, (lo, hi))
         out[k] = (part[lo] + part[hi]) / 2.0
     return out
 
 
+def _wavelet_medians(v: np.ndarray, window: int,
+                     idx: np.ndarray) -> np.ndarray:
+    """Trailing medians at positions ``idx`` by a wavelet-matrix
+    rank-select (the dense path of :func:`trailing_median_at`).
+
+    Each value is replaced by its dense rank among the distinct values
+    of the span the windows cover.  Level by level, from the top rank
+    bit down, the sequence is stably partitioned by that bit (zeros
+    first) and a prefix count of zeros kept, so the zeros inside any
+    range ``[l, r)`` of the level are one subtraction away.  A query
+    for the ``k``-th smallest value of a window descends the levels:
+    it follows the zeros while ``k`` is below their count, else skips
+    them into the ones, and its range lands on a run of equal ranks in
+    the last partition.  Both central order statistics of every window
+    are queried together, the upper one only for even counts (for odd
+    counts it is the lower one), and averaged as ``(a + b) / 2.0``.
+    """
+    out = np.full(idx.shape[0], np.nan)
+    live = np.flatnonzero(idx)
+    if live.size == 0:
+        return out
+    lo = np.maximum(idx[live] - window, 0)
+    start = int(lo.min())
+    span = v[start:int(idx.max())]
+    n = span.shape[0]
+    # Equal values share a rank, so an unstable argsort ranks them
+    # exactly as a stable one would (signed zeros aside: they compare
+    # equal, and which one a rank-select returns was never fixed).
+    order = np.argsort(span)
+    ordered = span[order]
+    fresh = np.empty(n, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    distinct = ordered[fresh]
+    narrow = np.int16 if distinct.shape[0] <= np.iinfo(np.int16).max \
+        else np.int32
+    ranks = np.empty(n, dtype=narrow)
+    ranks[order] = np.add.accumulate(fresh, dtype=narrow) - 1
+    left = lo - start
+    right = idx[live] - start
+    count = right - left
+    even = np.flatnonzero(count % 2 == 0)
+    # bounds[:, q] is query q's range [l, r) in the current level.
+    bounds = np.array([np.concatenate([left, left[even]]),
+                       np.concatenate([right, right[even]])])
+    k = np.concatenate([(count - 1) // 2, count[even] // 2])
+    zeros_before = np.zeros(n + 1, dtype=np.intp)
+    for level in reversed(range((distinct.shape[0] - 1).bit_length())):
+        zero = (ranks & (1 << level)) == 0
+        np.add.accumulate(zero, dtype=np.intp, out=zeros_before[1:])
+        z = zeros_before[bounds]
+        zeros_in = z[1] - z[0]
+        to_ones = k >= zeros_in
+        np.subtract(k, zeros_in, out=k, where=to_ones)
+        # A range's ones start after all the level's zeros, offset by
+        # the ones before it.
+        bounds = np.where(to_ones, bounds - z + zeros_before[n], z)
+        ranks = np.concatenate([np.compress(zero, ranks),
+                                np.compress(~zero, ranks)])
+    picked = distinct[ranks[bounds[0]]]
+    low = picked[:live.size]
+    high = low.copy()
+    high[even] = picked[live.size:]
+    out[live] = (low + high) / 2.0
+    return out
+
+
 #: Count-matrix elements :func:`_tail_rank_select` may spend per value
 #: :func:`trailing_median_at` would rank over tail and chunk instead.
-#: Measured on the 2018 replay's feeds (2-vCPU host), the tail
-#: rank-select is 2.5-5x faster up to about 30 (a 72-bin step against
-#: the 2,016-bin telescope window is ~8) and slower beyond 40 (the same
-#: step against the 288-bin BGP window is ~44).  The cap also bounds the kernel's memory
-#: by a multiple of the values the stream holds.
+#: Measured against the wavelet kernel on the 2018 replay's 4,377
+#: feeds that could take either (2-vCPU host), the tail rank-select is
+#: 2.9-3.6x faster from 4 to 24 (a 72-bin step against the 2,016-bin
+#: telescope window is ~7), 1.5x at 24-32 and even at 32-48 (the same
+#: step against the 288-bin BGP window is ~44); on all-distinct values
+#: it falls behind from about 60.  The cap also bounds the kernel's
+#: memory by a multiple of the values the stream holds.
 _TAIL_SELECT_WORK = 32
 
 
@@ -360,18 +375,20 @@ def _tail_rank_select(tail: np.ndarray, chunk: np.ndarray, window: int,
     a prefix count over ``tail[:e]``, plus one over ``chunk[:p]``)
     gives a count that is monotone in ``V``; the first candidate whose
     count exceeds ``k`` is the order statistic itself, the same value
-    the columnar rank-select picks, and the median is the same
+    :func:`_wavelet_medians` picks, and the median is the same
     ``(a + b) / 2.0`` of the central pair.  Requires a non-empty,
     NaN-free tail, a NaN-free ``chunk[:max(idx)]`` and ``max(idx) <=
     window``.
     """
     size = tail.shape[0]
-    dropped = np.maximum(0, idx + size - window)
-    n = size - dropped + idx
-    ks = np.stack([(n - 1) // 2, n // 2])
     last = int(idx.max())
-    lo = max(0, int((ks[0] - idx).min()))
-    hi = min(size, int((ks[1] + dropped).max()) + 1)
+    n = np.minimum(idx + size, window)
+    ks = np.stack([(n - 1) // 2, n // 2])
+    # The band's edges, k - p and k + e, are monotone in p: the last
+    # position sets both.
+    n_dropped = max(0, last + size - window)
+    lo = max(0, (min(last + size, window) - 1) // 2 - last)
+    hi = min(size, min(last + size, window) // 2 + n_dropped + 1)
     ordered = np.sort(tail)
     band = ordered[lo:hi]
     head = chunk[:last]
@@ -387,7 +404,6 @@ def _tail_rank_select(tail: np.ndarray, chunk: np.ndarray, window: int,
     counts = np.empty((last + 1, candidates.shape[0]), dtype=np.int32)
     counts[0] = np.searchsorted(ordered, candidates, side="right")
     counts[1:] = chunk[:last, None] <= candidates
-    n_dropped = int(dropped.max())
     if n_dropped:
         counts[last + 1 - n_dropped:] -= \
             tail[:n_dropped, None] <= candidates
@@ -401,117 +417,3 @@ def _tail_rank_select(tail: np.ndarray, chunk: np.ndarray, window: int,
     at = np.searchsorted(flat, ks + offset, side="right")
     picked = candidates[at - rows * candidates.shape[0]]
     return (picked[0] + picked[1]) / 2.0
-
-
-#: Element budget for the unified fine pass: the rank range the two
-#: median statistics span, refined in one histogram.  Ranges whose
-#: histogram or rank-compare matrix would exceed this fall back to the
-#: per-bucket loop, whose compares stay one bucket wide.
-_FINE_BUDGET = 500_000
-
-
-def _rank_select_medians(v: np.ndarray, uniq: np.ndarray, inv: np.ndarray,
-                         order: np.ndarray, rank_starts: np.ndarray,
-                         i: np.ndarray, lo: np.ndarray,
-                         cnt: np.ndarray) -> np.ndarray:
-    """Central order statistics of every window ``v[lo_j:i_j]``.
-
-    ``order`` is the stable value-order permutation of ``v`` and
-    ``rank_starts[r]`` the offset in ``order`` where rank ``r``'s
-    elements begin — both by-products of the caller's argsort.
-    """
-    n = v.shape[0]
-    n_uniq = uniq.shape[0]
-    n_rows = len(i)
-    count_dtype = np.int16 if n < 32000 else np.int64
-    # Target *counts*: the k-th smallest is the first rank whose
-    # cumulative window count reaches k+1.
-    t1 = ((cnt - 1) // 2 + 1).astype(count_dtype)
-    t2 = (cnt // 2 + 1).astype(count_dtype)
-
-    n_buckets = min(_MAX_COARSE_BUCKETS,
-                    max(_MIN_COARSE_BUCKETS, int((2 * n_uniq) ** 0.5)))
-    bucket_size = -(-n_uniq // n_buckets)
-    coarse_of = inv // bucket_size
-    n_coarse = -(-n_uniq // bucket_size)
-    # cum[b, j] = #{l < j : coarse_of[l] <= b}; window counts differ
-    # two columns.
-    cum = np.zeros((n_coarse, n + 1), dtype=count_dtype)
-    cum[coarse_of, np.arange(n) + 1] = 1
-    np.cumsum(cum, axis=1, out=cum)
-    # Accumulate across buckets only at the query columns — the window
-    # rows are a strict subset of the time axis.
-    window_counts = cum[:, i] - cum[:, lo]
-    np.cumsum(window_counts, axis=0, out=window_counts)
-
-    def coarse_select(target):
-        bucket = (window_counts < target[None, :]).sum(axis=0)
-        below = np.where(
-            bucket > 0,
-            window_counts[np.maximum(bucket - 1, 0), np.arange(n_rows)],
-            np.zeros(1, count_dtype))
-        return bucket, target - below
-
-    b1, fine_t1 = coarse_select(t1)
-    b2, fine_t2 = coarse_select(t2)
-    if bucket_size == 1:
-        return (uniq[b1] + uniq[b2]) / 2.0
-
-    def members_in(rank_from, rank_to):
-        """Element positions whose value rank lies in [rank_from, rank_to),
-        straight off the argsort permutation."""
-        stop = rank_starts[rank_to] if rank_to < n_uniq else n
-        return order[rank_starts[rank_from]:stop]
-
-    # Median trajectories wander slowly, so the two statistics usually
-    # span a handful of adjacent coarse buckets: refine the whole rank
-    # range in ONE fine histogram instead of a per-bucket loop.
-    b_min = int(min(b1.min(), b2.min()))
-    b_max = int(max(b1.max(), b2.max()))
-    r0 = b_min * bucket_size
-    width = min(n_uniq, (b_max + 1) * bucket_size) - r0
-    t0 = int(lo.min())
-    t_hi = int(i.max())
-    if width * max(t_hi - t0 + 1, n_rows) <= _FINE_BUDGET:
-        members = members_in(r0, r0 + width)
-        inside = members[(members >= t0) & (members < t_hi)]
-        fine = np.zeros((width, t_hi - t0 + 1), dtype=count_dtype)
-        fine[inv[inside] - r0, inside - t0 + 1] = 1
-        np.cumsum(fine, axis=1, out=fine)
-        counts = fine[:, i - t0] - fine[:, lo - t0]
-        np.cumsum(counts, axis=0, out=counts)
-        # Absolute targets rebased to the range: counts below the range
-        # are the coarse cumulative of the bucket before it.
-        base = window_counts[b_min - 1] if b_min > 0 \
-            else np.zeros(n_rows, count_dtype)
-        r1 = r0 + (counts < (t1 - base)[None, :]).sum(axis=0)
-        r2 = r0 + (counts < (t2 - base)[None, :]).sum(axis=0)
-        return (uniq[r1] + uniq[r2]) / 2.0
-
-    r1 = np.empty(n_rows, dtype=np.int64)
-    r2 = np.empty(n_rows, dtype=np.int64)
-    for b in np.unique(np.concatenate([b1, b2])):
-        first_rank = int(b) * bucket_size
-        width = min(bucket_size, n_uniq - first_rank)
-        sel1 = np.flatnonzero(b1 == b)
-        sel2 = np.flatnonzero(b2 == b)
-        # Restrict the fine histogram to the time slab these rows'
-        # windows cover — median trajectories are temporally local, so
-        # the slabs stay narrow.
-        t0 = int(min(lo[sel1].min() if len(sel1) else n,
-                     lo[sel2].min() if len(sel2) else n))
-        t_hi = int(max(i[sel1].max() if len(sel1) else 0,
-                       i[sel2].max() if len(sel2) else 0))
-        members = members_in(first_rank, first_rank + width)
-        inside = members[(members >= t0) & (members < t_hi)]
-        fine = np.zeros((width, t_hi - t0 + 1), dtype=count_dtype)
-        fine[inv[inside] - first_rank, inside - t0 + 1] = 1
-        np.cumsum(fine, axis=1, out=fine)
-        for sel, target, ranks in ((sel1, fine_t1, r1), (sel2, fine_t2, r2)):
-            if len(sel) == 0:
-                continue
-            counts = fine[:, i[sel] - t0] - fine[:, lo[sel] - t0]
-            np.cumsum(counts, axis=0, out=counts)
-            ranks[sel] = first_rank + \
-                (counts < target[sel][None, :]).sum(axis=0)
-    return (uniq[r1] + uniq[r2]) / 2.0

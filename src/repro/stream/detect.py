@@ -10,7 +10,10 @@ alerts bit for bit — a running-max prefilter, exact rank-select
 baselines at the surviving candidates, and a strict threshold compare.
 A feed's baselines cost what its chunk costs: a watermark step is
 ranked against the sorted retained tail (work grows with the step,
-not the window), a whole series through the columnar rank-select.
+not the window), a whole series (or a stream's first feed, which has
+no tail) by the wavelet-matrix kernel of
+:func:`repro.stats.rolling.trailing_median_at`, at the candidate bins
+only.
 
 :class:`StreamingEpisodeGrouper` merges those alerts into maximal
 episodes as they stream in, emitting each one as soon as a gap proves

@@ -400,6 +400,22 @@ class TestHealthAndPerf:
         assert enriched["health"]["grade"] in ("pass", "warn", "fail")
         assert set(enriched) == set(plain) | {"health"}
 
+    def test_runs_dir_run_lists_its_journal(self, capsys, tmp_path,
+                                            small_cli):
+        """A run filed under --runs-dir names the journal it filed with
+        no other export flag, as ``stream`` does; with --json the line
+        goes to stderr."""
+        runs = tmp_path / "runs"
+        base = ["--seed", "7", "--cache-dir", str(tmp_path / "cache"),
+                "--runs-dir", str(runs), "run"]
+        for extra, stream in (([], "out"), (["--stats", "--json"], "err")):
+            assert main(base + extra) == 0
+            captured = capsys.readouterr()
+            run_id = captured.err.split("registered run ")[1].split()[0]
+            journal = runs / run_id / "journal.jsonl"
+            assert journal.exists()
+            assert f"wrote {journal}" in getattr(captured, stream)
+
     def test_health_command_replays_the_journal(self, capsys, tmp_path,
                                                 small_cli):
         import json

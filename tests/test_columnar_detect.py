@@ -1,7 +1,7 @@
 """Bitwise equivalence of the columnar detection core and its reference
 implementations.
 
-The columnar paths (``trailing_median``, :class:`StreamingAlertDetector`,
+The columnar paths (``trailing_median_at``, :class:`StreamingAlertDetector`,
 :class:`StreamingEpisodeGrouper`, ``ActiveProbingRun.up_count_series``)
 must produce *bitwise-identical* output to the per-bin, per-alert and
 per-round references in :mod:`tests.oracles` — not merely approximately
@@ -31,7 +31,7 @@ from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats import rolling
 from repro.stats.rolling import TrailingMedianStream, rolling_median, \
-    trailing_median, trailing_median_at
+    trailing_median_at
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES, TimeRange, utc
@@ -77,6 +77,17 @@ def group_alerts_streaming(alerts, bin_width, max_gap_bins=1, cuts=()):
     return episodes + grouper.finalize()
 
 
+def _oracle(values, window):
+    """Every trailing median of ``values`` by :func:`rolling_median`,
+    as float64 (NaN at position 0)."""
+    return np.array(rolling_median(values, window), dtype=np.float64)
+
+
+def _bitwise_equal(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64))
+
+
 class TestTrailingMedian:
     def test_matches_rolling_median_randomized(self):
         rng = np.random.default_rng(7)
@@ -84,19 +95,21 @@ class TestTrailingMedian:
             n = int(rng.integers(2, 400))
             window = int(rng.integers(1, 80))
             values = _random_series(rng, n)
-            got = trailing_median(values, window)
+            got = trailing_median_at(values, window, np.arange(n))
             want = rolling_median(values, window)
             assert np.isnan(got[0])
             for i in range(1, n):
                 assert got[i] == want[i], (trial, i, n, window)
 
     def test_first_skips_warmup_exactly(self):
+        """Asking only for the positions past a warm-up gives the same
+        bits there as asking for every position."""
         rng = np.random.default_rng(8)
         values = _random_series(rng, 300)
-        full = trailing_median(values, 50)
-        skipped = trailing_median(values, 50, first=40)
-        assert np.all(np.isnan(skipped[:40]))
-        assert np.array_equal(skipped[40:], full[40:])
+        full = trailing_median_at(values, 50, np.arange(300))
+        skipped = trailing_median_at(values, 50, np.arange(40, 300))
+        assert _bitwise_equal(skipped, full[40:])
+        assert _bitwise_equal(skipped, _oracle(values, 50)[40:])
 
     def test_detector_shaped_windows(self):
         """The three real detector windows, including one wider than
@@ -104,28 +117,31 @@ class TestTrailingMedian:
         rng = np.random.default_rng(9)
         for window in (288, 1008, 2016):
             values = _random_series(rng, 600)
-            got = trailing_median(values, window)
+            got = trailing_median_at(values, window, np.arange(600))
             want = rolling_median(values, window)
             assert all(
                 got[i] == want[i] for i in range(1, len(values)))
 
     def test_constant_series(self):
-        got = trailing_median(np.full(100, 42.0), 24)
+        got = trailing_median_at(np.full(100, 42.0), 24, np.arange(100))
         assert np.isnan(got[0])
         assert np.all(got[1:] == 42.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(SignalError):
-            trailing_median(np.ones(10), 0)
+            trailing_median_at(np.ones(10), 0, [1])
         with pytest.raises(SignalError):
-            trailing_median(np.ones((5, 2)), 3)
+            trailing_median_at(np.ones((5, 2)), 3, [1])
+        with pytest.raises(SignalError, match="out of range"):
+            trailing_median_at(np.ones(10), 3, [10])
 
     def test_sparse_positions_overflow_like_the_columnar_path(self):
         values = np.array([1e308, 1.1e308, 1.2e308, 1e308, 1.3e308])
         want = np.array([np.nan, np.inf, np.inf, np.inf, np.inf])
-        for got in (trailing_median(values, 3),
+        dense = np.resize(np.arange(5), rolling._SPARSE_ROWS + 1)
+        for got in (trailing_median_at(values, 3, dense)[:5],
                     trailing_median_at(values, 3, np.arange(5))):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert _bitwise_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(min_value=8.0e307, max_value=1.79e308),
@@ -138,8 +154,8 @@ class TestTrailingMedian:
             st.integers(0, len(v) - 1), min_size=1,
             max_size=rolling._SPARSE_ROWS)))
         got = trailing_median_at(v, window, idx)
-        want = trailing_median(v, window)[idx]
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = rolling._wavelet_medians(v, window, idx)
+        assert _bitwise_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(min_value=8.0e307, max_value=1.79e308),
@@ -148,11 +164,50 @@ class TestTrailingMedian:
     def test_rolling_median_bitwise_near_the_float_limit(self, values,
                                                          window):
         """The reference averages the central pair for odd counts too,
-        so it overflows to inf exactly where the columnar path does."""
+        so it overflows to inf exactly where the kernel does."""
         v = np.array(values)
-        got = np.array(rolling_median(values, window)[1:], dtype=np.float64)
-        want = trailing_median(v, window)[1:]
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = _oracle(values, window)[1:]
+        want = rolling._wavelet_medians(v, window, np.arange(1, len(v)))
+        assert _bitwise_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(window=st.one_of(st.sampled_from([288, 1008, 2016]),
+                            st.integers(1, 60)),
+           kind=st.sampled_from(["noisy", "quantized", "ties", "drops",
+                                 "zeros"]),
+           prefix=st.booleans(),
+           density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dense_positions_match_rolling_median(self, window, kind,
+                                                  prefix, density, seed):
+        """Position subsets dense enough for the kernel — always with
+        position 0 and the last bin, in any order, repeats allowed — on
+        series no longer than the window (every window a prefix) and
+        longer than it."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, window + 1) if prefix
+                else rng.integers(window + 1, 3 * window + 100))
+        values = _stream_values(rng, kind, n,
+                                rng.integers(0, n, size=3).tolist())
+        idx = np.flatnonzero(rng.random(n) < density)
+        extra = max(0, rolling._SPARSE_ROWS + 1 - idx.size - 2)
+        idx = np.concatenate([[0, n - 1], idx,
+                              rng.integers(0, n, size=extra)])
+        rng.shuffle(idx)
+        assert idx.size > rolling._SPARSE_ROWS
+        got = trailing_median_at(values, window, idx)
+        assert _bitwise_equal(got, _oracle(values, window)[idx])
+
+    @pytest.mark.parametrize("window", [2016, 50_000])
+    def test_more_distinct_values_than_int16_ranks(self, window):
+        """Past 32,767 distinct values the kernel's ranks need a wider
+        integer; sliding and prefix windows stay exact."""
+        rng = np.random.default_rng(12)
+        values = np.abs(rng.normal(1000.0, 50.0, 40_000))
+        assert np.unique(values).size > np.iinfo(np.int16).max
+        idx = np.concatenate([[0, 39_999], rng.integers(0, 40_000, 3000)])
+        got = trailing_median_at(values, window, idx)
+        assert _bitwise_equal(got, _oracle(values, window)[idx])
 
 
 def _stream_values(rng, kind, n, chunk_starts=()):
@@ -181,8 +236,8 @@ def _stream_values(rng, kind, n, chunk_starts=()):
 def _stream_medians(window, values, bounds, positions):
     """``TrailingMedianStream`` fed ``values`` split at ``bounds``; at
     each chunk, the medians at ``positions(chunk_length)``, checked
-    bitwise against the whole-series :func:`trailing_median`."""
-    want = trailing_median(values, window)
+    bitwise against the whole-series :func:`rolling_median`."""
+    want = _oracle(values, window)
     stream = TrailingMedianStream(window)
     for lo, hi in zip(bounds, bounds[1:]):
         chunk = values[lo:hi]
@@ -242,7 +297,7 @@ class TestTrailingMedianStream:
         rng = np.random.default_rng(3)
         values = _stream_values(rng, "noisy", 700)
         values[rng.integers(0, 700, 40)] = np.nan
-        want = trailing_median(values, 288)
+        want = trailing_median_at(values, 288, np.arange(700))
         stream = TrailingMedianStream(288)
         for lo in range(0, 700, 25):
             chunk = values[lo:lo + 25]
