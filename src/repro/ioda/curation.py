@@ -634,11 +634,17 @@ class CurationPipeline:
         for kind in SignalKind:
             qualifying = [
                 episode for episode in candidate.episodes.get(kind, ())
-                if episode.n_bins >= self._config.min_visible_bins
-                and episode.depth >= self._config.human_depth[kind]]
+                if self._qualifies(kind, episode)]
             if qualifying:
                 visible[kind] = qualifying
         return visible
+
+    def _qualifies(self, kind: SignalKind, episode: AlertEpisode) -> bool:
+        """Whether a reviewer would call ``episode`` of signal ``kind``
+        visibly down: sustained over ``min_visible_bins`` bins and at
+        least ``human_depth[kind]`` deep."""
+        return (episode.n_bins >= self._config.min_visible_bins
+                and episode.depth >= self._config.human_depth[kind])
 
     def _externally_corroborated(self, iso2: str, candidate: _Candidate,
                                  rng: np.random.Generator,
@@ -842,9 +848,22 @@ class CurationPipeline:
                  record_ids: Iterator[int],
                  draws: Optional[DrawCursor] = None
                  ) -> List[Tuple[OutageRecord, Optional[str]]]:
-        """Inspect region (and optionally AS) views when the country view
-        shows nothing.  Returns ``(record, capsule_id)`` pairs; capsule
-        ids are ``None`` when no provenance recorder is active."""
+        """Inspect region views when the country view shows nothing.
+
+        A region is recorded only when two signals drop together, so its
+        signals are pulled one kind at a time (:meth:`_region_episodes`)
+        and the pull stops once two qualifying kinds are out of reach:
+        the telescope series is neither synthesized nor detected when
+        BGP and active probing show no qualifying episode.  Such a
+        region yields no record, capsule, RNG draw or counter either
+        way.  :class:`SignalKind` order puts the telescope last because
+        it is the kind worth sparing: it qualifies in about 85% of
+        region views, so pulled earlier it would almost never let the
+        pull stop, and its series carries the most bins.
+
+        Returns ``(record, capsule_id)`` pairs; capsule ids are ``None``
+        when no provenance recorder is active.
+        """
         obs = current()
         recorder = obs.provenance
         results: List[Tuple[OutageRecord, Optional[str]]] = []
@@ -852,7 +871,7 @@ class CurationPipeline:
         affected_regions: List[Tuple[str, _Candidate, List[SignalKind]]] = []
         for region in network.regions:
             entity = Entity.region(iso2, region.name)
-            episodes = self._dashboard.episodes_by_signal(entity, window)
+            episodes = self._region_episodes(entity, window)
             for candidate in self._cluster(episodes):
                 if not period.contains(candidate.span.start):
                     continue
@@ -895,3 +914,20 @@ class CurationPipeline:
                                 reason="region_descent").inc()
             results.append((record, capsule_id))
         return results
+
+    def _region_episodes(self, entity: Entity, window: TimeRange
+                         ) -> Dict[SignalKind, List[AlertEpisode]]:
+        """A region's alert episodes, pulled in :class:`SignalKind` order
+        (BGP, active probing, telescope) until the kinds with a
+        qualifying episode plus the kinds not yet pulled number fewer
+        than two.  Kinds not pulled are absent from the mapping."""
+        kinds = tuple(SignalKind)
+        episodes: Dict[SignalKind, List[AlertEpisode]] = {}
+        n_qualifying = 0
+        for pulled, kind in enumerate(kinds):
+            if n_qualifying + len(kinds) - pulled < 2:
+                break
+            episodes[kind] = self._dashboard.episodes(entity, kind, window)
+            if any(self._qualifies(kind, e) for e in episodes[kind]):
+                n_qualifying += 1
+        return episodes

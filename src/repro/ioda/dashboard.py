@@ -8,6 +8,17 @@ Each listing pulls whole series through the incremental detection core
 (:func:`repro.stream.detect.stream_episodes`): the batch view is the
 streaming engine fed one maximal chunk, so dashboards, batch curation,
 and live streams all share one detector implementation, bit for bit.
+
+A listing can be pulled one signal kind at a time
+(:meth:`Dashboard.episodes`), so a caller may stop before the last kind.
+Curation's region descent does: a region is recorded only when two
+signals drop together, so once neither BGP nor active probing shows a
+qualifying episode the telescope series cannot change any decision, and
+it is neither synthesized nor detected.
+:class:`~repro.signals.kinds.SignalKind` order puts the telescope last
+because it is the kind worth sparing: it qualifies in about 85% of
+region views (BGP and probing in under 30%), and its series carries the
+most bins.
 """
 
 from __future__ import annotations
@@ -61,21 +72,21 @@ class Dashboard:
     def entries(self, entity: Entity,
                 window: TimeRange) -> List[DashboardEntry]:
         """All alert episodes for one entity within a window."""
-        listed: List[DashboardEntry] = []
-        for kind in SignalKind:
-            series = self._platform.signal(entity, kind, window)
-            for episode in stream_episodes(series, DETECTOR_CONFIGS[kind]):
-                listed.append(DashboardEntry(
-                    entity=entity, signal=kind, episode=episode))
+        listed = [DashboardEntry(entity=entity, signal=kind, episode=episode)
+                  for kind in SignalKind
+                  for episode in self.episodes(entity, kind, window)]
         listed.sort(key=lambda e: e.episode.span.start)
         return listed
+
+    def episodes(self, entity: Entity, kind: SignalKind,
+                 window: TimeRange) -> List[AlertEpisode]:
+        """One signal's alert episodes for one entity within a window."""
+        series = self._platform.signal(entity, kind, window)
+        return stream_episodes(series, DETECTOR_CONFIGS[kind])
 
     def episodes_by_signal(
             self, entity: Entity, window: TimeRange
     ) -> Dict[SignalKind, List[AlertEpisode]]:
         """Alert episodes grouped per signal (curation's working view)."""
-        grouped: Dict[SignalKind, List[AlertEpisode]] = {}
-        for kind in SignalKind:
-            series = self._platform.signal(entity, kind, window)
-            grouped[kind] = stream_episodes(series, DETECTOR_CONFIGS[kind])
-        return grouped
+        return {kind: self.episodes(entity, kind, window)
+                for kind in SignalKind}

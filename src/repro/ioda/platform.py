@@ -98,7 +98,14 @@ class IODAPlatform:
                  config: PlatformConfig | None = None):
         self._scenario = scenario
         self._config = config or PlatformConfig()
-        self._cache: Dict[str, _CountryCache] = {}
+        # Every country's cache, its probing-blocks sample included, is
+        # built here rather than on first query: each country draws from
+        # its own substream, so the values are the same either way, but
+        # this way the number of substreams a process draws does not
+        # depend on which countries it is asked about.
+        self._cache: Dict[str, _CountryCache] = {
+            iso2: self._country_cache(iso2, network)
+            for iso2, network in scenario.topology.networks.items()}
         # ActiveProbingRun is deterministic given its block list (all
         # randomness arrives via the per-query rng), so one instance per
         # (country, kept-block-count) serves every window and keeps its
@@ -168,11 +175,10 @@ class IODAPlatform:
                                    region_name)
 
     def _country(self, iso2: str) -> _CountryCache:
-        iso2 = iso2.upper()
-        cached = self._cache.get(iso2)
-        if cached is not None:
-            return cached
-        network = self._scenario.topology.get(iso2)
+        return self._cache[iso2.upper()]
+
+    def _country_cache(self, iso2: str,
+                       network: CountryNetwork) -> _CountryCache:
         prefix_sizes = tuple(
             prefix.num_slash24s
             for network_as in network.ases
@@ -182,7 +188,7 @@ class IODAPlatform:
         block_rng = substream(self._scenario.seed, "probing-blocks", iso2)
         blocks = sample_blocks(
             network, block_rng, max_blocks=self._config.max_probed_blocks)
-        cache = self._cache[iso2] = _CountryCache(
+        return _CountryCache(
             network=network,
             prefix_sizes=prefix_sizes,
             blocks=blocks,

@@ -16,18 +16,22 @@ curation through the references:
   :class:`~repro.stream.detect.StreamingAlertDetector`;
 - :func:`stream_episodes` for :func:`repro.stream.detect.stream_episodes`;
 - :func:`up_count_series` for
-  :meth:`repro.probing.scheduler.ActiveProbingRun.up_count_series`.
+  :meth:`repro.probing.scheduler.ActiveProbingRun.up_count_series`;
+- :func:`region_episodes`, the full descent, for
+  :meth:`repro.ioda.curation.CurationPipeline._region_episodes`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import SignalError
 from repro.probing.scheduler import ActiveProbingRun
 from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
+from repro.signals.entities import Entity
+from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats.rolling import RollingMedian
 from repro.timeutils.timestamps import TimeRange, bin_floor
@@ -138,3 +142,16 @@ def up_count_series(run: ActiveProbingRun, window: TimeRange,
         beliefs = inference.batch_update(beliefs, answered, run._rates)
         values[round_index] = int(inference.batch_classify_up(beliefs).sum())
     return TimeSeries(start, width, values)
+
+
+def region_episodes(pipeline, entity: Entity,
+                    window: TimeRange) -> Dict[SignalKind, List[AlertEpisode]]:
+    """The full-descent reference region pull: every signal kind, always.
+
+    Production stops pulling a region's signals once two qualifying
+    kinds are out of reach; this pulls all three whatever they show, so
+    a curation run through it must record the same regions.  Written as
+    a method body (``pipeline`` is the instance) so it can replace
+    :meth:`CurationPipeline._region_episodes` on the class.
+    """
+    return pipeline._dashboard.episodes_by_signal(entity, window)

@@ -1,16 +1,23 @@
 """Tests for the curation pipeline (§3.1.2 decision procedure)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.api as api
+from repro.io import record_to_dict
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform
 from repro.ioda.records import ConfirmationStatus
+from repro.obs.runtime import Observability
 from repro.signals.entities import EntityScope
 from repro.signals.kinds import SignalKind
-from repro.timeutils.timestamps import DAY, HOUR, TimeRange
+from repro.timeutils.timestamps import DAY, HOUR, TimeRange, utc
 from repro.world.disruptions import Cause
-from repro.world.scenario import STUDY_PERIOD
+from repro.world.scenario import STUDY_PERIOD, ScenarioConfig
+
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +161,48 @@ class TestFullRun:
     def test_config_exposed(self, pipeline):
         assert isinstance(pipeline.config, CurationConfig)
         assert pipeline.config.human_depth[SignalKind.TELESCOPE] == 0.5
+
+
+class TestLazyDescent:
+    """Region descent stops pulling a region's signals once two
+    qualifying kinds are out of reach.  It must record exactly what the
+    full descent (every kind, always) records, with the same capsules."""
+
+    PERIOD = TimeRange(utc(2018, 1, 1), utc(2018, 4, 1))
+
+    @staticmethod
+    def _run(seed):
+        """Records, capsule ids and per-kind signal calls of one run."""
+        calls = Counter()
+        signal = IODAPlatform.signal
+
+        def counted(self, entity, kind, window):
+            calls[kind] += 1
+            return signal(self, entity, kind, window)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IODAPlatform, "signal", counted)
+            result = api.run(
+                scenario_config=ScenarioConfig(seed=seed, years=(2018,)),
+                study_period=TestLazyDescent.PERIOD, workers=1,
+                backend="serial",
+                observability=Observability(provenance=True))
+        return ([record_to_dict(r) for r in result.curated_records],
+                [c["capsule_id"] for c in result.provenance], calls)
+
+    @pytest.mark.parametrize("seed", [2023, 7])
+    def test_matches_full_descent(self, seed, monkeypatch):
+        records, capsules, calls = self._run(seed)
+        monkeypatch.setattr(CurationPipeline, "_region_episodes",
+                            oracles.region_episodes)
+        full_records, full_capsules, full_calls = self._run(seed)
+        assert any(r["scope"] == EntityScope.REGION.value
+                   for r in records)
+        assert records == full_records
+        assert capsules == full_capsules
+        # Only the telescope is ever skipped, and here it was.
+        assert calls[SignalKind.BGP] == full_calls[SignalKind.BGP]
+        assert calls[SignalKind.ACTIVE_PROBING] \
+            == full_calls[SignalKind.ACTIVE_PROBING]
+        assert calls[SignalKind.TELESCOPE] \
+            < full_calls[SignalKind.TELESCOPE]

@@ -4,11 +4,15 @@ The integration tests exercise these through whole investigations; these
 tests pin down the component behaviors directly with synthetic episodes.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform
 from repro.signals.alerts import AlertEpisode
+from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import DAY, HOUR, TimeRange
 from repro.world.scenario import STUDY_PERIOD
@@ -151,3 +155,64 @@ class TestControlGroup:
     def test_control_count(self, pipeline):
         controls = pipeline._control_countries("SY")
         assert len(controls) == pipeline.config.n_controls
+
+
+class _CountingDashboard:
+    """Stands in for the dashboard: canned episodes per (entity
+    identifier, kind), and a log of every (identifier, kind) asked for."""
+
+    def __init__(self, canned):
+        self._canned = canned
+        self.asked = []
+
+    def episodes(self, entity, kind, window):
+        self.asked.append((entity.identifier, kind))
+        return list(self._canned.get((entity.identifier, kind), ()))
+
+
+class TestRegionDescent:
+    WINDOW = TimeRange(STUDY_PERIOD.start + 10 * DAY,
+                       STUDY_PERIOD.start + 14 * DAY)
+
+    @staticmethod
+    def _regions(platform):
+        return [Entity.region("SY", r.name).identifier
+                for r in platform.scenario.topology.get("SY").regions]
+
+    def _descend(self, platform, canned):
+        pipeline = CurationPipeline(platform)
+        dashboard = pipeline._dashboard = _CountingDashboard(canned)
+        records = pipeline._descend("SY", self.WINDOW, STUDY_PERIOD,
+                                    np.random.default_rng(0),
+                                    itertools.count(1))
+        return records, dashboard.asked
+
+    def test_no_qualifying_bgp_or_probing_skips_telescope(self, platform):
+        drop = self.WINDOW.start + 2 * DAY
+        canned = {}
+        for region in self._regions(platform):
+            # Too shallow for BGP, too short for probing: neither
+            # qualifies, so no two-signal record is reachable.
+            canned[region, SignalKind.BGP] = [
+                episode(drop, drop + HOUR, depth=0.05)]
+            canned[region, SignalKind.ACTIVE_PROBING] = [
+                episode(drop, drop + HOUR, n_bins=1)]
+            canned[region, SignalKind.TELESCOPE] = [
+                episode(drop, drop + HOUR)]
+        records, asked = self._descend(platform, canned)
+        assert records == []
+        assert asked == [(region, kind)
+                         for region in self._regions(platform)
+                         for kind in (SignalKind.BGP,
+                                      SignalKind.ACTIVE_PROBING)]
+
+    def test_qualifying_bgp_pulls_every_kind(self, platform):
+        first, *rest = self._regions(platform)
+        drop = self.WINDOW.start + 2 * DAY
+        records, asked = self._descend(platform, {
+            (first, SignalKind.BGP): [episode(drop, drop + HOUR)]})
+        assert records == []
+        assert asked[:3] == [(first, kind) for kind in SignalKind]
+        assert asked[3:] == [(region, kind) for region in rest
+                             for kind in (SignalKind.BGP,
+                                          SignalKind.ACTIVE_PROBING)]
