@@ -50,9 +50,8 @@ from repro.ioda.records import OutageRecord
 from repro.obs import HealthCheck, HealthPolicy, HealthReport, \
     Observability, PerfBaseline, ProfileConfig, RunJournal, RunRecord, \
     RunRegistry, TelemetryConfig, compare_baselines, default_policy, \
-    evaluate_run, list_baselines, load_baseline, read_journal, \
-    run_statistics, save_baseline, sorted_capsules, summarize_events, \
-    write_chrome_trace
+    evaluate_run, load_baseline, read_journal, run_statistics, \
+    save_baseline, sorted_capsules, summarize_events, write_chrome_trace
 from repro.resilience import BreakerPolicy, FaultPlan, ResilienceConfig, \
     RetryPolicy
 from repro.stream.models import BinSegment, SignalBin, StreamEvent
@@ -92,7 +91,6 @@ __all__ = [
     "evaluate_run",
     "execution_report",
     "health_report",
-    "list_baselines",
     "load_baseline",
     "load_records",
     "read_journal",

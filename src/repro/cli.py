@@ -42,17 +42,14 @@
 - ``runs``     — the cross-run registry (``--runs-dir``): ``runs list``
   renders the trend table across registered runs, ``runs show RUN``
   one run's record (capsule counts and decision tallies included),
-  ``runs diff A B`` an exact config and fidelity comparison (add
-  ``--provenance`` to attribute the record delta to the earliest
-  flipped curation decision), and ``runs register RUN.jsonl`` files an
+  ``runs diff A B`` an exact config and fidelity comparison of two
+  registered runs or committed baselines (a baseline JSON path, or a
+  name under ``benchmarks/baselines/``; add ``--provenance`` to
+  attribute the record delta between two runs to the earliest flipped
+  curation decision), and ``runs register RUN.jsonl`` files an
   existing journal.
 - ``metrics``  — ``metrics export RUN`` emits the run's final metrics
   snapshot as OpenMetrics/Prometheus text exposition.
-- ``perf``     — perf-baseline trajectory: ``perf record NAME`` stores a
-  perf+fidelity baseline under ``benchmarks/baselines/``, ``perf
-  compare BASELINE`` re-runs and diffs it (config and fidelity exactly,
-  non-zero exit on regression; wall seconds are trend rows), ``perf
-  report`` renders the trajectory table.
 - ``serve``    — the async serving layer: ``serve build`` precomputes a
   run's content-addressed artifact store (event feeds, signal tiles,
   reports; blake2b addresses double as HTTP ETags), ``serve run``
@@ -62,7 +59,7 @@
   in-process, ``--tcp`` against a private spawned server, or ``--url``
   against a running one — printing the SLO report (p50/p99 per route,
   throughput, cache hit-rate) with ``--record``/``--compare`` gating
-  its request/response counts against a stored perf baseline.
+  its request/response counts against a stored baseline.
 
 ``run`` also accepts ``--profile`` (per-span CPU/RSS readings into the
 span attributes and journal) and ``--profile-alloc DEPTH`` (add
@@ -92,15 +89,14 @@ from repro.analysis.report import build_report, render_markdown
 from repro.core.heuristics import ShutdownTriage
 from repro import api
 from repro.errors import ConfigurationError, ResilienceError, SignalError
-from repro.exec import BACKENDS, backend_label
+from repro.exec import BACKENDS
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.io import dump_kio_events, dump_records, dump_records_csv
 from repro.obs import BASELINE_DIR, HealthReport, Observability, \
     PerfBaseline, ProfileConfig, ProvenanceError, RunRegistry, \
     compare_baselines, diff_events, diff_provenance, explain_record, \
-    list_baselines, load_baseline, parse_interval, read_journal, \
-    run_statistics, save_baseline, snapshot_to_openmetrics, \
-    summarize_events, trajectory_rows, write_chrome_trace
+    load_baseline, parse_interval, read_journal, save_baseline, \
+    snapshot_to_openmetrics, summarize_events, write_chrome_trace
 from repro.ioda.platform import IODAPlatform
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
@@ -335,11 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print one registered run's record")
     runs_show.add_argument("run", help="run ID (or unique prefix/name)")
     runs_diff = runs_commands.add_parser(
-        "diff", help="compare two registered runs' config and "
-                     "fidelity exactly (perf rows are trend data); "
-                     "exits non-zero on regression")
-    runs_diff.add_argument("run_a", help="baseline run ID")
-    runs_diff.add_argument("run_b", help="compared run ID")
+        "diff", help="compare two runs' config and fidelity exactly "
+                     "(perf rows are trend data); exits non-zero on "
+                     "regression")
+    runs_diff.add_argument("run_a",
+                           help="baseline: run ID, or a baseline JSON "
+                                "path or name (under "
+                                f"{BASELINE_DIR})")
+    runs_diff.add_argument("run_b",
+                           help="compared run: run ID, or a baseline "
+                                "JSON path or name")
     runs_diff.add_argument("--provenance", action="store_true",
                            help="diff the runs' lineage capsules "
                                 "instead: attribute the record delta "
@@ -368,32 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 default=None,
                                 help="write to a file instead of "
                                      "stdout")
-
-    perf = commands.add_parser(
-        "perf", help="record / compare / report perf+fidelity baselines")
-    perf_commands = perf.add_subparsers(dest="perf_command", required=True)
-    record = perf_commands.add_parser(
-        "record", help="run the pipeline and store a named baseline")
-    record.add_argument("name", help="baseline name (file stem)")
-    record.add_argument("--dir", type=Path, default=BASELINE_DIR,
-                        dest="baseline_dir",
-                        help=f"baseline directory (default {BASELINE_DIR})")
-    compare = perf_commands.add_parser(
-        "compare", help="run the pipeline and diff against a baseline; "
-                        "exits non-zero on regression")
-    compare.add_argument("baseline",
-                         help="baseline name (under --dir) or a path to "
-                              "a baseline JSON")
-    compare.add_argument("--dir", type=Path, default=BASELINE_DIR,
-                         dest="baseline_dir",
-                         help=f"baseline directory (default "
-                              f"{BASELINE_DIR})")
-    perf_report = perf_commands.add_parser(
-        "report", help="render the trajectory across stored baselines")
-    perf_report.add_argument("--dir", type=Path, default=BASELINE_DIR,
-                             dest="baseline_dir",
-                             help=f"baseline directory (default "
-                                  f"{BASELINE_DIR})")
 
     serve = commands.add_parser(
         "serve", help="build / run / load-test the async serving layer")
@@ -546,15 +521,13 @@ def _observability(args: argparse.Namespace) -> Observability:
 
 
 def _run(args: argparse.Namespace,
-         observability: Observability | None = None, *,
-         cached: bool = True) -> api.RunResult:
+         observability: Observability | None = None) -> api.RunResult:
     """One pipeline execution through the :mod:`repro.api` facade.
 
     Every data-producing subcommand funnels through here, so the CLI
     exercises exactly the surface downstream callers program against.
     ``ScenarioConfig`` and ``STUDY_PERIOD`` are read off this module so
     tests can shrink the run while keeping the real flag wiring.
-    ``cached=False`` neither reads nor fills the shard cache.
     """
     return api.run(
         scenario_config=ScenarioConfig(seed=args.seed),
@@ -562,7 +535,7 @@ def _run(args: argparse.Namespace,
         workers=args.workers,
         backend=args.backend,
         shards=args.shards,
-        cache_dir=_usable_cache_dir(args.cache_dir) if cached else None,
+        cache_dir=_usable_cache_dir(args.cache_dir),
         observability=(observability if observability is not None
                        else _observability(args)),
         resilience=_resilience(args),
@@ -616,6 +589,31 @@ def _read_events(token: str, args: argparse.Namespace):
               file=sys.stderr)
         return None
     return events
+
+
+def _resolve_baseline(token: str, args: argparse.Namespace,
+                      directory: Path = BASELINE_DIR
+                      ) -> Optional[PerfBaseline]:
+    """The baseline a token names; None (error printed) if nowhere.
+
+    A path (or any ``.json`` token) is a baseline file; any other token
+    is a registered run, else a baseline named under ``directory``.
+    """
+    path = where = Path(token)
+    if path.suffix != ".json" and not path.exists():
+        try:
+            return _registry(args).get(token).as_baseline()
+        except KeyError as exc:
+            path = directory / f"{token}.json"
+            where = f"{path} ({exc.args[0]})"
+    if not path.exists():
+        print(f"repro: error: no such baseline: {where}", file=sys.stderr)
+        return None
+    try:
+        return load_baseline(path)
+    except (OSError, ValueError):
+        print(f"repro: error: not a baseline: {path}", file=sys.stderr)
+        return None
 
 
 def _heartbeat_ok(args: argparse.Namespace) -> bool:
@@ -889,28 +887,34 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             return 2
         print("\n".join(record.rows()))
         return 0
-    if args.runs_command == "diff":
+    if args.runs_command == "diff" and args.provenance:
         try:
             record_a = registry.get(args.run_a)
             record_b = registry.get(args.run_b)
         except KeyError as exc:
-            print(f"repro: error: {exc.args[0]}", file=sys.stderr)
+            print(f"repro: error: runs diff --provenance reads two "
+                  f"registered runs' journals, and a baseline has none: "
+                  f"{exc.args[0]}", file=sys.stderr)
             return 2
-        if args.provenance:
-            events = []
-            for record in (record_a, record_b):
-                journal = record.journal_path
-                if journal is None or not journal.exists():
-                    print(f"repro: error: run {record.run_id} has no "
-                          f"journal file", file=sys.stderr)
-                    return 2
-                events.append(read_journal(journal))
-            diff = diff_provenance(events[0], events[1])
-            print("\n".join(diff.rows(label_a=record_a.name,
-                                      label_b=record_b.name)))
-            return 0 if diff.empty else 1
-        comparison = compare_baselines(record_b.as_baseline(),
-                                       record_a.as_baseline())
+        events = []
+        for record in (record_a, record_b):
+            journal = record.journal_path
+            if journal is None or not journal.exists():
+                print(f"repro: error: run {record.run_id} has no "
+                      f"journal file", file=sys.stderr)
+                return 2
+            events.append(read_journal(journal))
+        diff = diff_provenance(events[0], events[1])
+        print("\n".join(diff.rows(label_a=record_a.name,
+                                  label_b=record_b.name)))
+        return 0 if diff.empty else 1
+    if args.runs_command == "diff":
+        baseline = _resolve_baseline(args.run_a, args)
+        current = (_resolve_baseline(args.run_b, args)
+                   if baseline is not None else None)
+        if current is None:
+            return 2
+        comparison = compare_baselines(current, baseline)
         print("\n".join(comparison.rows()))
         return 0 if comparison.ok else 1
     return 2
@@ -960,73 +964,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     if report.grade == "warn" and args.strict:
         return 1
     return 0
-
-
-def _run_for_baseline(args: argparse.Namespace):
-    """Run the pipeline and capture the baseline-shaped snapshot.
-
-    Uncached, so a baseline measures the code rather than the cache
-    state: a warm shard cache would skip the curate stage it times.
-    """
-    result = _run(args, cached=False)
-    statistics = run_statistics(result.events, result.stats)
-    config = {
-        "seed": args.seed,
-        "workers": args.workers,
-        "backend": backend_label(args.backend, args.workers),
-        "shards": args.shards,
-    }
-    return statistics, config, result.health
-
-
-def _find_baseline(token: str,
-                   directory: Path) -> Optional[PerfBaseline]:
-    """A baseline named under ``directory``, or a path to a baseline
-    JSON; None (error printed) when no such baseline file exists."""
-    as_path = Path(token)
-    path = (as_path if as_path.suffix == ".json" or as_path.exists()
-            else directory / f"{token}.json")
-    if not path.exists():
-        print(f"repro: error: no such baseline: {path}", file=sys.stderr)
-        return None
-    try:
-        return load_baseline(path)
-    except ValueError:
-        print(f"repro: error: not a baseline: {path}", file=sys.stderr)
-        return None
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "record":
-        statistics, config, health = _run_for_baseline(args)
-        baseline = PerfBaseline.capture(
-            name=args.name, config=config, statistics=statistics,
-            health_grade=health.grade)
-        path = save_baseline(baseline,
-                             args.baseline_dir / f"{args.name}.json")
-        print(f"wrote {path} (health {health.grade}, "
-              f"{statistics['perf.total_seconds']:.2f}s total)")
-        return 0
-    if args.perf_command == "compare":
-        baseline = _find_baseline(args.baseline, args.baseline_dir)
-        if baseline is None:
-            return 2
-        statistics, config, health = _run_for_baseline(args)
-        current = PerfBaseline.capture(
-            name="current", config=config, statistics=statistics,
-            health_grade=health.grade)
-        comparison = compare_baselines(current, baseline)
-        print("\n".join(comparison.rows()))
-        return 0 if comparison.ok else 1
-    if args.perf_command == "report":
-        baselines = list_baselines(args.baseline_dir)
-        if not baselines:
-            print(f"repro: error: no baselines under "
-                  f"{args.baseline_dir}", file=sys.stderr)
-            return 2
-        print("\n".join(trajectory_rows(baselines)))
-        return 0
-    return 2
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1108,7 +1045,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 baseline, args.baseline_dir / f"{args.record}.json")
             print(f"wrote {path}")
         if args.compare is not None:
-            baseline = _find_baseline(args.compare, args.baseline_dir)
+            baseline = _resolve_baseline(args.compare, args,
+                                         args.baseline_dir)
             if baseline is None:
                 return 2
             current = PerfBaseline.capture(
@@ -1134,7 +1072,6 @@ _COMMANDS = {
     "health": _cmd_health,
     "runs": _cmd_runs,
     "metrics": _cmd_metrics,
-    "perf": _cmd_perf,
     "serve": _cmd_serve,
 }
 

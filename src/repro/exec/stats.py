@@ -153,13 +153,13 @@ class ExecStats:
         return max(times) / mean
 
     def perf_statistics(self) -> Dict[str, float]:
-        """Flat perf metrics, keyed the way health checks and stored
-        perf baselines expect (``perf.*`` / ``cache.*``).
+        """Flat perf metrics, keyed the way stored perf baselines
+        expect (``perf.*`` / ``cache.*``).
 
         This is the bridge between the execution report and
         :mod:`repro.obs.health` / :mod:`repro.obs.baseline`: the same
-        numbers that render in ``--stats`` feed the scorecard's budget
-        checks and ``repro perf record``.
+        numbers that render in ``--stats`` become the trend rows of
+        ``repro runs list`` and ``repro runs diff``.
         """
         out: Dict[str, float] = {
             "perf.total_seconds": float(self.total_seconds),

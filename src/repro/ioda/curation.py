@@ -31,7 +31,7 @@ The curators' decision procedure, implemented over simulated signals:
 
 6. **Scope descent.**  If nothing is visible at the country level, the
    curator inspects sub-national region views and records a region-scope
-   outage if visible there (AS descent available behind a flag).
+   outage if visible there.
 
 7. **Cause attribution.**  A news oracle models the curators' reading of
    media/advocacy reporting: causes of real events are discovered with
@@ -142,8 +142,6 @@ class CurationConfig:
     p_external_corroboration: float = 0.6
     #: Random background investigation windows per country (whole period).
     background_windows_per_country: float = 0.0
-    #: Whether to descend to AS views when country and region show nothing.
-    descend_to_asns: bool = False
 
 
 _CAUSE_TEXT: Mapping[Cause, str] = {

@@ -27,12 +27,13 @@ On top of the session, three health/performance layers
   deltas) whose readings ride in span attributes and stream into the
   journal as ``profile`` events.
 - **Health scorecard**: every run is graded ``pass``/``warn``/``fail``
-  against paper-fidelity and budget targets; the report lands in the
-  journal as a ``health`` event and replays via ``repro health``.
-- **Perf baselines**: ``repro perf record/compare/report`` stores
-  named perf+fidelity snapshots under ``benchmarks/baselines/`` and
-  fails CI on any config or fidelity drift; wall seconds ride along
-  as trend data.
+  against paper-fidelity targets and a quarantine budget; the report
+  lands in the journal as a ``health`` event and replays via ``repro
+  health``.
+- **Perf baselines**: named perf+fidelity snapshots, committed under
+  ``benchmarks/baselines/`` or taken from a registered run; ``repro
+  runs diff`` fails CI on any config or fidelity drift between two of
+  them, and wall seconds ride along as trend data.
 
 Instrumentation is **zero-cost when disabled**: library code records
 into :func:`current`, which returns a no-op session unless a run has
@@ -42,8 +43,8 @@ results — serial/parallel byte-identity holds with tracing on.
 """
 
 from repro.obs.baseline import BASELINE_DIR, BaselineComparison, \
-    PerfBaseline, compare_baselines, list_baselines, load_baseline, \
-    save_baseline, trajectory_rows
+    PerfBaseline, compare_baselines, load_baseline, save_baseline, \
+    trajectory_rows
 from repro.obs.export import chrome_trace, escape_label_value, \
     snapshot_to_openmetrics, split_series_key, unescape_label_value, \
     write_chrome_trace
@@ -117,7 +118,6 @@ __all__ = [
     "explain_record",
     "evaluate_run",
     "iter_journal",
-    "list_baselines",
     "load_baseline",
     "parse_interval",
     "read_journal",

@@ -13,10 +13,14 @@ time?  A
   what it cost; and
 - **health** — the scorecard grade at record time.
 
-``repro perf record`` writes one, ``repro perf compare`` re-runs the
-pipeline and diffs it against one (exit status is the CI contract:
-non-zero on regression), and ``repro perf report`` renders the
-trajectory across every stored baseline.
+A registered run converts into one
+(:meth:`repro.obs.registry.RunRecord.as_baseline`), so ``repro runs
+diff A B`` compares any two runs or committed baselines (exit
+status is the CI contract: non-zero on regression), and ``repro runs
+list`` renders the registered runs as a trajectory table.  A new
+committed baseline is a filed run saved as JSON::
+
+    save_baseline(RunRegistry(RUNS_DIR).get(NAME).as_baseline(), PATH)
 
 Comparison semantics: config and fidelity must match **exactly** — the
 pipeline is deterministic, so any drift on an unchanged config is a
@@ -37,8 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["BASELINE_DIR", "BASELINE_VERSION", "BaselineComparison",
            "ComparisonEntry", "PerfBaseline", "compare_baselines",
-           "list_baselines", "load_baseline", "save_baseline",
-           "trajectory_rows"]
+           "load_baseline", "save_baseline", "trajectory_rows"]
 
 #: Baseline schema version, stamped into every file.
 BASELINE_VERSION = 1
@@ -129,19 +132,6 @@ def load_baseline(path: Union[str, Path]) -> PerfBaseline:
     return PerfBaseline.from_dict(data)
 
 
-def list_baselines(directory: Union[str, Path] = BASELINE_DIR
-                   ) -> List[PerfBaseline]:
-    """Every readable baseline in ``directory``, oldest first."""
-    directory = Path(directory)
-    baselines = []
-    for path in sorted(directory.glob("*.json")):
-        try:
-            baselines.append(load_baseline(path))
-        except (ValueError, OSError):
-            continue
-    return sorted(baselines, key=lambda b: (b.created, b.name))
-
-
 # -- comparison ------------------------------------------------------------------
 
 
@@ -151,13 +141,16 @@ class ComparisonEntry:
 
     name: str
     kind: str  # "config" | "fidelity" | "perf"
-    baseline: Optional[float]
-    current: Optional[float]
+    #: A float, or for a config entry the raw setting (seed, backend).
+    baseline: Any
+    current: Any
     status: str  # "ok" | "regression" | "missing"
 
     def row(self) -> str:
-        def fmt(value: Optional[float]) -> str:
-            return "-" if value is None else f"{value:g}"
+        def fmt(value: Any) -> str:
+            if isinstance(value, (int, float)):
+                return f"{value:g}"
+            return "-" if value is None else str(value)
 
         return (f"  [{self.status:<10}] {self.name:<32} "
                 f"{fmt(self.baseline):>12} -> {fmt(self.current):>12}")
@@ -198,7 +191,7 @@ def compare_baselines(current: PerfBaseline,
         if base != cur:
             entries.append(ComparisonEntry(
                 name=f"config.{key}", kind="config",
-                baseline=None, current=None, status="regression"))
+                baseline=base, current=cur, status="regression"))
 
     for name in sorted(set(baseline.fidelity) | set(current.fidelity)):
         base = baseline.fidelity.get(name)

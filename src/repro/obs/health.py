@@ -4,8 +4,9 @@ A measurement platform is healthy when its *signal* is right, not
 merely when it finished.  After every pipeline run a
 :class:`HealthPolicy` grades the run's statistics — headline event
 populations (the paper's 219-shutdown / 714-outage shape), match
-fractions, quarantine and cache behaviour, stage wall time — against
-declared targets with tolerances.  Each check lands on ``pass``,
+fractions and quarantined countries — against declared targets with
+tolerances.  Wall time is not graded here: the repository benchmark
+(``perfbench/``) judges it.  Each check lands on ``pass``,
 ``warn``, or ``fail``; the report's overall grade is the worst check.
 
 The report is machine-readable end to end: it becomes a ``health``
@@ -22,9 +23,8 @@ Check modes:
   than the exact counts.
 - ``ceiling`` — deviation is how far the value overshoots the target,
   in the statistic's own units.  Used for budgets: quarantined
-  countries, stage wall time.
-- ``info`` — always passes; the value is recorded for trend tracking
-  (cache hit rate).
+  countries.
+- ``info`` — always passes; the value is recorded for trend tracking.
 """
 
 from __future__ import annotations
@@ -249,11 +249,6 @@ def default_policy() -> HealthPolicy:
         HealthCheck(name="resilience.quarantined", target=0,
                     warn=0, fail=5, mode="ceiling",
                     note="countries dropped by the resilience layer"),
-        HealthCheck(name="cache.hit_rate", mode="info",
-                    note="shard-cache effectiveness"),
-        HealthCheck(name="perf.total_seconds", target=900,
-                    warn=0, fail=1800, mode="ceiling",
-                    note="end-to-end wall-time budget"),
     ))
 
 

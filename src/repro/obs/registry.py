@@ -22,7 +22,10 @@ caller — this module deliberately knows nothing about
 reusing :func:`repro.obs.baseline.trajectory_rows` — a
 :class:`RunRecord` converts itself into a :class:`PerfBaseline` via
 :meth:`RunRecord.as_baseline`, which is also what powers ``repro runs
-diff`` through :func:`repro.obs.baseline.compare_baselines`.
+diff`` through :func:`repro.obs.baseline.compare_baselines` (either
+side may instead be a committed baseline JSON).  A journal filed with
+``repro runs register`` carries no config, so a diff against a
+baseline flags each config key the baseline sets.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ HTTP ETags), served by a stdlib-asyncio HTTP layer
 transport) whose hot artifacts live in a bounded single-flight async
 LRU (:mod:`repro.serve.cache`), and load-tested by a seeded
 deterministic harness (:mod:`repro.serve.loadgen`) whose SLO report
-feeds the ``repro perf`` baseline gate.
+feeds the ``serve loadgen --compare`` baseline gate.
 
     store = api.run(seed=2023).serve("artifacts/store")
     app = ServeApp(store)                      # routes + cache

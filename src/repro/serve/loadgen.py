@@ -3,7 +3,7 @@
 Replays realistic dashboard traffic against a :class:`ServeApp` —
 in-process, or over real TCP sockets — at configurable concurrency,
 and distils the result into an :class:`SLOReport` whose statistics
-feed the ``repro perf`` baseline machinery.
+feed the perf baseline machinery (:mod:`repro.obs.baseline`).
 
 **Determinism contract.**  Every client ``i`` draws its behaviour from
 a private ``random.Random(seed * 7919 + i)`` and never from wall time
@@ -14,7 +14,7 @@ content.  The request and response **counts** (total, 200s, 304s,
 errors) are therefore exactly reproducible across machines, transports
 and interleavings, which is what lets the SLO baseline pin them as
 *fidelity* values (exact-matched in CI) while latencies and cache
-hit-rates ride in the banded/trend perf half.
+hit-rates ride in the trend-only perf half.
 
 Three mixes model the paper-era dashboard traffic shapes:
 
@@ -307,7 +307,7 @@ class _Tally:
 
 @dataclass(frozen=True)
 class SLOReport:
-    """One load burst's outcome, ready for ``repro perf`` gating."""
+    """One load burst's outcome, ready for baseline gating."""
 
     config: Dict[str, Any]
     elapsed_seconds: float
@@ -334,8 +334,8 @@ class SLOReport:
         """The flat mapping :meth:`PerfBaseline.capture` splits.
 
         Deterministic request/response counts go in as fidelity values
-        (exact-matched); latencies as banded ``perf.*``; hit-rate and
-        throughput as trend-only ``cache.*``.
+        (exact-matched); latencies as trend-only ``perf.*``; hit-rate
+        and throughput as trend-only ``cache.*``.
         """
         stats: Dict[str, float] = {
             "serve.requests.total": float(self.requests),

@@ -90,23 +90,24 @@ class TestParser:
         assert str(args.journal) == "RUN.jsonl"
         assert args.json and args.strict
 
-    def test_perf_subcommands(self):
-        args = build_parser().parse_args(["perf", "record", "main"])
-        assert (args.perf_command, args.name) == ("record", "main")
-        args = build_parser().parse_args(["perf", "compare", "main"])
-        assert (args.perf_command, args.baseline) == ("compare", "main")
-        # Wall time is not banded here, so there is no band to widen.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["perf", "compare", "main", "--tolerance", "10"])
+    def test_runs_diff_arguments(self):
         args = build_parser().parse_args(
-            ["perf", "report", "--dir", "b"])
-        assert args.perf_command == "report"
-        assert str(args.baseline_dir) == "b"
+            ["runs", "diff", "base.json", "run"])
+        assert (args.runs_command, args.run_a, args.run_b) \
+            == ("diff", "base.json", "run")
+        assert not args.provenance
+        # Wall time is not banded and baselines are found by name or
+        # path, so there is no band to widen and no directory to pass.
+        for extra in (["--tolerance", "10"], ["--dir", "b"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["runs", "diff", "a", "b"]
+                                          + extra)
 
-    def test_perf_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf"])
+    def test_perf_command_is_gone(self):
+        for argv in (["perf"], ["perf", "compare", "canonical-seed2023"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_resilience_flags(self):
         args = build_parser().parse_args(
@@ -359,7 +360,7 @@ class TestBackendFlag:
 
 
 class TestHealthAndPerf:
-    """The health/perf commands on the small test scenario.
+    """The health and ``runs diff`` commands on the small test scenario.
 
     Like :class:`TestResilienceFlags`, these shrink the run by patching
     the CLI's pipeline construction and exercise the real wiring and
@@ -441,93 +442,113 @@ class TestHealthAndPerf:
         assert main(["health", str(journal)]) == 2
         assert "no health record" in capsys.readouterr().err
 
-    def test_perf_record_then_compare_is_clean(self, capsys, tmp_path,
-                                               small_cli):
-        baselines = tmp_path / "baselines"
-        assert main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                     "perf", "record", "main",
-                     "--dir", str(baselines)]) == 0
-        assert (baselines / "main.json").exists()
+    @pytest.fixture(scope="class")
+    def filed(self, tmp_path_factory):
+        """A small run filed under --runs-dir as ``small``, and its
+        registry record saved as a baseline JSON."""
+        from repro.obs import RunRegistry, save_baseline
+        from repro.timeutils.timestamps import TimeRange, utc
+        from repro.world.scenario import ScenarioConfig
+
+        root = tmp_path_factory.mktemp("filed")
+        runs = root / "runs"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.cli.ScenarioConfig",
+                lambda seed: ScenarioConfig(seed=seed, years=(2018,)))
+            patch.setattr(
+                "repro.cli.STUDY_PERIOD",
+                TimeRange(utc(2018, 1, 1), utc(2018, 7, 1)))
+            assert main(["--seed", "7", "--cache-dir", str(root / "c"),
+                         "--runs-dir", str(runs), "run",
+                         "--run-name", "small"]) == 0
+        baseline = save_baseline(
+            RunRegistry(runs).get("small").as_baseline(),
+            root / "small.json")
+        return runs, baseline
+
+    def _diff(self, runs, *argv):
+        return main(["--runs-dir", str(runs), "runs", "diff", *argv])
+
+    def test_runs_diff_against_a_saved_baseline_is_clean(self, capsys,
+                                                         filed):
+        runs, baseline = filed
         capsys.readouterr()
         # Unchanged config: same fidelity, and wall seconds are trend
-        # rows — the CI contract is exit 0.
-        status = main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                       "perf", "compare", "main",
-                       "--dir", str(baselines)])
-        assert status == 0
-        assert "OK" in capsys.readouterr().out
+        # rows, so the CI contract is exit 0.
+        assert self._diff(runs, str(baseline), "small") == 0
+        assert "OK: 0 regressed" in capsys.readouterr().out
 
-    def test_perf_compare_bypasses_a_warm_cache(self, capsys, tmp_path,
-                                                small_cli):
-        """A baseline times the code, not the cache: after a warm run
-        on the same cache dir, compare still curates every shard."""
-        cache, baselines = tmp_path / "c", tmp_path / "baselines"
-        assert main(["--seed", "7", "--cache-dir", str(cache),
-                     "run"]) == 0
-        assert list(cache.glob("curate-*.json"))
-        assert main(["--seed", "7", "--cache-dir", str(cache),
-                     "perf", "record", "main",
-                     "--dir", str(baselines)]) == 0
+    def test_runs_diff_takes_a_baseline_on_either_side(
+            self, capsys, filed, tmp_path, monkeypatch):
+        runs, baseline = filed
+        # By name under benchmarks/baselines/ when no run carries it.
+        named = tmp_path / "benchmarks" / "baselines" / "small-base.json"
+        named.parent.mkdir(parents=True)
+        named.write_text(baseline.read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert main(["--seed", "7", "--cache-dir", str(cache),
-                     "perf", "compare", "main",
-                     "--dir", str(baselines)]) == 0
-        rows = [line.split() for line in
-                capsys.readouterr().out.splitlines()]
-        assert [row[-1] for row in rows if "cache.hits" in row] == ["0"]
-        assert [row[-1] for row in rows if "cache.misses" in row] != ["0"]
+        for argv in (["small", str(baseline)], ["small-base", "small"],
+                     ["small", "small-base"]):
+            assert self._diff(runs, *argv) == 0, argv
+            assert "OK: 0 regressed" in capsys.readouterr().out
 
-    def test_perf_compare_flags_deliberate_violation(self, capsys,
-                                                     tmp_path, small_cli):
+    def test_runs_diff_flags_a_tampered_baseline(self, capsys, filed,
+                                                 tmp_path):
         import json
-        baselines = tmp_path / "baselines"
-        assert main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                     "perf", "record", "main",
-                     "--dir", str(baselines)]) == 0
-        # Tamper the stored baseline: a fidelity drift is flagged, an
-        # impossibly fast total is trend data and is not.
-        path = baselines / "main.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
+        runs, baseline = filed
+        # A fidelity drift is flagged; an impossibly fast total is
+        # trend data and is not.
+        data = json.loads(baseline.read_text(encoding="utf-8"))
         data["perf"]["perf.total_seconds"] = 0.0
         data["fidelity"]["records.curated"] += 1
-        path.write_text(json.dumps(data), encoding="utf-8")
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
-        status = main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                       "perf", "compare", "main", "--dir", str(baselines)])
-        assert status == 1
+        assert self._diff(runs, str(tampered), "small") == 1
         output = capsys.readouterr().out
         assert "REGRESSION: 1 regressed" in output
         assert "[regression] records.curated" in output
         assert "[ok        ] perf.total_seconds" in output
 
-    def test_perf_compare_missing_baseline_exits_2(self, capsys,
-                                                   tmp_path, small_cli):
-        status = main(["perf", "compare", "ghost",
-                       "--dir", str(tmp_path)])
-        assert status == 2
-        assert "no such baseline" in capsys.readouterr().err
-        # Other JSON beside the baselines, such as the ledger counts.
-        (tmp_path / "counts.json").write_text('{"counts": {}}',
-                                              encoding="utf-8")
-        assert main(["perf", "compare", "counts",
-                     "--dir", str(tmp_path)]) == 2
-        assert "not a baseline" in capsys.readouterr().err
-
-    def test_perf_report_renders_the_trajectory(self, capsys, tmp_path,
-                                                small_cli):
-        baselines = tmp_path / "baselines"
-        assert main(["--seed", "7", "--cache-dir", str(tmp_path / "c"),
-                     "perf", "record", "main",
-                     "--dir", str(baselines)]) == 0
+    def test_runs_diff_unresolvable_token_exits_2(self, capsys, filed):
+        runs, _ = filed
         capsys.readouterr()
-        assert main(["perf", "report", "--dir", str(baselines)]) == 0
-        output = capsys.readouterr().out
-        assert "main" in output and "total_s" in output
+        for argv in (["ghost", "small"], ["small", "ghost"]):
+            assert self._diff(runs, *argv) == 2
+            err = capsys.readouterr().err
+            # One line naming both places searched.
+            assert len(err.splitlines()) == 1
+            assert "no such baseline" in err
+            assert "ghost.json" in err and str(runs) in err
+        assert self._diff(runs, "small", "missing.json") == 2
+        assert "no such baseline: missing.json" in capsys.readouterr().err
 
-    def test_perf_report_without_baselines_exits_2(self, capsys,
+    def test_runs_diff_rejects_a_non_baseline_json(self, capsys, filed,
                                                    tmp_path):
-        assert main(["perf", "report", "--dir", str(tmp_path)]) == 2
-        assert "no baselines" in capsys.readouterr().err
+        from pathlib import Path
+        runs, _ = filed
+        ledger = (Path(__file__).resolve().parents[1] / "benchmarks"
+                  / "baselines" / "ledger-counts.json")
+        # Other JSON kept beside the baselines has no schema version.
+        versionless = tmp_path / "counts.json"
+        versionless.write_text('{"counts": {}}', encoding="utf-8")
+        junk = tmp_path / "junk.json"
+        junk.write_text("not json", encoding="utf-8")
+        capsys.readouterr()
+        for path in (ledger, versionless, junk):
+            assert self._diff(runs, str(path), "small") == 2
+            assert "not a baseline" in capsys.readouterr().err
+
+    def test_runs_diff_provenance_rejects_a_baseline(self, capsys, filed):
+        runs, baseline = filed
+        capsys.readouterr()
+        for argv in ([str(baseline), "small"], ["small", str(baseline)]):
+            assert self._diff(runs, "--provenance", *argv) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert "a baseline has none" in err
 
 
 class TestStreamCommand:

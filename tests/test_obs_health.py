@@ -17,7 +17,6 @@ from repro.obs import (
     activate,
     compare_baselines,
     default_policy,
-    list_baselines,
     load_baseline,
     read_journal,
     save_baseline,
@@ -171,7 +170,7 @@ class TestHealthPolicy:
         report = default_policy().evaluate({})
         text = "\n".join(report.rows())
         assert "events.union_shutdowns" in text
-        assert "cache.hit_rate" in text
+        assert "resilience.quarantined" in text
 
     def test_default_policy_covers_the_paper_headlines(self):
         names = {c.name for c in default_policy().checks}
@@ -179,6 +178,13 @@ class TestHealthPolicy:
                 "countries.shutdown", "countries.outage",
                 "match.kio_matched_fraction",
                 "resilience.quarantined"} <= names
+
+    def test_default_policy_grades_no_wall_time(self):
+        # Wall time is the benchmark harness's to judge, and the shard
+        # cache changes cost, not results.
+        names = [c.name for c in default_policy().checks]
+        assert not [n for n in names
+                    if n.startswith(("perf.", "cache."))], names
 
 
 # -- perf baselines -------------------------------------------------------------
@@ -216,15 +222,6 @@ class TestPerfBaseline:
         assert loaded.as_dict() == baseline.as_dict()
         assert loaded.name == "base"
         assert loaded.version == 1
-
-    def test_list_baselines_skips_unreadable_files(self, tmp_path):
-        save_baseline(_baseline("a"), tmp_path / "a.json")
-        (tmp_path / "junk.json").write_text("not json", encoding="utf-8")
-        # Other JSON kept beside the baselines (no schema version).
-        (tmp_path / "counts.json").write_text('{"counts": {}}',
-                                              encoding="utf-8")
-        names = [b.name for b in list_baselines(tmp_path)]
-        assert names == ["a"]
 
     def test_identical_runs_compare_ok(self):
         comparison = compare_baselines(_baseline("now"), _baseline())
@@ -271,6 +268,16 @@ class TestPerfBaseline:
         comparison = compare_baselines(other, _baseline())
         assert any(e.name == "config.seed" for e in comparison.regressions)
 
+    def test_config_mismatch_rows_show_both_values(self):
+        other = PerfBaseline.capture(
+            name="now", config={"seed": 7, "backend": "process"},
+            statistics=_statistics())
+        rows = {row.split()[1]: row.split()[2:]
+                for row in compare_baselines(other, _baseline()).rows()
+                if "[regression]" in row}
+        assert rows["config.seed"] == ["2023", "->", "7"]
+        assert rows["config.backend"] == ["serial", "->", "process"]
+
     def test_cache_counters_are_trend_only(self):
         comparison = compare_baselines(
             _baseline("now"), _baseline())
@@ -283,10 +290,8 @@ class TestPerfBaseline:
         assert "OK" in rows[0]
         assert any("perf.total_seconds" in row for row in rows)
 
-    def test_trajectory_rows(self, tmp_path):
-        save_baseline(_baseline("a"), tmp_path / "a.json")
-        save_baseline(_baseline("b", total=5.0), tmp_path / "b.json")
-        rows = trajectory_rows(list_baselines(tmp_path))
+    def test_trajectory_rows(self):
+        rows = trajectory_rows([_baseline("a"), _baseline("b", total=5.0)])
         assert "name" in rows[0]
         assert any(row.startswith("a ") for row in rows)
         assert any(row.startswith("b ") for row in rows)

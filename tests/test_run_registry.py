@@ -245,6 +245,32 @@ class TestCli:
         assert main(["--runs-dir", str(root), "runs", "diff",
                      record.run_id, record.run_id]) == 0
 
+    def test_registered_journal_diffs_config_against_a_baseline(
+            self, populated, tmp_path, capsys):
+        """``runs register`` files no config, so a committed baseline
+        flags each config key it sets; a baseline saved from the same
+        record diffs clean on either side."""
+        from repro.obs import PerfBaseline, save_baseline
+        root, record = populated
+        saved = save_baseline(record.as_baseline(), tmp_path / "saved.json")
+        for argv in ([str(saved), "canonical"], ["canonical", str(saved)]):
+            assert main(["--runs-dir", str(root), "runs", "diff",
+                         *argv]) == 0
+        committed = save_baseline(
+            PerfBaseline.capture(
+                name="committed",
+                config={"seed": 2023, "backend": "serial", "shards": None},
+                statistics=record.stats),
+            tmp_path / "committed.json")
+        capsys.readouterr()
+        assert main(["--runs-dir", str(root), "runs", "diff",
+                     str(committed), "canonical"]) == 1
+        regressed = [line.split()[1:] for line in
+                     capsys.readouterr().out.splitlines()
+                     if "[regression]" in line]
+        assert regressed == [["config.backend", "serial", "->", "-"],
+                             ["config.seed", "2023", "->", "-"]]
+
     def test_trace_summarize_accepts_run_id(self, populated, capsys):
         root, record = populated
         assert main(["--runs-dir", str(root), "trace", "summarize",
