@@ -9,7 +9,6 @@ caught by the benchmark suite.
 import numpy as np
 
 from repro.bgp.view import visible_slash24_series
-from repro.probing.blocks import ProbedBlock
 from repro.probing.scheduler import ActiveProbingRun
 from repro.rng import substream
 from repro.telescope.counter import unique_source_series
@@ -36,10 +35,8 @@ def test_bench_throughput_bgp_fastpath(benchmark):
 
 def test_bench_throughput_active_probing(benchmark):
     rng = substream(1, "bench-blocks")
-    blocks = [ProbedBlock(slash24=i,
-                          response_rate=float(rng.uniform(0.2, 0.9)))
-              for i in range(128)]
-    run_obj = ActiveProbingRun(blocks)
+    run_obj = ActiveProbingRun(np.arange(128),
+                               rng.uniform(0.2, 0.9, size=128))
     up = np.ones(AP_ROUNDS)
     up[250:300] = 0.0
 

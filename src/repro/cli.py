@@ -73,6 +73,7 @@ the run registry under a content-addressed run ID.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -1080,7 +1081,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro runs list | head``).
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # cannot raise again, and stop without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2

@@ -215,6 +215,9 @@ class CurationPipeline:
         self._config = config or CurationConfig()
         self._calendar = calendar or ObservationCalendar()
         self._dashboard = Dashboard(platform)
+        # Control group per country: a pure function of the registry and
+        # n_controls, asked for on every control-group check.
+        self._controls: Dict[str, Tuple[str, ...]] = {}
 
     @property
     def config(self) -> CurationConfig:
@@ -714,18 +717,22 @@ class CurationPipeline:
                 "artifact": artifact}
         return artifact
 
-    def _control_countries(self, iso2: str) -> List[str]:
-        """Deterministic cross-region control group excluding ``iso2``."""
-        home_region = self._scenario.registry.get(iso2).region
-        picks: List[str] = []
-        for country in self._scenario.registry:
-            if country.iso2 == iso2 or country.region == home_region:
-                continue
-            if all(self._scenario.registry.get(p).region != country.region
-                   for p in picks):
-                picks.append(country.iso2)
-            if len(picks) >= self._config.n_controls:
-                break
+    def _control_countries(self, iso2: str) -> Tuple[str, ...]:
+        """Deterministic cross-region control group excluding ``iso2``
+        (memoized per pipeline)."""
+        picks = self._controls.get(iso2)
+        if picks is None:
+            home_region = self._scenario.registry.get(iso2).region
+            regions = {home_region}
+            chosen: List[str] = []
+            for country in self._scenario.registry:
+                if country.iso2 == iso2 or country.region in regions:
+                    continue
+                regions.add(country.region)
+                chosen.append(country.iso2)
+                if len(chosen) >= self._config.n_controls:
+                    break
+            picks = self._controls[iso2] = tuple(chosen)
         return picks
 
     def _control_shows_drop(self, iso2: str, window: TimeRange,

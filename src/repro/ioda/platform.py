@@ -17,10 +17,17 @@ Ground truth enters only as per-bin *up fractions*: each disruption
 overlapping the window removes its affected share of the entity's address
 space for its duration, with the shares differing per signal exactly where
 the measurement physics differ (mobile-only events do not move the probing
-signal).  Measurement artifacts multiply the affected signal globally.
+signal).  Measurement artifacts multiply the affected signal globally;
+a query that no artifact of its kind overlaps skips that pass, since the
+substrates' counts are integer-valued and would come back unchanged.
 Every stage is columnar — up fractions, artifact multipliers, and the
 three substrates all produce whole value arrays; no per-bin Python loop
-runs between ground truth and a published :class:`TimeSeries`.
+runs between ground truth and a published :class:`TimeSeries`.  The BGP
+and probing kernels draw one uniform per (bin, prefix) or (round, block)
+cell and do per-cell arithmetic only where a draw can change the count;
+``tests/oracles.py`` keeps the dense forms they must match bit for bit.
+Each country's probing sample is held as two arrays, /24 indices and
+response rates.
 
 Signals are deterministic per (seed, entity, window start): the window
 start keys each query's RNG substream, so a repeated query returns equal
@@ -39,7 +46,7 @@ import numpy as np
 
 from repro.bgp.view import visible_slash24_series
 from repro.errors import ConfigurationError, SignalError
-from repro.probing.blocks import ProbedBlock, sample_blocks
+from repro.probing.blocks import sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
 from repro.resilience.faults import maybe_fault
 from repro.rng import substream
@@ -85,7 +92,8 @@ class PlatformConfig:
 class _CountryCache:
     network: CountryNetwork
     prefix_sizes: Tuple[int, ...]
-    blocks: List[ProbedBlock]
+    block_slash24: np.ndarray
+    block_rates: np.ndarray
     mobile_addr_share: float
     region_shares: Mapping[str, float]
     as_addr_shares: Mapping[int, float]
@@ -186,19 +194,19 @@ class IODAPlatform:
         total24 = max(1, network.total_slash24s)
         mobile24 = sum(a.num_slash24s for a in network.ases if a.mobile)
         block_rng = substream(self._scenario.seed, "probing-blocks", iso2)
-        blocks = sample_blocks(
+        block_slash24, block_rates = sample_blocks(
             network, block_rng, max_blocks=self._config.max_probed_blocks)
         return _CountryCache(
             network=network,
             prefix_sizes=prefix_sizes,
-            blocks=blocks,
+            block_slash24=block_slash24,
+            block_rates=block_rates,
             mobile_addr_share=mobile24 / total24,
             region_shares={r.name: r.share for r in network.regions},
             as_addr_shares={
                 int(a.asn): a.num_slash24s / total24
                 for a in network.ases},
         )
-        return cache
 
     # -- internals: up-fraction construction -------------------------------------
 
@@ -275,15 +283,19 @@ class IODAPlatform:
         return severity * cache.as_addr_shares.get(disruption.asn or -1, 0.0)
 
     def _artifact_multiplier(self, kind: SignalKind, window: TimeRange,
-                             bin_width: int) -> np.ndarray:
+                             bin_width: int) -> Optional[np.ndarray]:
+        """Per-bin multiplier of the artifacts of ``kind`` overlapping
+        ``window``, or ``None`` when none does."""
         start = bin_floor(window.start, bin_width)
         n_bins = -(-(window.end - start) // bin_width)
-        factor = np.ones(n_bins, dtype=np.float64)
+        factor = None
         for artifact in self._scenario.artifacts:
             if artifact.signal is not kind:
                 continue
             if not artifact.span.overlaps(window):
                 continue
+            if factor is None:
+                factor = np.ones(n_bins, dtype=np.float64)
             first = max(0, (artifact.span.start - start) // bin_width)
             last = min(n_bins, -(-(artifact.span.end - start) // bin_width))
             factor[first:last] *= (1.0 - artifact.depth)
@@ -307,17 +319,17 @@ class IODAPlatform:
                 n_full_feed_peers=self._config.n_full_feed_peers,
                 miss_rate=self._config.bgp_peer_miss_rate)
         elif kind is SignalKind.ACTIVE_PROBING:
-            blocks = cache.blocks
+            keep = len(cache.block_rates)
             if region_name is not None:
-                keep = max(8, int(len(blocks) * scale))
-                blocks = blocks[:keep]
-            if not blocks:
+                keep = min(keep, max(8, int(keep * scale)))
+            if not keep:
                 series = TimeSeries.zeros(window, bin_width)
             else:
-                key = (iso2, len(blocks))
+                key = (iso2, keep)
                 run = self._probing_runs.get(key)
                 if run is None:
-                    run = ActiveProbingRun(blocks)
+                    run = ActiveProbingRun(cache.block_slash24[:keep],
+                                           cache.block_rates[:keep])
                     self._probing_runs[key] = run
                 series = run.up_count_series(window, up, rng)
         else:
@@ -326,8 +338,11 @@ class IODAPlatform:
                 window, intensity, up,
                 cache.network.country.utc_offset.seconds, rng,
                 overdispersion=self._config.telescope_overdispersion)
+        # Substrate counts are integer-valued, so without an artifact the
+        # multiply-and-round pass would return them unchanged.
         factor = self._artifact_multiplier(kind, window, bin_width)
-        series.values[:] = np.round(series.values * factor)
+        if factor is not None:
+            series.values[:] = np.round(series.values * factor)
         return series
 
     @staticmethod

@@ -5,15 +5,15 @@ each block up / down / unknown using Trinocular's Bayesian inference
 (§3.1.1).  The per-entity Active Probing signal is the count of blocks
 considered up after each 10-minute round.
 
-- :mod:`repro.probing.blocks` — probed /24 blocks with their historical
-  response rates.
+- :mod:`repro.probing.blocks` — the sample of probed /24 blocks and their
+  historical response rates.
 - :mod:`repro.probing.trinocular` — the belief-update inference (scalar
   reference implementation and the vectorized batch used at fleet scale).
 - :mod:`repro.probing.scheduler` — 10-minute probing rounds over a window,
   producing the up-count time series.
 """
 
-from repro.probing.blocks import ProbedBlock, sample_blocks
+from repro.probing.blocks import sample_blocks
 from repro.probing.trinocular import (
     BlockState,
     TrinocularConfig,
@@ -22,7 +22,6 @@ from repro.probing.trinocular import (
 from repro.probing.scheduler import ActiveProbingRun
 
 __all__ = [
-    "ProbedBlock",
     "sample_blocks",
     "BlockState",
     "TrinocularConfig",

@@ -20,16 +20,20 @@ round is a table lookup on "rounds since last answer"
 the last-answer index for every (round, block) cell is one
 ``maximum.accumulate``.  The per-round reference loop the tests hold
 this to, bit for bit, lives in ``tests/oracles.py``.
+
+The kernel compares each draw with its block's answer probability once,
+and applies the ground-truth block prefix only on rounds that keep fewer
+than every block up (about 3% of rounds in the canonical run): on the
+others the prefix test is true for every block.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.errors import SignalError
-from repro.probing.blocks import ProbedBlock
+from repro.errors import ConfigurationError, SignalError
 from repro.probing.trinocular import TrinocularConfig, TrinocularInference
 from repro.signals.series import TimeSeries
 from repro.timeutils.timestamps import TEN_MINUTES, TimeRange, bin_floor
@@ -38,18 +42,35 @@ __all__ = ["ActiveProbingRun"]
 
 
 class ActiveProbingRun:
-    """Simulates rounds of probing for one entity."""
+    """Simulates rounds of probing for one entity.
 
-    def __init__(self, blocks: Sequence[ProbedBlock],
+    Built from a block sample's parallel arrays (see
+    :func:`repro.probing.blocks.sample_blocks`): each block's /24 index
+    and its response rate, P(single probe answered | block up), which
+    must lie in (0, 1].
+    """
+
+    def __init__(self, slash24: Sequence[int] | np.ndarray,
+                 response_rate: Sequence[float] | np.ndarray,
                  config: TrinocularConfig | None = None,
                  round_width: int = TEN_MINUTES):
-        if not blocks:
+        slash24 = np.asarray(slash24, dtype=np.int64)
+        rates = np.asarray(response_rate, dtype=np.float64)
+        if slash24.ndim != 1 or rates.shape != slash24.shape:
+            raise SignalError(
+                f"block arrays must be 1-D and equal in length: "
+                f"{slash24.shape} and {rates.shape}")
+        if not len(slash24):
             raise SignalError("no probeable blocks")
-        self._blocks = sorted(blocks, key=lambda b: b.slash24)
+        bad = ~((rates > 0.0) & (rates <= 1.0))
+        if bad.any():
+            raise ConfigurationError(
+                f"response rate must be in (0, 1]: {rates[bad][0]}")
         self._inference = TrinocularInference(config)
         self._round_width = round_width
-        self._rates = np.array(
-            [b.response_rate for b in self._blocks], dtype=np.float64)
+        # Blocks in address order (a stable sort, so equal indices keep
+        # their sample order).
+        self._rates = rates[np.argsort(slash24, kind="stable")]
         # Lazy caches for the columnar path: rates are fixed for the
         # life of the run, so the answer probability and the classify-up
         # lookup table are pure functions of them (see _up_table_for).
@@ -57,10 +78,11 @@ class ActiveProbingRun:
         self._up_table: np.ndarray | None = None
         self._up_table_converged = False
         self._first_down: np.ndarray | None = None
+        self._limits: Dict[type, np.ndarray] = {}
 
     @property
     def n_blocks(self) -> int:
-        return len(self._blocks)
+        return len(self._rates)
 
     @property
     def inference(self) -> TrinocularInference:
@@ -84,19 +106,24 @@ class ActiveProbingRun:
                 f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
 
         n = self.n_blocks
-        block_quantile = (np.arange(n) + 1.0) / n
         # One draw for every (round, block) cell: the generator fills
         # the matrix row-major, so row r carries the exact floats a
         # per-round loop's r-th rng.random(n) call would.
         draws = rng.random((n_rounds, n))
-        block_up = block_quantile[None, :] <= up[:, None] + 1e-12
         if self._p_answer is None:
             self._p_answer = 1.0 - self._inference.miss_likelihood(
                 self._rates)
-        p_answer = self._p_answer
-        # p_answer is 0 for down blocks and draws are in [0, 1), so
-        # "answered" is the draw beating p_answer on an up block.
-        answered = block_up & (draws < p_answer[None, :])
+        # A down block never answers (draws are in [0, 1) and its
+        # answer probability is 0), so "answered" is the draw beating
+        # p_answer on a block that ground truth keeps up.  Every block
+        # is up on a round whose up-fraction reaches the last block's
+        # quantile, 1.0; only the other rounds need the per-block test.
+        answered = draws < self._p_answer
+        block_quantile = (np.arange(n) + 1.0) / n
+        partial = np.flatnonzero(~(block_quantile[-1] <= up + 1e-12))
+        if len(partial):
+            answered[partial] &= (
+                block_quantile[None, :] <= up[partial, None] + 1e-12)
 
         # up_table[j, 0, i]: is block i UP j rounds after an answer;
         # up_table[j, 1, i]: is it UP after j unanswered rounds from
@@ -108,21 +135,20 @@ class ActiveProbingRun:
             np.where(answered, round_index, idx_dtype(-1)), axis=0)
         # Never-answered cells (last_answer == -1) land on j = t + 1,
         # which is exactly their unanswered-round count from the prior.
-        first_down = self._first_down
-        if first_down is not None:
+        limits = self._first_down_limits(idx_dtype)
+        if limits is not None:
             # Beliefs decay monotonically between answers, so each table
             # column is True up to its first False (verified when the
             # table was built): the clamped lookup collapses to comparing
             # rounds-since-answer against that first-down level.
-            limit = np.where(last_answer < 0,
-                             first_down[1][None, :], first_down[0][None, :])
+            limit = np.where(last_answer < 0, limits[1], limits[0])
             up_mask = (round_index - last_answer) < limit
         else:
             j = np.minimum(round_index - last_answer,
                            idx_dtype(up_table.shape[0] - 1))
             from_prior = (last_answer < 0).astype(np.int8)
             up_mask = up_table[j, from_prior, np.arange(n)[None, :]]
-        values = up_mask.sum(axis=1).astype(np.float64)
+        values = np.count_nonzero(up_mask, axis=1).astype(np.float64)
         return TimeSeries(start, self._round_width, values)
 
     def _up_table_for(self, max_levels: int) -> np.ndarray:
@@ -142,7 +168,24 @@ class ActiveProbingRun:
             self._up_table = self._inference.batch_classify_up(tables)
             self._up_table_converged = tables.shape[0] < max_levels + 1
             self._first_down = self._first_down_of(self._up_table)
+            self._limits.clear()
         return self._up_table
+
+    def _first_down_limits(self, idx_dtype) -> np.ndarray | None:
+        """The first-down levels in the round-index dtype, memoized.
+
+        Levels past the dtype's range clamp to its maximum: a run short
+        enough for that dtype never counts that many rounds, so the
+        comparison against a clamped level is unchanged.
+        """
+        if self._first_down is None:
+            return None
+        limits = self._limits.get(idx_dtype)
+        if limits is None:
+            limits = np.minimum(
+                self._first_down, np.iinfo(idx_dtype).max).astype(idx_dtype)
+            self._limits[idx_dtype] = limits
+        return limits
 
     @staticmethod
     def _first_down_of(up_table: np.ndarray) -> np.ndarray | None:
@@ -162,7 +205,3 @@ class ActiveProbingRun:
         if np.array_equal(up_table, levels < first_down[None, :, :]):
             return first_down
         return None
-
-    def blocks(self) -> List[ProbedBlock]:
-        """The probed blocks in address order."""
-        return list(self._blocks)

@@ -1,12 +1,15 @@
 """Reference implementations the detection core is tested against.
 
 Production detects alerts through one columnar path
-(:mod:`repro.stream.detect`) and simulates Active Probing rounds through
-one table-driven path (:mod:`repro.probing.scheduler`).  The functions
-here are the plain loops those paths must match **bit for bit**: one bin,
-one alert, one probing round at a time.  They share no logic with the
-code under test beyond the data types and the scalar
-:class:`~repro.stats.rolling.RollingMedian` tracker.
+(:mod:`repro.stream.detect`), simulates Active Probing rounds through
+one table-driven path (:mod:`repro.probing.scheduler`) and counts BGP
+visibility through a kernel that skips cells its draws cannot change
+(:mod:`repro.bgp.view`).  The functions here are the plain forms those
+paths must match **bit for bit**: one bin, one alert, one probing round
+at a time, and every (bin, prefix) cell of the BGP count.  They share no
+logic with the code under test beyond the data types, the scalar
+:class:`~repro.stats.rolling.RollingMedian` tracker and the BGP
+visibility probability.
 
 Each one is shaped so it can stand in for production at the name
 production looks it up by, which is how the pipeline tests run a whole
@@ -17,6 +20,8 @@ curation through the references:
 - :func:`stream_episodes` for :func:`repro.stream.detect.stream_episodes`;
 - :func:`up_count_series` for
   :meth:`repro.probing.scheduler.ActiveProbingRun.up_count_series`;
+- :func:`visible_slash24_series` for
+  :func:`repro.bgp.view.visible_slash24_series`;
 - :func:`region_episodes`, the full descent, for
   :meth:`repro.ioda.curation.CurationPipeline._region_episodes`.
 """
@@ -27,6 +32,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.bgp.view import VISIBILITY_QUORUM, _p_visible
 from repro.errors import SignalError
 from repro.probing.scheduler import ActiveProbingRun
 from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
@@ -34,7 +40,7 @@ from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats.rolling import RollingMedian
-from repro.timeutils.timestamps import TimeRange, bin_floor
+from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
 
 
 class ScalarAlertDetector:
@@ -142,6 +148,42 @@ def up_count_series(run: ActiveProbingRun, window: TimeRange,
         beliefs = inference.batch_update(beliefs, answered, run._rates)
         values[round_index] = int(inference.batch_classify_up(beliefs).sum())
     return TimeSeries(start, width, values)
+
+
+def visible_slash24_series(
+        window: TimeRange,
+        prefix_slash24s: Sequence[int],
+        up_fraction: np.ndarray,
+        rng: np.random.Generator,
+        n_full_feed_peers: int = 24,
+        miss_rate: float = 0.02,
+        bin_width: int = FIVE_MINUTES) -> TimeSeries:
+    """The dense reference visible-/24 count.
+
+    Builds every (bin, prefix) cell's clipped contribution — prefix
+    ``i`` keeps ``clip(budget - cumprev[i], 0, sizes[i])`` of the bin's
+    reachable /24 budget — draws one uniform per cell, and sums the
+    contributions of the cells whose draw makes the prefix visible.
+    """
+    sizes = np.asarray(prefix_slash24s, dtype=np.int64)
+    if sizes.ndim != 1 or len(sizes) == 0:
+        raise SignalError("prefix_slash24s must be a non-empty 1-D sequence")
+    start = bin_floor(window.start, bin_width)
+    n_bins = -(-(window.end - start) // bin_width)
+    up = np.asarray(up_fraction, dtype=np.float64)
+    if up.shape != (n_bins,):
+        raise SignalError(
+            f"up_fraction has shape {up.shape}, expected ({n_bins},)")
+    total24 = int(sizes.sum())
+    cumprev = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    budget = np.round(up * total24)
+    contribution = np.clip(
+        budget[:, None] - cumprev[None, :], 0, sizes[None, :])
+    quorum = int(np.ceil(n_full_feed_peers * VISIBILITY_QUORUM))
+    p_visible = _p_visible(quorum, n_full_feed_peers, miss_rate)
+    visible = rng.random((n_bins, len(sizes))) < p_visible
+    values = (contribution * visible).sum(axis=1)
+    return TimeSeries(start, bin_width, values.astype(np.float64))
 
 
 def region_episodes(pipeline, entity: Entity,

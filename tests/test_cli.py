@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -639,3 +644,25 @@ class TestSignalErrorHandling:
         assert status == 2
         captured = capsys.readouterr()
         assert "repro: error: no events to summarize" in captured.err
+
+
+class TestClosedPipe:
+    def test_closed_reader_exits_without_traceback(self):
+        """``repro runs diff ... | head -1``: the reader is gone before
+        the table is printed, so every write to stdout fails."""
+        repo = Path(__file__).resolve().parent.parent
+        baseline = repo / "benchmarks" / "baselines" / \
+            "canonical-seed2023.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        try:
+            process = subprocess.run(
+                [sys.executable, "-m", "repro", "runs", "diff",
+                 "canonical-seed2023", str(baseline)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, cwd=str(repo), timeout=120)
+        finally:
+            os.close(write_end)
+        assert process.returncode == 1
+        assert process.stderr == ""

@@ -2,13 +2,15 @@
 implementations.
 
 The columnar paths (``trailing_median_at``, :class:`StreamingAlertDetector`,
-:class:`StreamingEpisodeGrouper`, ``ActiveProbingRun.up_count_series``)
-must produce *bitwise-identical* output to the per-bin, per-alert and
-per-round references in :mod:`tests.oracles` — not merely approximately
-equal.  These tests drive both over randomized series covering every
-detector configuration, random chunkings, missing history prefixes and
-threshold-boundary ties, and then run a whole curation, batch and
-streamed, with the references standing in for production.
+:class:`StreamingEpisodeGrouper`, ``ActiveProbingRun.up_count_series``,
+``visible_slash24_series``) must produce *bitwise-identical* output to the
+per-bin, per-alert, per-round and per-cell references in
+:mod:`tests.oracles` — not merely approximately equal.  These tests
+drive both over randomized series covering every detector
+configuration, random chunkings, missing history prefixes and
+threshold-boundary ties, over random substrate inputs, and then run a
+whole curation, batch and streamed, with the references standing in for
+production.
 """
 
 import json
@@ -16,16 +18,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.api as api
 import repro.ioda.dashboard as dashboard
+import repro.ioda.platform as platform
 import repro.stream.engine as engine
 from repro import io
+from repro.bgp.view import visible_slash24_series
 from repro.errors import SignalError
 from repro.ioda.detectors import DETECTOR_CONFIGS
-from repro.probing.blocks import ProbedBlock
 from repro.probing.scheduler import ActiveProbingRun
+from repro.probing.trinocular import TrinocularConfig
 from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
@@ -450,12 +454,10 @@ class TestGroupAlertsEquivalence:
 
 
 class TestProbingEquivalence:
-    def _run(self, rng, n_blocks):
-        blocks = [
-            ProbedBlock(slash24=int(i),
-                        response_rate=float(rng.uniform(0.15, 0.95)))
-            for i in range(n_blocks)]
-        return ActiveProbingRun(blocks)
+    def _run(self, rng, n_blocks, config=None):
+        return ActiveProbingRun(np.arange(n_blocks),
+                                rng.uniform(0.15, 0.95, size=n_blocks),
+                                config)
 
     def test_up_count_series_matches_scalar(self):
         rng = np.random.default_rng(13)
@@ -472,6 +474,81 @@ class TestProbingEquivalence:
             assert vec.start == scalar.start
             assert vec.width == scalar.width
             assert vec.values.tobytes() == scalar.values.tobytes(), trial
+
+    @settings(max_examples=60, deadline=None)
+    @given(prior_up=st.floats(0.95, 0.999),
+           up_threshold=st.floats(0.5, 0.85),
+           probes=st.integers(1, 3),
+           drift=st.floats(0.0, 0.2),
+           n_blocks=st.integers(1, 130),
+           data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prior_up_configs_match_scalar(self, prior_up, up_threshold,
+                                           probes, drift, n_blocks, data,
+                                           seed):
+        """A prior above the up threshold keeps never-answered blocks UP
+        for a while (``first_down[1] > 1``), which the default config
+        never does; partial ground truth exercises the block prefix,
+        including up-fractions that land exactly on a block's quantile."""
+        on_quantile = st.integers(0, n_blocks).map(lambda k: k / n_blocks)
+        ups = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                      on_quantile),
+            min_size=1, max_size=300))
+        config = TrinocularConfig(probes_per_round=probes,
+                                  up_threshold=up_threshold,
+                                  down_threshold=0.1, prior_up=prior_up,
+                                  belief_drift=drift)
+        run = self._run(np.random.default_rng(seed), n_blocks, config)
+        window = TimeRange(0, len(ups) * 600)
+        up = np.array(ups)
+        vec = run.up_count_series(window, up, np.random.default_rng(seed))
+        assume((run._first_down[1] > 1).any())
+        scalar = oracles.up_count_series(run, window, up,
+                                         np.random.default_rng(seed))
+        assert vec.values.tobytes() == scalar.values.tobytes()
+
+
+class TestBGPEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4096), min_size=1, max_size=150),
+           ups=st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                  st.floats(0.0, 1.0),
+                                  st.floats(-0.5, 1.5)),
+                        min_size=1, max_size=200),
+           miss_rate=st.one_of(st.just(0.02), st.floats(0.3, 0.6)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernel_matches_dense_reference(self, sizes, ups, miss_rate,
+                                            seed):
+        window = TimeRange(0, len(ups) * FIVE_MINUTES)
+        up = np.array(ups)
+        kernel = visible_slash24_series(
+            window, sizes, up, np.random.default_rng(seed),
+            miss_rate=miss_rate)
+        dense = oracles.visible_slash24_series(
+            window, sizes, up, np.random.default_rng(seed),
+            miss_rate=miss_rate)
+        assert kernel.start == dense.start
+        assert kernel.values.tobytes() == dense.values.tobytes()
+
+    def test_invisible_cells_are_taken_out(self):
+        """At a 50% peer miss rate many cells are invisible, so the
+        count falls below the reachable budget on most bins."""
+        sizes = np.arange(1, 151)
+        up = np.resize([1.0, 0.0, 0.37, 0.999], 64)
+        window = TimeRange(0, len(up) * FIVE_MINUTES)
+        kernel = visible_slash24_series(
+            window, sizes, up, np.random.default_rng(5), miss_rate=0.5)
+        dense = oracles.visible_slash24_series(
+            window, sizes, up, np.random.default_rng(5), miss_rate=0.5)
+        budget = np.round(up * sizes.sum())
+        assert (kernel.values < budget).sum() > len(up) // 2
+        assert kernel.values.tobytes() == dense.values.tobytes()
+
+    def test_rejects_negative_prefix_sizes(self):
+        with pytest.raises(SignalError, match="non-negative"):
+            visible_slash24_series(TimeRange(0, FIVE_MINUTES), [4, -1],
+                                   np.ones(1), np.random.default_rng(0))
 
 
 class TestSeriesArrayAPI:
@@ -506,7 +583,7 @@ class TestSeriesArrayAPI:
 class TestPipelineByteIdentity:
     """The whole pipeline — signals, detection, curation, merge — must
     be byte-identical with the references standing in for production
-    detection and probing, batch and streamed."""
+    detection, probing and BGP counting, batch and streamed."""
 
     @pytest.fixture(scope="class")
     def small_run(self):
@@ -536,8 +613,12 @@ class TestPipelineByteIdentity:
         monkeypatch.setattr(ActiveProbingRun, "up_count_series",
                             self._counted(calls, "probing",
                                           oracles.up_count_series))
+        monkeypatch.setattr(platform, "visible_slash24_series",
+                            self._counted(calls, "bgp",
+                                          oracles.visible_slash24_series))
         reference = api.run(workers=1, backend="serial", **kwargs)
-        assert calls["episodes"] and calls["probing"], calls
+        assert calls["episodes"] and calls["probing"] and calls["bgp"], \
+            calls
         assert self._record_bytes(reference) \
             == self._record_bytes(production)
         assert len(reference.kio_events) == len(production.kio_events)
@@ -550,11 +631,15 @@ class TestPipelineByteIdentity:
         monkeypatch.setattr(ActiveProbingRun, "up_count_series",
                             self._counted(calls, "probing",
                                           oracles.up_count_series))
+        monkeypatch.setattr(platform, "visible_slash24_series",
+                            self._counted(calls, "bgp",
+                                          oracles.visible_slash24_series))
         session = api.stream(backend="serial", **kwargs)
         for _ in session.replay(step=30 * DAY):
             pass
         streamed = session.finalize()
-        assert calls["detector"] and calls["probing"], calls
+        assert calls["detector"] and calls["probing"] and calls["bgp"], \
+            calls
         assert self._record_bytes(streamed) \
             == self._record_bytes(production)
 

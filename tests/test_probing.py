@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SignalError
-from repro.probing.blocks import ProbedBlock, sample_blocks
+from repro.probing.blocks import sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
 from repro.probing.trinocular import (
     BlockState,
@@ -68,39 +68,55 @@ class TestTrinocularBatch:
 
 class TestProbedBlocks:
     def test_response_rate_validated(self):
-        with pytest.raises(ConfigurationError):
-            ProbedBlock(slash24=1, response_rate=0.0)
+        for rate in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ConfigurationError):
+                ActiveProbingRun([1, 2], [0.5, rate])
+        with pytest.raises(SignalError, match="equal in length"):
+            ActiveProbingRun([1, 2], [0.5])
 
     def test_sample_blocks_excludes_mobile(self, scenario):
         network = scenario.topology.get("IR")
         rng = substream(1, "blocks")
-        blocks = sample_blocks(network, rng, max_blocks=64)
-        assert 0 < len(blocks) <= 64
+        slash24, rates = sample_blocks(network, rng, max_blocks=64)
+        assert 0 < len(slash24) == len(rates) <= 64
+        assert ((rates >= 0.15) & (rates <= 1.0)).all()
         mobile_blocks = {
             block
             for network_as in network.ases if network_as.mobile
             for prefix in network_as.prefixes
             for block in prefix.slash24s()}
-        assert all(b.slash24 not in mobile_blocks for b in blocks)
+        assert all(int(block) not in mobile_blocks for block in slash24)
 
     def test_sample_deterministic(self, scenario):
         network = scenario.topology.get("SY")
         a = sample_blocks(network, substream(1, "x"), max_blocks=32)
         b = sample_blocks(network, substream(1, "x"), max_blocks=32)
-        assert [x.slash24 for x in a] == [x.slash24 for x in b]
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestActiveProbingRun:
     def _run(self, n_blocks=64):
         rng = substream(2, "blocks")
-        blocks = [ProbedBlock(slash24=i,
-                              response_rate=float(rng.uniform(0.2, 0.9)))
-                  for i in range(n_blocks)]
-        return ActiveProbingRun(blocks)
+        return ActiveProbingRun(np.arange(n_blocks),
+                                rng.uniform(0.2, 0.9, size=n_blocks))
+
+    def test_blocks_taken_in_address_order(self):
+        rng = substream(2, "blocks")
+        slash24 = rng.permutation(32)
+        rates = rng.uniform(0.2, 0.9, size=32)
+        order = np.argsort(slash24)
+        window = TimeRange(0, 6 * HOUR)
+        up = np.linspace(0.0, 1.0, 6 * HOUR // TEN_MINUTES)
+        shuffled = ActiveProbingRun(slash24, rates).up_count_series(
+            window, up, substream(3, "probe"))
+        ordered = ActiveProbingRun(slash24[order], rates[order]) \
+            .up_count_series(window, up, substream(3, "probe"))
+        assert shuffled.values.tobytes() == ordered.values.tobytes()
 
     def test_requires_blocks(self):
         with pytest.raises(SignalError):
-            ActiveProbingRun([])
+            ActiveProbingRun([], [])
 
     def test_steady_state_counts_near_total(self):
         run = self._run()
