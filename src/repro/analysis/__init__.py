@@ -35,8 +35,6 @@ from repro.analysis.observability import (
     ExecStats,
     HealthReport,
     ObservabilityTable,
-    execution_report,
-    health_report,
     observability_table,
 )
 from repro.analysis.kio_trends import KIOTrends, kio_trends
@@ -58,8 +56,7 @@ __all__ = [
     "state_control_split", "state_share_distributions",
     "MobilizationTable", "mobilization_table",
     "TemporalAnalysis", "analyze_temporal",
-    "ExecStats", "execution_report",
-    "HealthReport", "health_report",
+    "ExecStats", "HealthReport",
     "ObservabilityTable", "observability_table",
     "KIOTrends", "kio_trends",
     "MatchTimeline", "match_timeline",

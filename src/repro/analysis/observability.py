@@ -6,21 +6,20 @@ Two reports live here:
   percentage of shutdown and spontaneous-outage events whose curated
   record marks the signal as humanly visible, plus the percentage
   visible in all three signals simultaneously.
-- Execution observability: the rendered :class:`repro.exec.ExecStats`
-  report for a pipeline run — per-stage wall time, shard-cache hit/miss
+- Execution observability: the :class:`repro.exec.ExecStats` report
+  for a pipeline run (``stats.rows()`` renders it) — per-stage wall time, shard-cache hit/miss
   counters, and shard skew — as surfaced by ``repro run --stats``.
   Since :mod:`repro.obs` landed, that report is a derived view over the
   run's span tree (:meth:`ExecStats.from_obs`); the full tree plus
   metrics live in the run journal and the ``--trace`` Chrome export,
   summarized by ``repro trace summarize`` (:mod:`repro.obs.summary`).
-- Run health: the rendered :class:`repro.obs.HealthReport` fidelity
-  scorecard for a run — event populations, match fractions, and
+- Run health: the :class:`repro.obs.HealthReport` fidelity scorecard
+  for a run (``report.rows()`` renders it) — event populations, match fractions, and
   operational budgets graded against the paper's targets — as surfaced
   by ``repro run --health`` and ``repro health RUN.jsonl``.
 
-:class:`ExecStats`, :func:`execution_report`, and
-:func:`health_report` are re-exported from :mod:`repro.analysis` and
-:mod:`repro.api` as the stable import path.
+:class:`ExecStats` and :class:`HealthReport` are re-exported from
+:mod:`repro.analysis` and :mod:`repro.api` as the stable import path.
 """
 
 from __future__ import annotations
@@ -36,17 +35,7 @@ from repro.obs.health import HealthReport
 from repro.signals.kinds import SignalKind
 
 __all__ = ["ExecStats", "HealthReport", "ObservabilityTable",
-           "execution_report", "health_report", "observability_table"]
-
-
-def execution_report(stats: ExecStats) -> List[str]:
-    """Human-readable lines describing one pipeline execution."""
-    return stats.rows()
-
-
-def health_report(report: HealthReport) -> List[str]:
-    """Human-readable lines of one run's fidelity scorecard."""
-    return report.rows()
+           "observability_table"]
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,8 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.observability import execution_report, health_report
 from repro.core.pipeline import PipelineResult, ReproPipeline
 from repro.datasets import DatasetSource, default_sources
 from repro.exec import ExecStats, ExecutorConfig, backend_label
@@ -54,7 +53,7 @@ from repro.obs import HealthCheck, HealthPolicy, HealthReport, \
     save_baseline, sorted_capsules, summarize_events, write_chrome_trace
 from repro.resilience import BreakerPolicy, FaultPlan, ResilienceConfig, \
     RetryPolicy
-from repro.stream.models import BinSegment, SignalBin, StreamEvent
+from repro.stream.models import BinSegment, StreamEvent
 from repro.stream.session import StreamSession
 from repro.timeutils.timestamps import TimeRange
 from repro.world.scenario import STUDY_PERIOD, ScenarioConfig
@@ -79,7 +78,6 @@ __all__ = [
     "RunRecord",
     "RunRegistry",
     "RunResult",
-    "SignalBin",
     "StreamEvent",
     "StreamSession",
     "TelemetryConfig",
@@ -89,8 +87,6 @@ __all__ = [
     "default_sources",
     "dump_records",
     "evaluate_run",
-    "execution_report",
-    "health_report",
     "load_baseline",
     "load_records",
     "read_journal",
@@ -109,8 +105,7 @@ def _pipeline(*, seed: int, workers: int, backend: str,
               curation_config: Optional[CurationConfig],
               study_period: TimeRange,
               observability: Observability,
-              resilience: Optional[ResilienceConfig],
-              health_policy: Optional[HealthPolicy]) -> ReproPipeline:
+              resilience: Optional[ResilienceConfig]) -> ReproPipeline:
     return ReproPipeline(
         scenario_config=scenario_config or ScenarioConfig(seed=seed),
         curation_config=curation_config,
@@ -119,8 +114,7 @@ def _pipeline(*, seed: int, workers: int, backend: str,
         executor=ExecutorConfig(
             workers=workers, backend=backend, n_shards=shards),
         observability=observability,
-        resilience=resilience,
-        health_policy=health_policy)
+        resilience=resilience)
 
 
 def _session(observability: Optional[Observability],
@@ -251,7 +245,6 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
         study_period: TimeRange = STUDY_PERIOD,
         observability: Optional[Observability] = None,
         resilience: Optional[ResilienceConfig] = None,
-        health_policy: Optional[HealthPolicy] = None,
         runs_dir: Optional[Path | str] = None,
         run_name: Optional[str] = None) -> RunResult:
     """Run the full reproduction pipeline; return a :class:`RunResult`.
@@ -301,12 +294,13 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
     ``result.stats.degraded`` / ``.quarantined`` for what a degraded
     run gave up on.
 
-    Every run is graded against a fidelity scorecard
-    (``health_policy``; default: the paper-target policy) whose
-    ``result.health.grade`` is ``"pass"``, ``"warn"``, or ``"fail"``
-    and whose ``result.health.rows()`` renders the scorecard; the same
+    Every run is graded against the paper-target fidelity scorecard,
+    whose ``result.health.grade`` is ``"pass"``, ``"warn"``, or
+    ``"fail"`` and whose ``result.health.rows()`` renders it; the same
     report is streamed into the run journal as a ``health`` event,
-    replayable with ``repro health RUN.jsonl``.
+    replayable with ``repro health RUN.jsonl``.  To grade against
+    another :class:`HealthPolicy`, call
+    ``evaluate_run(result.events, result.stats, policy)``.
 
     ``runs_dir`` enables the cross-run registry: the session's journal
     (or, when it has none, one attached under ``runs_dir`` before the
@@ -324,7 +318,7 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
         cache_dir=cache_dir, scenario_config=scenario_config,
         curation_config=curation_config,
         study_period=study_period, observability=obs,
-        resilience=resilience, health_policy=health_policy)
+        resilience=resilience)
     events = pipeline.run()
     assert pipeline.stats is not None and pipeline.health is not None
     journal_path, run_id, run_dir = _file_run(
@@ -344,7 +338,6 @@ def stream(*, seed: int = 2023, workers: int = 1,
            study_period: TimeRange = STUDY_PERIOD,
            observability: Optional[Observability] = None,
            resilience: Optional[ResilienceConfig] = None,
-           health_policy: Optional[HealthPolicy] = None,
            runs_dir: Optional[Path | str] = None,
            run_name: Optional[str] = None) -> StreamSession:
     """Open the reproduction as an incremental run; return its session.
@@ -399,7 +392,7 @@ def stream(*, seed: int = 2023, workers: int = 1,
         cache_dir=None, scenario_config=scenario_config,
         curation_config=curation_config,
         study_period=study_period, observability=obs,
-        resilience=resilience, health_policy=health_policy)
+        resilience=resilience)
 
     def package(pipeline: ReproPipeline, obs: Observability,
                 events: PipelineResult) -> RunResult:
@@ -420,17 +413,13 @@ def stream(*, seed: int = 2023, workers: int = 1,
         package=package)
 
 
-def client(result: Union[RunResult, PipelineResult],
-           records: Optional[Sequence[OutageRecord]] = None) -> IODAClient:
+def client(result: Union[RunResult, PipelineResult]) -> IODAClient:
     """An :class:`IODAClient` over a run's events.
 
     Accepts the :class:`RunResult` of :func:`run` (or a bare
-    :class:`PipelineResult`) and serves its curated records (or an
-    explicit ``records`` override) through the IODA-style query API —
-    signals, alerts, and the cursor-paginated event feed.
+    :class:`PipelineResult`) and serves its curated records through the
+    IODA-style query API — signals, alerts, and the cursor-paginated
+    event feed.
     """
     events = result.events if isinstance(result, RunResult) else result
-    platform = IODAPlatform(events.scenario)
-    curated: Sequence[OutageRecord] = (
-        events.curated_records if records is None else records)
-    return IODAClient(platform, curated)
+    return IODAClient(IODAPlatform(events.scenario), events.curated_records)

@@ -85,7 +85,6 @@ from repro.analysis import (
     observability_table,
     summarize_merged,
 )
-from repro.analysis.observability import execution_report
 from repro.analysis.report import build_report, render_markdown
 from repro.core.heuristics import ShutdownTriage
 from repro import api
@@ -295,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "registered run ID")
     trace_diff.add_argument("--top", type=int, default=5,
                             help="paths per direction (default 5)")
-    trace_diff.add_argument("--epsilon", type=float, default=0.001,
-                            help="seconds below which a path counts as "
-                                 "unchanged (default 0.001)")
 
     explain = commands.add_parser(
         "explain",
@@ -381,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default=Path("artifacts/store"),
                              help="store directory (default "
                                   "artifacts/store)")
-    serve_build.add_argument("--run", dest="run_token", default=None,
-                             metavar="RUN_ID",
-                             help="rebuild from a registered run's "
-                                  "config (resolved against "
-                                  "--runs-dir) instead of the global "
-                                  "run flags")
     serve_build.add_argument("--countries", type=int, default=None,
                              metavar="N",
                              help="cap the tile pyramid at the N "
@@ -398,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_build.add_argument("--tile-bins", type=int, dest="tile_bins",
                              default=None, metavar="N",
                              help="max points per tile (default 512)")
-    serve_build.add_argument("--page-size", type=int, dest="page_size",
-                             default=50, metavar="N",
-                             help="default event page size recorded in "
-                                  "the manifest (default 50)")
     serve_run = serve_commands.add_parser(
         "run", help="serve a built store over HTTP until interrupted")
     serve_run.add_argument("--store", type=Path,
@@ -410,10 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "artifacts/store)")
     serve_run.add_argument("--host", default="127.0.0.1")
     serve_run.add_argument("--port", type=int, default=8099)
-    serve_run.add_argument("--serve-cache-size", type=int, default=None,
-                           dest="serve_cache_size", metavar="N",
-                           help="bound on the hot-artifact LRU "
-                                "(default 256)")
     serve_loadgen = serve_commands.add_parser(
         "loadgen", help="run a seeded load burst; print the SLO report")
     serve_loadgen.add_argument("--store", type=Path,
@@ -443,11 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(http://host:port) instead of "
                                     "spawning one; cache counters are "
                                     "then unavailable")
-    serve_loadgen.add_argument("--serve-cache-size", type=int,
-                               default=None, dest="serve_cache_size",
-                               metavar="N",
-                               help="bound on the spawned app's "
-                                    "hot-artifact LRU (default 256)")
     serve_loadgen.add_argument("--report", type=Path, default=None,
                                metavar="PATH",
                                help="write the SLO report JSON here")
@@ -677,7 +654,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("\n".join(observability_table(result.merged).rows()))
     if args.stats:
         print("\n== Execution ==")
-        print("\n".join(execution_report(result.stats)))
+        print("\n".join(result.stats.rows()))
     if args.health:
         print("\n== Health ==")
         print("\n".join(result.health.rows()))
@@ -850,8 +827,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if events_b is None:
             return 2
         diff = diff_events(events_a, events_b,
-                           label_a=args.run_a, label_b=args.run_b,
-                           epsilon=args.epsilon)
+                           label_a=args.run_a, label_b=args.run_b)
         print("\n".join(diff.rows(top=args.top)))
         return 0
     return 2
@@ -975,27 +951,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         build_store, run_loadgen, serve_forever
 
     if args.serve_command == "build":
-        if args.run_token is not None:
-            try:
-                record = _registry(args).get(args.run_token)
-            except KeyError as exc:
-                print(f"repro: error: no such run: {args.run_token} "
-                      f"({exc.args[0]})", file=sys.stderr)
-                return 2
-            seed = int(record.config.get("seed", args.seed))
-            result = api.run(seed=seed,
-                             cache_dir=_usable_cache_dir(args.cache_dir),
-                             workers=args.workers, backend=args.backend)
-        else:
-            result = _run(args)
+        result = _run(args)
         try:
             zooms = tuple(int(z) for z in args.zooms.split(","))
         except ValueError:
             print(f"repro: error: bad --zooms spec: {args.zooms!r}",
                   file=sys.stderr)
             return 2
-        build_options = {"page_size": args.page_size, "zooms": zooms,
-                         "max_countries": args.countries}
+        build_options = {"zooms": zooms, "max_countries": args.countries}
         if args.tile_bins is not None:
             build_options["tile_bins"] = args.tile_bins
         started = time.time()
@@ -1018,9 +981,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     if args.serve_command == "run":
-        app = (ServeApp(store, cache_size=args.serve_cache_size)
-               if args.serve_cache_size is not None else ServeApp(store))
-        serve_forever(app, host=args.host, port=args.port)
+        serve_forever(ServeApp(store), host=args.host, port=args.port)
         return 0
 
     if args.serve_command == "loadgen":
@@ -1029,8 +990,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             requests_per_client=args.requests_per_client,
             seed=args.loadgen_seed)
         report = run_loadgen(store, url=args.url, config=config,
-                             tcp=args.tcp,
-                             cache_size=args.serve_cache_size)
+                             tcp=args.tcp)
         if args.json:
             print(json.dumps(report.as_dict(), indent=2))
         else:

@@ -64,10 +64,6 @@ class FeatureExtractor:
         self._libdem = libdem_by_country_year
         self._state_shares = state_shares or {}
 
-    @property
-    def n_features(self) -> int:
-        return len(FEATURE_NAMES)
-
     def extract(self, records: Sequence[OutageRecord]) -> np.ndarray:
         """Feature matrix for a set of records (rows align with input).
 

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.matching import MatchingConfig
 from repro.exec.cachestore import CACHE_VERSION, CacheStore
 from repro.exec.stats import ExecStats
 from repro.exec.workers import ExecutorConfig, ShardedCurationExecutor
-from repro.obs.health import HealthPolicy, HealthReport, evaluate_run
+from repro.obs.health import HealthReport, evaluate_run
 from repro.obs.runtime import Observability, activate
 from repro.core.merge import MergedDataset, build_merged_dataset
 from repro.datasets import (
@@ -39,9 +38,8 @@ from repro.datasets import (
     default_sources,
 )
 from repro.ioda.curation import CurationConfig
-from repro.ioda.platform import PlatformConfig
 from repro.ioda.records import OutageRecord
-from repro.kio.compiler import KIOCompiler, KIOCompilerConfig
+from repro.kio.compiler import KIOCompiler
 from repro.kio.harmonize import Harmonizer
 from repro.kio.schema import KIOEvent
 from repro.kio.snapshots import AnnualSnapshot
@@ -86,33 +84,22 @@ class ReproPipeline:
     """Runs (and caches) the full reproduction."""
 
     def __init__(self, scenario_config: ScenarioConfig | None = None,
-                 platform_config: PlatformConfig | None = None,
                  curation_config: CurationConfig | None = None,
-                 kio_config: KIOCompilerConfig | None = None,
-                 matching_config: MatchingConfig | None = None,
                  study_period: TimeRange = STUDY_PERIOD,
                  cache_dir: Optional[Path] = None,
                  executor: ExecutorConfig | None = None,
                  observability: Observability | None = None,
-                 resilience: ResilienceConfig | None = None,
-                 health_policy: HealthPolicy | None = None):
+                 resilience: ResilienceConfig | None = None):
         self._scenario_config = scenario_config or ScenarioConfig()
-        self._platform_config = platform_config
-        self._curation_config = curation_config
-        self._kio_config = kio_config
-        self._matching_config = matching_config
         self._study_period = study_period
-        self._cache_dir = cache_dir
         self._resilience = resilience
         self._executor = ShardedCurationExecutor(
             study_period=study_period,
-            platform_config=platform_config,
             curation_config=curation_config,
             cache=CacheStore(Path(cache_dir)) if cache_dir else None,
             config=executor,
             resilience=resilience)
         self._observability = observability
-        self._health_policy = health_policy
         self._last_obs: Optional[Observability] = None
         self._stats: Optional[ExecStats] = None
         self._health: Optional[HealthReport] = None
@@ -131,9 +118,11 @@ class ReproPipeline:
     def health(self) -> Optional[HealthReport]:
         """Fidelity scorecard of the most recent :meth:`run` (or None).
 
-        Graded by the run's health policy (default: the paper-fidelity
-        policy of :func:`repro.obs.health.default_policy`); the same
-        report is streamed into the run journal as a ``health`` event.
+        Graded against the paper-fidelity policy of
+        :func:`repro.obs.health.default_policy`; the same report is
+        streamed into the run journal as a ``health`` event.  Grade a
+        run against another policy with
+        ``evaluate_run(result, stats, policy)``.
         """
         return self._health
 
@@ -164,8 +153,7 @@ class ReproPipeline:
 
     def compile_kio(self, scenario: WorldScenario) -> List[KIOEvent]:
         """Stage 3: KIO reporting → annual snapshots → harmonization."""
-        compiler = KIOCompiler(
-            scenario.seed, scenario.registry, self._kio_config)
+        compiler = KIOCompiler(scenario.seed, scenario.registry)
         years = list(scenario.config.years)
         canonical = compiler.compile(
             scenario.shutdowns, scenario.restrictions, years)
@@ -186,9 +174,9 @@ class ReproPipeline:
         export pass their own :class:`Observability` session via the
         ``observability`` constructor argument (see :mod:`repro.api`).
 
-        Afterwards the run is graded against its health policy
-        (:attr:`health`; default: paper-fidelity targets), and the
-        scorecard is journaled as a ``health`` event.
+        Afterwards the run is graded against the paper-fidelity
+        targets (:attr:`health`), and the scorecard is journaled as a
+        ``health`` event.
         """
         obs = self.build_observability()
         plan = (self._resilience.fault_plan
@@ -240,8 +228,7 @@ class ReproPipeline:
         with obs.span("stage:merge"):
             merged = build_merged_dataset(
                 scenario.registry, kio_events, records,
-                self._study_period,
-                matching=self._matching_config)
+                self._study_period)
         with obs.span("stage:datasets"):
             return self._assemble(scenario, records, kio_events, merged)
 
@@ -250,13 +237,12 @@ class ReproPipeline:
         """Grade and close out a run executed under ``obs``.
 
         Derives the :class:`ExecStats` report from the span tree,
-        grades the run against the health policy, journals the health
+        grades the run against the default policy, journals the health
         event, and finishes the session — the common tail of
         :meth:`run` and of a streaming finalize.
         """
         self._stats = ExecStats.from_obs(obs)
-        self._health = evaluate_run(result, self._stats,
-                                    self._health_policy)
+        self._health = evaluate_run(result, self._stats)
         if obs.journal is not None:
             obs.journal.write(self._health.as_event())
         self._last_obs = obs

@@ -346,13 +346,11 @@ class ShardedCurationExecutor:
     """Runs the observation+curation stage sharded, cached, and merged."""
 
     def __init__(self, *, study_period: TimeRange,
-                 platform_config: PlatformConfig | None = None,
                  curation_config: CurationConfig | None = None,
                  cache: CacheStore | None = None,
                  config: ExecutorConfig | None = None,
                  resilience: ResilienceConfig | None = None):
         self._period = study_period
-        self._platform_config = platform_config or PlatformConfig()
         self._curation_config = curation_config or CurationConfig()
         self._cache = cache
         self._config = config or ExecutorConfig()
@@ -376,7 +374,7 @@ class ShardedCurationExecutor:
                      backend=backend_label(self._config.backend,
                                            self._config.workers))
 
-        platform = IODAPlatform(scenario, self._platform_config)
+        platform = IODAPlatform(scenario)
         pipeline = CurationPipeline(platform, self._curation_config)
         # Computed once, here: the full-world window map feeds the LPT
         # weights below, and each shard receives just its own
@@ -465,7 +463,9 @@ class ShardedCurationExecutor:
 
     def _shard_key(self, scenario: WorldScenario,
                    shard: Shard) -> Tuple[object, ...]:
-        return (scenario.config, self._platform_config,
+        # The platform config shapes every signal a shard curates, so
+        # it stays in the key.
+        return (scenario.config, PlatformConfig(),
                 self._curation_config, self._period, shard.countries)
 
     def _cache_get(self, scenario: WorldScenario,

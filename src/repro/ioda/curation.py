@@ -445,14 +445,6 @@ class CurationPipeline:
         return {iso2: list(windows)
                 for iso2, windows in self._grouped_windows(period).items()}
 
-    def _investigation_windows(
-            self, period: TimeRange) -> Iterable[Tuple[str, TimeRange]]:
-        """(country, window) pairs to investigate, merged per country."""
-        for iso2, windows in sorted(
-                self._grouped_windows(period).items()):
-            for window in windows:
-                yield iso2, window
-
     def _grouped_windows(
             self, period: TimeRange) -> Dict[str, List[TimeRange]]:
         triggers: Dict[str, List[TimeRange]] = {}

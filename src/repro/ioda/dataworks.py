@@ -117,11 +117,6 @@ class DataWorksReviewer:
             return Entity(EntityScope.REGION, record.region_names[0])
         return Entity.country(record.country_iso2)
 
-    def _visibly_down(self, entity: Entity, kind: SignalKind,
-                      span: TimeRange, window: TimeRange) -> bool:
-        return (self._depth(entity, kind, span, window)
-                >= self._thresholds[kind])
-
     def _depth(self, entity: Entity, kind: SignalKind, span: TimeRange,
                window: TimeRange) -> float:
         series = self._platform.signal(entity, kind, window)

@@ -26,8 +26,9 @@ runs between ground truth and a published :class:`TimeSeries`.  The BGP
 and probing kernels draw one uniform per (bin, prefix) or (round, block)
 cell and do per-cell arithmetic only where a draw can change the count;
 ``tests/oracles.py`` keeps the dense forms they must match bit for bit.
-Each country's probing sample is held as two arrays, /24 indices and
-response rates.
+Each country's probing sample is one :class:`ActiveProbingRun`; a
+region probes the sample's first blocks through it, so a country's
+belief tables serve all its regions.
 
 Signals are deterministic per (seed, entity, window start): the window
 start keys each query's RNG substream, so a repeated query returns equal
@@ -92,8 +93,11 @@ class PlatformConfig:
 class _CountryCache:
     network: CountryNetwork
     prefix_sizes: Tuple[int, ...]
-    block_slash24: np.ndarray
-    block_rates: np.ndarray
+    #: The country's probing run (``None`` without probeable blocks).
+    #: It draws all randomness from the per-query rng, so one run
+    #: serves every window and region and keeps its belief-iterate
+    #: tables warm.
+    probing: Optional[ActiveProbingRun]
     mobile_addr_share: float
     region_shares: Mapping[str, float]
     as_addr_shares: Mapping[int, float]
@@ -114,11 +118,6 @@ class IODAPlatform:
         self._cache: Dict[str, _CountryCache] = {
             iso2: self._country_cache(iso2, network)
             for iso2, network in scenario.topology.networks.items()}
-        # ActiveProbingRun is deterministic given its block list (all
-        # randomness arrives via the per-query rng), so one instance per
-        # (country, kept-block-count) serves every window and keeps its
-        # belief-iterate tables warm.
-        self._probing_runs: Dict[Tuple[str, int], ActiveProbingRun] = {}
         # Per-(country, kind, region) disruption impact arrays: the
         # affected share of each disruption is window-independent, so
         # _up_fraction only intersects spans per query (see
@@ -199,8 +198,8 @@ class IODAPlatform:
         return _CountryCache(
             network=network,
             prefix_sizes=prefix_sizes,
-            block_slash24=block_slash24,
-            block_rates=block_rates,
+            probing=(ActiveProbingRun(block_slash24, block_rates)
+                     if len(block_rates) else None),
             mobile_addr_share=mobile24 / total24,
             region_shares={r.name: r.share for r in network.regions},
             as_addr_shares={
@@ -319,19 +318,15 @@ class IODAPlatform:
                 n_full_feed_peers=self._config.n_full_feed_peers,
                 miss_rate=self._config.bgp_peer_miss_rate)
         elif kind is SignalKind.ACTIVE_PROBING:
-            keep = len(cache.block_rates)
-            if region_name is not None:
-                keep = min(keep, max(8, int(keep * scale)))
-            if not keep:
+            run = cache.probing
+            if run is None:
                 series = TimeSeries.zeros(window, bin_width)
             else:
-                key = (iso2, keep)
-                run = self._probing_runs.get(key)
-                if run is None:
-                    run = ActiveProbingRun(cache.block_slash24[:keep],
-                                           cache.block_rates[:keep])
-                    self._probing_runs[key] = run
-                series = run.up_count_series(window, up, rng)
+                # A region probes the first blocks of the sample.
+                keep = run.n_blocks
+                if region_name is not None:
+                    keep = min(keep, max(8, int(keep * scale)))
+                series = run.up_count_series(window, up, rng, keep=keep)
         else:
             intensity = cache.network.ibr_intensity * max(scale, 0.02)
             series = unique_source_series(

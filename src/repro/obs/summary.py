@@ -15,7 +15,8 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.obs.trace import SpanRecord
 
-__all__ = ["JournalSummary", "summarize_events", "aggregate_spans"]
+__all__ = ["JournalSummary", "aggregate_spans", "journal_run_seconds",
+           "summarize_events"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,22 @@ def aggregate_spans(spans: Sequence[SpanRecord]) -> List[SpanAggregate]:
         key=lambda agg: -agg.total_seconds)
 
 
+def journal_run_seconds(events: Sequence[Mapping[str, Any]]) -> float:
+    """A journal's wall time: ``run_start`` to ``run_end``, or the
+    extent of its spans when either marker is missing."""
+    started = min((e.get("ts", 0.0) for e in events
+                   if e.get("type") == "run_start"), default=None)
+    ended = max((e.get("ts", 0.0) for e in events
+                 if e.get("type") == "run_end"), default=None)
+    if started is not None and ended is not None:
+        return max(0.0, float(ended) - float(started))
+    spans = [e for e in events if e.get("type") == "span"]
+    if not spans:
+        return 0.0
+    return (max(float(e["start"]) + float(e["duration"]) for e in spans)
+            - min(float(e["start"]) for e in spans))
+
+
 def summarize_events(events: Sequence[Mapping[str, Any]]) -> JournalSummary:
     """Summarize replayed journal events (see :func:`.journal.read_journal`)."""
     spans = [SpanRecord.from_event(dict(e)) for e in events
@@ -115,22 +132,11 @@ def summarize_events(events: Sequence[Mapping[str, Any]]) -> JournalSummary:
         if event.get("type") == "metrics":
             counters = dict(event.get("counters", {}))
             histograms = dict(event.get("histograms", {}))
-    started = min((e.get("ts", 0.0) for e in events
-                   if e.get("type") == "run_start"), default=None)
-    ended = max((e.get("ts", 0.0) for e in events
-                 if e.get("type") == "run_end"), default=None)
-    if started is not None and ended is not None:
-        run_seconds = max(0.0, float(ended) - float(started))
-    elif spans:
-        run_seconds = (max(s.start + s.duration for s in spans)
-                       - min(s.start for s in spans))
-    else:
-        run_seconds = 0.0
     slowest = tuple(sorted(spans, key=lambda s: -s.duration))
     return JournalSummary(
         n_events=len(events),
         n_spans=len(spans),
-        run_seconds=run_seconds,
+        run_seconds=journal_run_seconds(events),
         slowest=slowest,
         aggregates=tuple(aggregate_spans(spans)),
         counters=counters,

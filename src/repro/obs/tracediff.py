@@ -25,6 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.obs.summary import journal_run_seconds
+
 __all__ = ["PathDelta", "TraceDiff", "diff_events", "span_path_seconds"]
 
 #: Deltas smaller than this (seconds) are treated as unchanged.
@@ -140,20 +142,6 @@ def span_path_seconds(events: Sequence[Mapping[str, Any]]
             for path, durations in totals.items()}
 
 
-def _run_seconds(events: Sequence[Mapping[str, Any]]) -> float:
-    started = min((e.get("ts", 0.0) for e in events
-                   if e.get("type") == "run_start"), default=None)
-    ended = max((e.get("ts", 0.0) for e in events
-                 if e.get("type") == "run_end"), default=None)
-    if started is not None and ended is not None:
-        return max(0.0, float(ended) - float(started))
-    spans = [e for e in events if e.get("type") == "span"]
-    if not spans:
-        return 0.0
-    return (max(float(e["start"]) + float(e["duration"]) for e in spans)
-            - min(float(e["start"]) for e in spans))
-
-
 def diff_events(events_a: Sequence[Mapping[str, Any]],
                 events_b: Sequence[Mapping[str, Any]], *,
                 label_a: str = "A", label_b: str = "B",
@@ -171,6 +159,6 @@ def diff_events(events_a: Sequence[Mapping[str, Any]],
     deltas.sort(key=lambda d: (-abs(d.delta), d.path))
     return TraceDiff(
         label_a=label_a, label_b=label_b,
-        total_a=round(_run_seconds(events_a), 6),
-        total_b=round(_run_seconds(events_b), 6),
+        total_a=round(journal_run_seconds(events_a), 6),
+        total_b=round(journal_run_seconds(events_b), 6),
         deltas=tuple(deltas), epsilon=epsilon)

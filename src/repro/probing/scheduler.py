@@ -25,11 +25,19 @@ The kernel compares each draw with its block's answer probability once,
 and applies the ground-truth block prefix only on rounds that keep fewer
 than every block up (about 3% of rounds in the canonical run): on the
 others the prefix test is true for every block.
+
+One run serves a whole country: a region probes the first ``keep``
+blocks of the country's sample (``up_count_series(..., keep=)``), whose
+address order is the subsequence of the run's address order made of
+those blocks — exactly their own stable sort.  Every per-block quantity
+(answer probability, belief iterates, first-down level) is computed
+elementwise, so the region reads the same floats a run built over its
+blocks alone would, and the country's tables serve all its regions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +55,8 @@ class ActiveProbingRun:
     Built from a block sample's parallel arrays (see
     :func:`repro.probing.blocks.sample_blocks`): each block's /24 index
     and its response rate, P(single probe answered | block up), which
-    must lie in (0, 1].
+    must lie in (0, 1].  :meth:`up_count_series` probes every block,
+    or with ``keep`` only the first ``keep`` blocks of the sample.
     """
 
     def __init__(self, slash24: Sequence[int] | np.ndarray,
@@ -69,8 +78,10 @@ class ActiveProbingRun:
         self._inference = TrinocularInference(config)
         self._round_width = round_width
         # Blocks in address order (a stable sort, so equal indices keep
-        # their sample order).
-        self._rates = rates[np.argsort(slash24, kind="stable")]
+        # their sample order); _order[i] is the sample index of the
+        # block at address position i.
+        self._order = np.argsort(slash24, kind="stable")
+        self._rates = rates[self._order]
         # Lazy caches for the columnar path: rates are fixed for the
         # life of the run, so the answer probability and the classify-up
         # lookup table are pure functions of them (see _up_table_for).
@@ -89,12 +100,15 @@ class ActiveProbingRun:
         return self._inference
 
     def up_count_series(self, window: TimeRange, up_fraction: np.ndarray,
-                        rng: np.random.Generator) -> TimeSeries:
+                        rng: np.random.Generator,
+                        keep: Optional[int] = None) -> TimeSeries:
         """The up-block-count series over ``window``.
 
         ``up_fraction[i]`` is ground truth for round ``i``.  Returns a
         series binned at the round width whose value is the number of
-        blocks classified UP at the end of each round.
+        blocks classified UP at the end of each round.  With ``keep``,
+        only the sample's first ``keep`` blocks are probed, bit for bit
+        as by a run built over those blocks alone.
 
         Columnar over the whole window (see the module docstring).
         """
@@ -105,7 +119,13 @@ class ActiveProbingRun:
             raise SignalError(
                 f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
 
-        n = self.n_blocks
+        if keep is not None and keep < 1:
+            raise SignalError(f"keep must be >= 1: {keep}")
+        # Address positions of the sample's first ``keep`` blocks, or
+        # None for every block.
+        cols = (None if keep is None or keep >= self.n_blocks
+                else np.flatnonzero(self._order < keep))
+        n = self.n_blocks if cols is None else len(cols)
         # One draw for every (round, block) cell: the generator fills
         # the matrix row-major, so row r carries the exact floats a
         # per-round loop's r-th rng.random(n) call would.
@@ -113,12 +133,14 @@ class ActiveProbingRun:
         if self._p_answer is None:
             self._p_answer = 1.0 - self._inference.miss_likelihood(
                 self._rates)
+        p_answer = (self._p_answer if cols is None
+                    else self._p_answer[cols])
         # A down block never answers (draws are in [0, 1) and its
         # answer probability is 0), so "answered" is the draw beating
         # p_answer on a block that ground truth keeps up.  Every block
         # is up on a round whose up-fraction reaches the last block's
         # quantile, 1.0; only the other rounds need the per-block test.
-        answered = draws < self._p_answer
+        answered = draws < p_answer
         block_quantile = (np.arange(n) + 1.0) / n
         partial = np.flatnonzero(~(block_quantile[-1] <= up + 1e-12))
         if len(partial):
@@ -137,6 +159,8 @@ class ActiveProbingRun:
         # which is exactly their unanswered-round count from the prior.
         limits = self._first_down_limits(idx_dtype)
         if limits is not None:
+            if cols is not None:
+                limits = limits[:, cols]
             # Beliefs decay monotonically between answers, so each table
             # column is True up to its first False (verified when the
             # table was built): the clamped lookup collapses to comparing
@@ -147,7 +171,8 @@ class ActiveProbingRun:
             j = np.minimum(round_index - last_answer,
                            idx_dtype(up_table.shape[0] - 1))
             from_prior = (last_answer < 0).astype(np.int8)
-            up_mask = up_table[j, from_prior, np.arange(n)[None, :]]
+            block = np.arange(n) if cols is None else cols
+            up_mask = up_table[j, from_prior, block[None, :]]
         values = np.count_nonzero(up_mask, axis=1).astype(np.float64)
         return TimeSeries(start, self._round_width, values)
 
@@ -159,14 +184,24 @@ class ActiveProbingRun:
         window, and a longer-than-needed table gives identical lookups
         (levels past a request's depth are never indexed).  Only rebuilt
         when an unconverged cached table is shorter than the request.
+
+        The first table is built twice as deep as requested.  A
+        converging table stops at its fixed point whatever the bound,
+        so this costs it nothing; a block whose iterates never converge
+        (they can settle into a 2-cycle of adjacent floats) keeps the
+        table unconverged, and the headroom absorbs the spread of
+        investigation-window lengths.  A rebuild, for a request beyond
+        that (a whole-period tile), is built to the request's depth.
         """
         if self._up_table is None or (
                 not self._up_table_converged
                 and self._up_table.shape[0] < max_levels + 1):
+            depth = (2 * max_levels if self._up_table is None
+                     else max_levels)
             tables = self._inference.belief_iterate_tables(
-                self._rates, max_levels=max_levels)
+                self._rates, max_levels=depth)
             self._up_table = self._inference.batch_classify_up(tables)
-            self._up_table_converged = tables.shape[0] < max_levels + 1
+            self._up_table_converged = tables.shape[0] < depth + 1
             self._first_down = self._first_down_of(self._up_table)
             self._limits.clear()
         return self._up_table

@@ -242,7 +242,6 @@ def _tile_payload(iso2: str, kind: SignalKind, zoom: int, index: int,
 
 
 def build_store(result: Any, root: Union[str, Path], *,
-                page_size: int = 50,
                 tile_bins: int = DEFAULT_TILE_BINS,
                 zooms: Sequence[int] = DEFAULT_ZOOMS,
                 max_countries: Optional[int] = None,
@@ -260,9 +259,6 @@ def build_store(result: Any, root: Union[str, Path], *,
     from the result's scenario — pass the pipeline's own to reuse its
     per-country caches.
     """
-    if page_size <= 0:
-        raise ConfigurationError(
-            f"page_size must be positive: {page_size}")
     if tile_bins <= 0:
         raise ConfigurationError(
             f"tile_bins must be positive: {tile_bins}")
@@ -327,7 +323,6 @@ def build_store(result: Any, root: Union[str, Path], *,
                                     period))
 
     return builder.finish(meta={
-        "page_size": page_size,
         "tile_bins": tile_bins,
         "zooms": list(zooms),
         "countries": len(countries),

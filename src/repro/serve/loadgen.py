@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, ServeError
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.serve.artifacts import ArtifactStore
 from repro.serve.http import ServeServer
 from repro.serve.routes import LATENCY_BUCKETS, ServeApp
@@ -415,8 +415,7 @@ def run_loadgen(store: Optional[ArtifactStore] = None, *,
                 app: Optional[ServeApp] = None,
                 url: Optional[str] = None,
                 config: LoadgenConfig = LoadgenConfig(),
-                tcp: bool = False,
-                cache_size: Optional[int] = None) -> SLOReport:
+                tcp: bool = False) -> SLOReport:
     """Run one load burst and return its :class:`SLOReport`.
 
     Pass a ``store`` (an app is built over it) or a ready ``app``;
@@ -432,8 +431,7 @@ def run_loadgen(store: Optional[ArtifactStore] = None, *,
         # reach; any store/app passed alongside would sit idle.
         app = None
     elif app is None:
-        kwargs = {} if cache_size is None else {"cache_size": cache_size}
-        app = ServeApp(store, **kwargs)
+        app = ServeApp(store)
     return asyncio.run(_run_async(app, url, config, tcp))
 
 

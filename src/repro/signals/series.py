@@ -202,11 +202,3 @@ class TimeSeries:
             raise SignalError("cannot add misaligned time series")
         return TimeSeries(
             self.start, self.width, self._values + other._values)
-
-    def min_over(self, span: TimeRange) -> float:
-        """Minimum value across bins overlapping ``span``."""
-        return float(self.slice(span).values.min())
-
-    def mean_over(self, span: TimeRange) -> float:
-        """Mean value across bins overlapping ``span``."""
-        return float(self.slice(span).values.mean())

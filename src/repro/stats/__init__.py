@@ -20,7 +20,6 @@ from repro.stats.descriptive import (
     median,
     quantile,
 )
-from repro.stats.rolling import RollingMedian, rolling_median
 from repro.stats.binomial import binomial_pmf, binomial_test_two_tailed
 from repro.stats.contingency import ConditionalRates, DayLevelContingency
 
@@ -30,8 +29,6 @@ __all__ = [
     "fraction_multiple_of",
     "median",
     "quantile",
-    "RollingMedian",
-    "rolling_median",
     "binomial_pmf",
     "binomial_test_two_tailed",
     "ConditionalRates",

@@ -77,11 +77,6 @@ class DayLevelContingency:
         self._day_set = frozenset(self._days)
         self._country_set = frozenset(self._countries)
 
-    @property
-    def n_cells(self) -> int:
-        """Total number of (country, day) cells."""
-        return len(self._countries) * len(self._days)
-
     def _filter(self, cells: Iterable[Cell],
                 day_subset: AbstractSet[int] | None) -> Set[Cell]:
         days = self._day_set if day_subset is None \

@@ -2,13 +2,10 @@
 
 IODA's alert engine compares each new bin of a signal against the median of
 a trailing history window (24 hours for BGP, 7 days for active probing and
-the telescope).  Every implementation of that quantity lives here:
+the telescope).  Both implementations of that quantity live here, and
+both are tested bit for bit against the one-value-at-a-time reference
+tracker, ``RollingMedian`` in ``tests/oracles.py``:
 
-- :class:`RollingMedian` maintains the median incrementally using a
-  sorted window (O(log w) per push), one value at a time — the
-  reference the columnar functions are tested against, and the
-  tracker behind telescope campaign suppression;
-  :func:`rolling_median` is its batch convenience.
 - :func:`trailing_median_at` answers the same question at selected
   positions of a whole series.  A handful of positions (what the
   alert detector's prefilter usually leaves) are answered one
@@ -19,7 +16,8 @@ the telescope).  Every implementation of that quantity lives here:
   computes nothing at positions nobody asked for.
 - :class:`TrailingMedianStream` answers it chunk by chunk at O(window)
   state — the baseline engine of
-  :class:`~repro.stream.detect.StreamingAlertDetector`.  A chunk short
+  :class:`~repro.stream.detect.StreamingAlertDetector` and of
+  telescope campaign suppression.  A chunk short
   relative to the window (a watermark step) is answered by an exact
   rank-select against a sorted copy of the retained tail, whose work
   grows with the chunk, not the window; a longer chunk goes through
@@ -34,66 +32,11 @@ sign compare equal, so which one a median returns is not fixed).
 
 from __future__ import annotations
 
-import bisect
-from collections import deque
-from typing import Iterable, List, Optional
-
 import numpy as np
 
 from repro.errors import SignalError
 
-__all__ = ["RollingMedian", "TrailingMedianStream", "rolling_median",
-           "trailing_median_at"]
-
-
-class RollingMedian:
-    """Median over a sliding window of the last ``window`` values.
-
-    Values are pushed one bin at a time; :attr:`median` reflects only the
-    values currently inside the window.  The median is the interpolating
-    median: the mean of the central pair, which for odd counts is the
-    middle value averaged with itself — ``(a + a) / 2``, so values above
-    ~8.99e307 overflow to inf exactly as in :func:`trailing_median_at`.
-    """
-
-    def __init__(self, window: int):
-        if window <= 0:
-            raise SignalError(f"window must be positive: {window}")
-        self._window = window
-        self._queue: deque[float] = deque()
-        self._sorted: List[float] = []
-
-    @property
-    def window(self) -> int:
-        """Capacity of the sliding window, in values."""
-        return self._window
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        """Whether the window has reached capacity."""
-        return len(self._queue) == self._window
-
-    def push(self, value: float) -> None:
-        """Add a value, evicting the oldest if the window is full."""
-        if len(self._queue) == self._window:
-            oldest = self._queue.popleft()
-            index = bisect.bisect_left(self._sorted, oldest)
-            del self._sorted[index]
-        self._queue.append(value)
-        bisect.insort(self._sorted, value)
-
-    @property
-    def median(self) -> Optional[float]:
-        """Current median, or ``None`` if the window is empty."""
-        n = len(self._sorted)
-        if n == 0:
-            return None
-        mid = n // 2
-        low = self._sorted[mid] if n % 2 else self._sorted[mid - 1]
-        return (low + self._sorted[mid]) / 2.0
+__all__ = ["TrailingMedianStream", "trailing_median_at"]
 
 
 class TrailingMedianStream:
@@ -191,23 +134,6 @@ class TrailingMedianStream:
             self._tail = joined[-self._window:]
 
 
-def rolling_median(values: Iterable[float],
-                   window: int) -> List[Optional[float]]:
-    """For each position, the median of the *preceding* ``window`` values.
-
-    The value at index ``i`` summarizes values ``i-window .. i-1``; it is
-    ``None`` while no history exists (index 0).  This trailing convention
-    matches the alert engine, which must not let the current (possibly
-    anomalous) bin influence its own baseline.
-    """
-    tracker = RollingMedian(window)
-    medians: List[Optional[float]] = []
-    for value in values:
-        medians.append(tracker.median)
-        tracker.push(value)
-    return medians
-
-
 #: Requested-position counts up to this go through the per-position
 #: partition loop in :func:`trailing_median_at`; denser requests go
 #: through :func:`_wavelet_medians`, whose fixed cost (one argsort and
@@ -225,9 +151,9 @@ def trailing_median_at(values: np.ndarray, window: int,
     """Exact trailing-window medians at selected positions only.
 
     ``out[k]`` is the interpolating median of ``values[max(0, idx[k] -
-    window):idx[k]]`` — the same strictly trailing window as
-    :func:`rolling_median`, bit for bit — and NaN where ``idx[k]`` is 0
-    (no history).  Positions may come in any order and repeat.  The
+    window):idx[k]]`` — the same strictly trailing window as the
+    reference ``rolling_median`` in ``tests/oracles.py``, bit for bit —
+    and NaN where ``idx[k]`` is 0 (no history).  Positions may come in any order and repeat.  The
     alert detector calls this after its necessary-condition prefilter
     has reduced a series to the bins that could possibly alert: a
     handful are answered one :func:`numpy.partition` each, a denser

@@ -2,8 +2,8 @@
 
 The batch pipeline materializes every signal for the whole study period
 before curating.  This package is the always-on counterpart: signal
-bins are **pushed** as they elapse, in per-series array segments (or
-one by one), trailing-median detectors keep O(window) rolling state
+bins are **pushed** as they elapse, in per-series array segments (a
+single bin is a one-element segment), trailing-median detectors keep O(window) rolling state
 (:mod:`repro.stream.detect`, the detector batch curation runs too, so
 any chunking gives the batch alerts bit for bit), and curation emits
 event lifecycle records (``open``/``update``/``close``) at a
@@ -13,7 +13,7 @@ configurable **watermark** instead of one terminal batch
 Layering (the client/models/processor/scheduler split):
 
 - :mod:`repro.stream.models`  — the wire types: :class:`BinSegment`,
-  :class:`SignalBin`, :class:`BinBatch`, :class:`StreamEvent`.
+  :class:`BinBatch`, :class:`StreamEvent`.
 - :mod:`repro.stream.detect`  — :class:`StreamingAlertDetector` and
   :class:`StreamingEpisodeGrouper`, the only alert detector: the batch
   dashboard feeds it whole series.
@@ -38,7 +38,6 @@ __all__ = [
     "BinBatch",
     "BinSegment",
     "ScenarioBinSource",
-    "SignalBin",
     "StreamEngine",
     "StreamEvent",
     "StreamSession",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 _HOMES = {
-    "SignalBin": "repro.stream.models",
     "BinSegment": "repro.stream.models",
     "BinBatch": "repro.stream.models",
     "StreamEvent": "repro.stream.models",

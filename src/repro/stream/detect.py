@@ -166,10 +166,6 @@ class StreamingEpisodeGrouper:
         self._run: List[Alert] = []
         self._closed = False
 
-    @property
-    def open_run_size(self) -> int:
-        return len(self._run)
-
     def feed(self, alerts: Sequence[Alert]) -> List[AlertEpisode]:
         """Absorb alerts; return the episodes they prove closed.
 

@@ -2,11 +2,10 @@
 
 :class:`StreamEngine` is the processor behind
 :class:`~repro.stream.session.StreamSession`: bins are **offered** in
-any order (:meth:`push`) — as :class:`~repro.stream.models.BinSegment`
-runs, checked and written with array operations, or as single
-:class:`~repro.stream.models.SignalBin`\\ s, which are gathered into
-segments and take the same route — buffered on each investigation
-window's bin grid, and **consumed** in time order when the watermark
+any order (:meth:`push`) as :class:`~repro.stream.models.BinSegment`
+runs — a single bin is a one-element segment — checked and written
+with array operations, buffered on each investigation window's bin
+grid, and **consumed** in time order when the watermark
 advances (:meth:`advance`) — contiguous elapsed prefixes feed the
 incremental detectors (:mod:`repro.stream.detect`), and a window whose
 last bin the watermark passes is adjudicated through the exact batch
@@ -52,8 +51,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
-    Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
@@ -71,8 +70,7 @@ from repro.signals.alerts import AlertEpisode
 from repro.signals.kinds import SignalKind
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
-from repro.stream.models import BinSegment, SignalBin, StreamEvent, \
-    bin_grid
+from repro.stream.models import BinSegment, StreamEvent, bin_grid
 from repro.timeutils.timestamps import TimeRange
 
 __all__ = ["StreamEngine"]
@@ -183,38 +181,6 @@ def _adjudicate_windows(platform: IODAPlatform, backend: str,
             draws.index)
 
 
-def _as_segments(items: Iterable[Union[BinSegment, SignalBin]]
-                 ) -> Iterator[BinSegment]:
-    """Pass segments through; gather single bins into segments.
-
-    A push is order-free, so the bins of one push are grouped per
-    (country, window, signal), sorted by time, and cut into runs
-    wherever the grid skips: a per-bin feed in any order costs a few
-    array segments, not one segment per bin.  A bin offered twice in
-    one push starts a new run, so the second copy still meets the
-    duplicate check.
-    """
-    groups: Dict[Tuple[str, int, SignalKind], List[SignalBin]] = {}
-    for item in items:
-        if isinstance(item, SignalBin):
-            groups.setdefault(
-                (item.country_iso2, item.window_start, item.kind),
-                []).append(item)
-        else:
-            yield item
-    for group in groups.values():
-        group.sort(key=lambda b: b.time)
-        width = group[0].kind.bin_width
-        first = 0
-        for i in range(1, len(group) + 1):
-            if i == len(group) or group[i].time != group[i - 1].time + width:
-                head = group[first]
-                yield BinSegment(head.country_iso2, head.kind,
-                                 head.window_start, head.time,
-                                 [b.value for b in group[first:i]])
-                first = i
-
-
 class StreamEngine:
     """Incremental curation over pushed bins and an advancing watermark."""
 
@@ -291,12 +257,11 @@ class StreamEngine:
 
     # -- ingestion -------------------------------------------------------------
 
-    def push(self, items: Iterable[Union[BinSegment, SignalBin]]) -> int:
-        """Offer bins, in any order; return how many were new.
+    def push(self, segments: Iterable[BinSegment]) -> int:
+        """Offer bin segments, in any order; return how many bins were new.
 
-        ``items`` mixes :class:`~repro.stream.models.BinSegment` runs
-        and single :class:`~repro.stream.models.SignalBin`\\ s; bins
-        are ingested as segments too (see :func:`_as_segments`).
+        Each :class:`~repro.stream.models.BinSegment` is one series'
+        contiguous run of bins; a single bin is a one-element segment.
         Exact duplicates of already-offered bins are idempotent no-ops
         (replayed feeds are expected); a duplicate with a *different*
         value, a non-finite value, a bin off its grid, an unknown
@@ -305,7 +270,7 @@ class StreamEngine:
         before any of it is written.
         """
         accepted = 0
-        for seg in _as_segments(items):
+        for seg in segments:
             accepted += self._ingest(seg)
         self._bins_pushed += accepted
         return accepted

@@ -2,8 +2,8 @@
 
 These are the values that cross the :class:`~repro.stream.session.
 StreamSession` boundary: :class:`BinSegment` going in (a contiguous run
-of one series' bins, the feed's unit), :class:`SignalBin` (one bin, for
-per-bin callers), :class:`StreamEvent` coming out (one step of an
+of one series' bins, the feed's only unit — a single bin is a
+one-element segment), :class:`StreamEvent` coming out (one step of an
 outage-event lifecycle).  Everything here is a frozen, picklable
 dataclass so the same payloads flow unchanged through the serial and
 process backends and into the run journal.
@@ -12,7 +12,7 @@ process backends and into the run journal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.ioda.records import OutageRecord
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange, bin_floor
 
-__all__ = ["SignalBin", "BinSegment", "BinBatch", "StreamEvent",
+__all__ = ["BinSegment", "BinBatch", "StreamEvent",
            "EVENT_STATES", "EVENT_OUTCOMES", "bin_grid"]
 
 
@@ -46,33 +46,6 @@ EVENT_STATES = ("open", "update", "close")
 EVENT_OUTCOMES = ("recorded", "dismissed", "merged")
 
 
-@dataclass(frozen=True)
-class SignalBin:
-    """One measurement bin of one country-level signal.
-
-    ``window_start`` tags the investigation window the bin belongs to —
-    platform signals are keyed by window start (the synthetic platform
-    derives each window's random substream from it), so the engine must
-    route bins to the right per-window detector.  ``time`` is the bin's
-    own start timestamp; ``value`` the measured signal level.
-    """
-
-    country_iso2: str
-    kind: SignalKind
-    window_start: int
-    time: int
-    value: float
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "country_iso2": self.country_iso2,
-            "kind": self.kind.value,
-            "window_start": self.window_start,
-            "time": self.time,
-            "value": self.value,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class BinSegment:
     """A contiguous run of one country-level series' bins.
@@ -80,8 +53,10 @@ class BinSegment:
     The bins start at ``first_time`` and follow each other on the
     signal's grid (``kind.bin_width`` apart); ``values[i]`` is the
     level of the bin at ``first_time + i * width``.  ``window_start``
-    routes the run to its investigation window, as on
-    :class:`SignalBin`.  ``values`` is a read-only float64 array: a
+    tags the investigation window the run belongs to — platform signals
+    are keyed by window start (the synthetic platform derives each
+    window's random substream from it), so the engine must route the
+    run to the right per-window detector.  ``values`` is a read-only float64 array: a
     read-only array is kept as given (the source hands out views of its
     series), anything else is copied first, so a segment never changes
     under its reader.  Equality compares the arrays element-wise, so a
@@ -114,14 +89,6 @@ class BinSegment:
     def last_time(self) -> int:
         """Start of the segment's last bin."""
         return self.first_time + (len(self) - 1) * self.kind.bin_width
-
-    def bins(self) -> Iterator[SignalBin]:
-        """The segment as per-bin :class:`SignalBin`\\ s, in time order."""
-        width = self.kind.bin_width
-        for i, value in enumerate(self.values.tolist()):
-            yield SignalBin(self.country_iso2, self.kind,
-                            self.window_start,
-                            self.first_time + i * width, value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinSegment):
@@ -159,11 +126,6 @@ class BinBatch:
                 raise StreamError(
                     f"bin at {seg.last_time} not covered by its own batch "
                     f"watermark {self.watermark}")
-
-    @property
-    def bins(self) -> Tuple[SignalBin, ...]:
-        """Every bin of the batch as a :class:`SignalBin` (derived view)."""
-        return tuple(b for seg in self.segments for b in seg.bins())
 
 
 @dataclass(frozen=True)

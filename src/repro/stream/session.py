@@ -23,8 +23,8 @@ started, keep the world resident until the session finalizes or
 closes.
 
 ``push``/``advance_watermark`` are the raw feed interface (any bin
-order, duplicate-tolerant, :class:`~repro.stream.models.BinSegment`\\ s
-and :class:`~repro.stream.models.SignalBin`\\ s alike — see
+order, duplicate-tolerant :class:`~repro.stream.models.BinSegment`\\ s,
+a single bin being a one-element segment — see
 :class:`~repro.stream.engine.StreamEngine`); :meth:`replay` drives them
 with the segments of the scenario's own
 :class:`~repro.stream.source.ScenarioBinSource`.  Every lifecycle
@@ -46,7 +46,7 @@ every backend.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.core.pipeline import ReproPipeline
 from repro.errors import StreamError
@@ -57,7 +57,7 @@ from repro.ioda.platform import IODAPlatform
 from repro.obs.runtime import activate
 from repro.resilience import ResilienceConfig, inject
 from repro.stream.engine import StreamEngine
-from repro.stream.models import BinSegment, SignalBin, StreamEvent
+from repro.stream.models import BinSegment, StreamEvent
 from repro.stream.source import ScenarioBinSource
 from repro.timeutils.timestamps import TimeRange
 
@@ -69,7 +69,9 @@ class StreamSession:
 
     Construct through :func:`repro.api.stream` — the facade assembles
     the pipeline, resilience config, and registry packaging exactly as
-    :func:`repro.api.run` would.  The session is single-shot: after
+    :func:`repro.api.run` would; ``package`` turns the finished
+    pipeline, session and events into the :class:`~repro.api.RunResult`
+    that :meth:`finalize` returns.  The session is single-shot: after
     :meth:`finalize` (idempotent) or :meth:`close` the feed interface
     raises :class:`~repro.errors.StreamError`.
     """
@@ -78,7 +80,7 @@ class StreamSession:
                  period: TimeRange,
                  curation_config: Optional[CurationConfig] = None,
                  resilience: Optional[ResilienceConfig] = None,
-                 package: Optional[Callable] = None):
+                 package: Callable):
         self._pipeline = pipeline
         self._period = period
         self._package = package
@@ -142,15 +144,15 @@ class StreamSession:
 
     # -- the feed ----------------------------------------------------------------
 
-    def push(self, bins: Iterable[Union[BinSegment, SignalBin]]) -> int:
-        """Offer bin segments and/or bins; return how many bins were new.
+    def push(self, segments: Iterable[BinSegment]) -> int:
+        """Offer bin segments; return how many bins were new.
 
         Order-free and duplicate-idempotent; contract violations raise
         :class:`~repro.errors.StreamError` (see
         :meth:`repro.stream.engine.StreamEngine.push`).
         """
         self._check_live()
-        accepted = self._engine.push(bins)
+        accepted = self._engine.push(segments)
         if accepted:
             self._obs.metrics.counter("stream.bins_pushed").inc(accepted)
         self._update_gauges()
@@ -242,17 +244,7 @@ class StreamSession:
             raise
         self._engine.close()
         self._closed = True
-        if self._package is not None:
-            self._result = self._package(self._pipeline, self._obs,
-                                         result)
-        else:
-            from repro.api import RunResult
-
-            assert (self._pipeline.stats is not None
-                    and self._pipeline.health is not None)
-            self._result = RunResult(
-                events=result, stats=self._pipeline.stats,
-                health=self._pipeline.health)
+        self._result = self._package(self._pipeline, self._obs, result)
         return self._result
 
     def close(self) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.rng import substream
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import RollingMedian
+from repro.stats.rolling import TrailingMedianStream
 from repro.timeutils.timestamps import HOUR, TimeRange
 
 __all__ = ["Campaign", "CampaignSchedule", "apply_campaigns",
@@ -105,14 +105,16 @@ def campaign_suppression_mask(series: TimeSeries,
     if window_bins <= 0:
         raise ConfigurationError(
             f"window_bins must be positive: {window_bins}")
-    tracker = RollingMedian(window_bins)
+    tracker = TrailingMedianStream(window_bins)
     mask = np.zeros(len(series), dtype=bool)
-    for index, (_, value) in enumerate(series):
-        baseline = tracker.median
-        flagged = (baseline is not None and baseline > 0
-                   and value > spike_factor * baseline)
+    at_first = np.zeros(1, dtype=np.int64)
+    for index, value in enumerate(series.values):
+        chunk = np.array([value])
+        # NaN until a bin has entered the baseline, which never flags.
+        baseline = tracker.medians_at(chunk, at_first)[0]
+        flagged = baseline > 0 and value > spike_factor * baseline
         mask[index] = flagged
         # Flagged bins do not enter the baseline themselves.
         if not flagged:
-            tracker.push(value)
+            tracker.push(chunk)
     return mask

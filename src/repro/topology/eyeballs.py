@@ -14,7 +14,7 @@ the real dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.rng import substream
 from repro.topology.generator import WorldTopology
@@ -36,8 +36,6 @@ class EyeballEstimates:
 
     def __init__(self, estimates: Tuple[EyeballEstimate, ...]):
         self._estimates = estimates
-        self._by_asn: Dict[int, EyeballEstimate] = {
-            e.asn: e for e in estimates}
 
     @classmethod
     def from_topology(cls, topology: WorldTopology, seed: int,
@@ -70,16 +68,3 @@ class EyeballEstimates:
 
     def __iter__(self) -> Iterator[EyeballEstimate]:
         return iter(self._estimates)
-
-    def users_of(self, asn: int) -> float:
-        """Estimated users behind ``asn`` (0.0 if unmeasured)."""
-        estimate = self._by_asn.get(asn)
-        return 0.0 if estimate is None else estimate.users
-
-    def users_per_country(self) -> Dict[str, float]:
-        """Total estimated users per country ISO code."""
-        totals: Dict[str, float] = {}
-        for estimate in self._estimates:
-            totals[estimate.country_iso2] = (
-                totals.get(estimate.country_iso2, 0.0) + estimate.users)
-        return totals

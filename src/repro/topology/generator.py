@@ -91,11 +91,6 @@ class CountryNetwork:
         """Total routable /24 blocks in the country."""
         return sum(a.num_slash24s for a in self.ases)
 
-    @property
-    def access_ases(self) -> Tuple[NetworkAS, ...]:
-        return tuple(a for a in self.ases
-                     if a.record.role is ASRole.ACCESS)
-
     def state_owned_slash24_fraction(self) -> float:
         """Ground-truth fraction of address space behind state-owned ASes."""
         total = self.total_slash24s

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.net.ipv4 import IPv4Address, Prefix
+from repro.net.ipv4 import Prefix
 from repro.net.prefixtree import PrefixTree
 from repro.rng import substream
 from repro.topology.generator import WorldTopology
@@ -55,10 +55,6 @@ class GeoDatabase:
 
     def __iter__(self) -> Iterator[Tuple[Prefix, str]]:
         return iter(self._entries)
-
-    def country_of(self, address: IPv4Address) -> Optional[str]:
-        """ISO code of the country the address geolocates to, or None."""
-        return self._tree.lookup(address)
 
     def country_of_prefix(self, prefix: Prefix) -> Optional[str]:
         """ISO code recorded for exactly ``prefix``, or None."""

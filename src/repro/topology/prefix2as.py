@@ -11,7 +11,7 @@ and a small amount of missing coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.net.ipv4 import IPv4Address, Prefix
 from repro.net.prefixtree import PrefixTree
@@ -84,14 +84,3 @@ class Prefix2ASSnapshot:
         """Primary origin ASN for the longest matching prefix, or None."""
         result = self._tree.lookup(address)
         return None if result is None else result.primary
-
-    def slash24s_per_asn(self) -> Dict[int, int]:
-        """Total /24-equivalents per primary origin ASN.
-
-        This is the paper's per-AS address-space estimate before
-        geolocation splits it by country.
-        """
-        totals: Dict[int, int] = {}
-        for prefix, asns in self._entries:
-            totals[asns[0]] = totals.get(asns[0], 0) + prefix.num_slash24s
-        return totals

@@ -55,10 +55,6 @@ class MobilizationEvent:
     country_iso2: str
     day_start_utc: int
 
-    @property
-    def day_end_utc(self) -> int:
-        return self.day_start_utc + DAY
-
 
 class EventGenerator:
     """Draws mobilization events for every country over a span of years."""

@@ -153,10 +153,6 @@ class WorldScenario:
         return [d for d in self.disruptions_in(period)
                 if d.scope is EntityScope.COUNTRY]
 
-    def ground_truth_label(self, disruption: GroundTruthDisruption) -> str:
-        """'shutdown' or 'outage' per the disruption's true cause."""
-        return "shutdown" if disruption.intentional else "outage"
-
 
 class ScenarioGenerator:
     """Deterministically builds a :class:`WorldScenario` from a config."""

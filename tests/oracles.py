@@ -7,9 +7,12 @@ visibility through a kernel that skips cells its draws cannot change
 (:mod:`repro.bgp.view`).  The functions here are the plain forms those
 paths must match **bit for bit**: one bin, one alert, one probing round
 at a time, and every (bin, prefix) cell of the BGP count.  They share no
-logic with the code under test beyond the data types, the scalar
-:class:`~repro.stats.rolling.RollingMedian` tracker and the BGP
-visibility probability.
+logic with the code under test beyond the data types and the BGP
+visibility probability.  :class:`RollingMedian`, the sorted-window
+median tracker they use, is itself the reference the columnar median
+kernels of :mod:`repro.stats.rolling` are tested against, and
+:func:`campaign_suppression_mask` the one telescope campaign
+suppression is.
 
 Each one is shaped so it can stand in for production at the name
 production looks it up by, which is how the pipeline tests run a whole
@@ -28,7 +31,9 @@ curation through the references:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import bisect
+from collections import deque
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +44,95 @@ from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
-from repro.stats.rolling import RollingMedian
 from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
+
+
+class RollingMedian:
+    """Median over a sliding window of the last ``window`` values.
+
+    Values are pushed one bin at a time; :attr:`median` reflects only the
+    values currently inside the window.  The median is the interpolating
+    median: the mean of the central pair, which for odd counts is the
+    middle value averaged with itself — ``(a + a) / 2``, so values above
+    ~8.99e307 overflow to inf exactly as in
+    :func:`~repro.stats.rolling.trailing_median_at`.
+    """
+
+    def __init__(self, window: int):
+        if window <= 0:
+            raise SignalError(f"window must be positive: {window}")
+        self._window = window
+        self._queue: deque[float] = deque()
+        self._sorted: List[float] = []
+
+    @property
+    def window(self) -> int:
+        """Capacity of the sliding window, in values."""
+        return self._window
+
+    def __len__(self) -> int:
+        return len(self._queue)
+
+    @property
+    def full(self) -> bool:
+        """Whether the window has reached capacity."""
+        return len(self._queue) == self._window
+
+    def push(self, value: float) -> None:
+        """Add a value, evicting the oldest if the window is full."""
+        if len(self._queue) == self._window:
+            oldest = self._queue.popleft()
+            index = bisect.bisect_left(self._sorted, oldest)
+            del self._sorted[index]
+        self._queue.append(value)
+        bisect.insort(self._sorted, value)
+
+    @property
+    def median(self) -> Optional[float]:
+        """Current median, or ``None`` if the window is empty."""
+        n = len(self._sorted)
+        if n == 0:
+            return None
+        mid = n // 2
+        low = self._sorted[mid] if n % 2 else self._sorted[mid - 1]
+        return (low + self._sorted[mid]) / 2.0
+
+
+def rolling_median(values: Iterable[float],
+                   window: int) -> List[Optional[float]]:
+    """For each position, the median of the *preceding* ``window`` values.
+
+    The value at index ``i`` summarizes values ``i-window .. i-1``; it is
+    ``None`` while no history exists (index 0).  This trailing convention
+    matches the alert engine, which must not let the current (possibly
+    anomalous) bin influence its own baseline.
+    """
+    tracker = RollingMedian(window)
+    medians: List[Optional[float]] = []
+    for value in values:
+        medians.append(tracker.median)
+        tracker.push(value)
+    return medians
+
+
+def campaign_suppression_mask(series: TimeSeries, window_bins: int = 288,
+                              spike_factor: float = 1.6) -> np.ndarray:
+    """The per-bin reference campaign suppression mask.
+
+    A bin is flagged when it exceeds ``spike_factor`` times the median
+    of the last ``window_bins`` unflagged bins; flagged bins stay out
+    of that baseline.
+    """
+    tracker = RollingMedian(window_bins)
+    mask = np.zeros(len(series), dtype=bool)
+    for index, (_, value) in enumerate(series):
+        baseline = tracker.median
+        flagged = (baseline is not None and baseline > 0
+                   and value > spike_factor * baseline)
+        mask[index] = flagged
+        if not flagged:
+            tracker.push(value)
+    return mask
 
 
 class ScalarAlertDetector:
@@ -121,12 +213,14 @@ def stream_episodes(series: TimeSeries, config: DetectorConfig,
 
 def up_count_series(run: ActiveProbingRun, window: TimeRange,
                     up_fraction: np.ndarray,
-                    rng: np.random.Generator) -> TimeSeries:
+                    rng: np.random.Generator,
+                    keep: Optional[int] = None) -> TimeSeries:
     """The per-round reference Active Probing simulation.
 
-    Each round draws one uniform per block, updates every block's
-    belief, and counts the blocks classified UP.  Written as a method
-    body (``run`` is the instance) so it can replace
+    Each round draws one uniform per probed block (the sample's first
+    ``keep``, in address order), updates every block's belief, and
+    counts the blocks classified UP.  Written as a method body (``run``
+    is the instance) so it can replace
     :meth:`ActiveProbingRun.up_count_series` on the class.
     """
     width = run._round_width
@@ -137,15 +231,18 @@ def up_count_series(run: ActiveProbingRun, window: TimeRange,
         raise SignalError(
             f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
     inference = run.inference
-    n = run.n_blocks
+    rates = run._rates
+    if keep is not None:
+        rates = rates[run._order < keep]
+    n = len(rates)
     block_quantile = (np.arange(n) + 1.0) / n
     beliefs = np.full(n, inference.initial_belief())
     values = np.empty(n_rounds, dtype=np.float64)
     for round_index in range(n_rounds):
         block_up = block_quantile <= up[round_index] + 1e-12
-        p_answer = inference.answer_probability(run._rates, block_up)
+        p_answer = inference.answer_probability(rates, block_up)
         answered = rng.random(n) < p_answer
-        beliefs = inference.batch_update(beliefs, answered, run._rates)
+        beliefs = inference.batch_update(beliefs, answered, rates)
         values[round_index] = int(inference.batch_classify_up(beliefs).sum())
     return TimeSeries(start, width, values)
 

@@ -1,9 +1,13 @@
 """Smoke tests for the stable repro.api facade."""
 
+import inspect
+
 import pytest
 
 import repro
 import repro.api as api
+from repro.core.pipeline import ReproPipeline
+from repro.exec.workers import ShardedCurationExecutor
 from repro.exec import ExecStats
 from repro.obs import HealthReport
 from repro.timeutils.timestamps import TimeRange, utc
@@ -110,6 +114,63 @@ class TestRemovedShims:
         assert "stream" in api.__all__
         assert "StreamSession" in api.__all__
 
+    @pytest.mark.parametrize("name", [
+        "SignalBin", "execution_report", "health_report"])
+    def test_removed_names_are_not_exported(self, name):
+        assert name not in api.__all__
+        assert not hasattr(api, name)
+
+
+def _keywords(fn):
+    return {name for name, param in inspect.signature(fn).parameters.items()
+            if param.kind in (param.KEYWORD_ONLY,
+                              param.POSITIONAL_OR_KEYWORD)
+            and name != "self"}
+
+
+class TestSurface:
+    """The run surface's inputs, pinned: a knob cannot come back
+    unnoticed."""
+
+    RUN = {"seed", "workers", "backend", "shards", "cache_dir",
+           "scenario_config", "curation_config", "study_period",
+           "observability", "resilience", "runs_dir", "run_name"}
+    STREAM = RUN - {"shards", "cache_dir"}
+    PIPELINE = {"scenario_config", "curation_config", "study_period",
+                "cache_dir", "executor", "observability", "resilience"}
+
+    def test_run_keywords(self):
+        assert _keywords(api.run) == self.RUN
+        assert len(self.RUN) == 12
+
+    def test_stream_keywords(self):
+        assert _keywords(api.stream) == self.STREAM
+        assert len(self.STREAM) == 10
+
+    def test_pipeline_parameters(self):
+        assert _keywords(ReproPipeline.__init__) == self.PIPELINE
+        assert len(self.PIPELINE) == 7
+
+    def test_client_takes_only_the_result(self):
+        assert _keywords(api.client) == {"result"}
+
+    @pytest.mark.parametrize("entry", [api.run, api.stream])
+    def test_removed_health_policy_raises(self, entry):
+        with pytest.raises(TypeError):
+            entry(health_policy=api.default_policy())
+
+    @pytest.mark.parametrize("name", [
+        "platform_config", "kio_config", "matching_config",
+        "health_policy"])
+    def test_removed_pipeline_parameters_raise(self, name):
+        with pytest.raises(TypeError):
+            ReproPipeline(**{name: None})
+
+    def test_executor_has_no_platform_config(self):
+        with pytest.raises(TypeError):
+            ShardedCurationExecutor(study_period=SMALL_PERIOD,
+                                    platform_config=None)
+
 
 class TestClient:
     def test_client_serves_cursor_paginated_feed(self, run_output):
@@ -129,11 +190,10 @@ class TestClient:
         page = client.get_events(limit=5)
         assert page.total == len(run_output.curated_records)
 
-    def test_records_override(self, run_output):
+    def test_records_override_is_removed(self, run_output):
         subset = run_output.curated_records[:3]
-        client = api.client(run_output, records=subset)
-        page = client.get_events(limit=10)
-        assert page.total == len(subset)
+        with pytest.raises(TypeError):
+            api.client(run_output, records=subset)
 
 
 class TestRecordIO:

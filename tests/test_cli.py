@@ -114,6 +114,18 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "build", "--run", "nightly"],
+        ["serve", "build", "--page-size", "25"],
+        ["serve", "run", "--serve-cache-size", "8"],
+        ["serve", "loadgen", "--serve-cache-size", "8"],
+        ["trace", "diff", "a.jsonl", "b.jsonl", "--epsilon", "0.1"],
+    ])
+    def test_removed_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_resilience_flags(self):
         args = build_parser().parse_args(
             ["run", "--inject-faults", "fail_first=2;seed=5",

