@@ -17,9 +17,13 @@ arithmetic only where a draw can change the count.  With every prefix
 visible a bin counts its whole reachable budget, so the per-cell
 contributions are needed only for the rare invisible cells (with the
 default 24 peers and 2% miss rate, a cell is invisible with probability
-2⁻⁵³).  Every quantity is an integer-valued float below 2⁵³, so the
-result is bit-for-bit the dense (bins × prefixes) sum, which
-``tests/oracles.py`` keeps as the reference.
+2⁻⁵³).  The uniforms come a block of bins at a time
+(:func:`repro.rng.uniform_blocks`, the same stream as one whole draw),
+and each block's invisible cells are subtracted before the next is
+drawn, so no state crosses a block edge and memory stays bounded
+whatever the window.  Every quantity is an integer-valued float below
+2⁵³, so the result is bit-for-bit the dense (bins × prefixes) sum,
+which ``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.bgp.messages import BGPUpdate, RouteTable
 from repro.bgp.peers import PeerSpec, full_feed_peers
 from repro.errors import ConfigurationError, SignalError
 from repro.net.ipv4 import Prefix
+from repro.rng import uniform_blocks
 from repro.signals.series import TimeSeries
 from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
 
@@ -149,14 +154,16 @@ def visible_slash24_series(
     # Bernoulli draw at this probability is distributionally identical to
     # simulating every peer, at a fraction of the cost.
     p_visible = _p_visible(quorum, n_full_feed_peers, miss_rate)
-    draws = rng.random((n_bins, len(sizes)))
-    if draws.max() >= p_visible:
-        # Take each invisible cell's contribution back out.  The values
-        # are exact integers, so the order of subtraction cannot matter.
-        rows, cols = np.nonzero(draws >= p_visible)
-        cumprev = np.cumsum(sizes) - sizes
-        np.subtract.at(values, rows, np.clip(
-            budget[rows] - cumprev[cols], 0, sizes[cols]))
+    for first, draws in uniform_blocks(rng, n_bins, len(sizes)):
+        if draws.max() >= p_visible:
+            # Take each invisible cell's contribution back out.  The
+            # values are exact integers, so the order of subtraction
+            # cannot matter.
+            rows, cols = np.nonzero(draws >= p_visible)
+            rows += first
+            cumprev = np.cumsum(sizes) - sizes
+            np.subtract.at(values, rows, np.clip(
+                budget[rows] - cumprev[cols], 0, sizes[cols]))
     return TimeSeries(start, bin_width, values)
 
 

@@ -13,8 +13,13 @@ counters when each span opens and closes, and publishes the deltas as a
   span fit inside memory already reached.
 - ``alloc_net_kb`` / ``alloc_peak_kb`` — with ``tracemalloc`` sampling
   enabled, the net Python allocation delta across the span and the
-  traced-peak growth, at a configurable capture depth
-  (``tracemalloc_depth`` stack frames per allocation site).
+  peak of traced memory while the span was open, above its level at
+  span open, at a configurable capture depth (``tracemalloc_depth``
+  stack frames per allocation site).  Each span resets tracemalloc's
+  peak when it opens and hands its own peak back to the span enclosing
+  it on the same thread, so the peak is never below the net delta.
+  The peak is process-wide: a span opening on another thread resets it
+  too, so spans that overlap across threads may under-report theirs.
 
 Profiling is **opt-in and inert by default**: without a profiler the
 span fast path pays a single ``is None`` check, and nothing here ever
@@ -28,8 +33,9 @@ verbatim.
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
     import resource as _resource
@@ -84,10 +90,10 @@ def _thread_cpu() -> float:
         return time.process_time()
 
 
-#: Readings captured at span open: (cpu, rss_kb, alloc_current_bytes,
-#: alloc_peak_bytes) — None slots for disabled samplers.
-_Readings = Tuple[Optional[float], Optional[float], Optional[int],
-                  Optional[int]]
+#: Readings captured at span open: (cpu, rss_kb, alloc) — None slots
+#: for disabled samplers.  ``alloc`` is ``[traced bytes at open, traced
+#: peak so far]``, the second slot raised as the span runs.
+_Readings = Tuple[Optional[float], Optional[float], Optional[List[int]]]
 
 
 class SpanProfiler:
@@ -102,6 +108,9 @@ class SpanProfiler:
     def __init__(self, config: Optional[ProfileConfig] = None):
         self.config = config if config is not None else ProfileConfig()
         self._started_tracemalloc = False
+        # Per thread, the ``alloc`` readings of the spans open on it,
+        # innermost last.
+        self._local = threading.local()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -120,18 +129,31 @@ class SpanProfiler:
 
     # -- per-span sampling -------------------------------------------------------
 
+    def _open_allocs(self) -> List[List[int]]:
+        stack = getattr(self._local, "allocs", None)
+        if stack is None:
+            stack = self._local.allocs = []
+        return stack
+
     def begin(self) -> _Readings:
         """Sample the counters at span open (called on the span's thread)."""
         cpu = _thread_cpu() if self.config.cpu else None
         rss = _rss_kb() if self.config.rss else None
-        alloc_now = alloc_peak = None
+        alloc = None
         if self.config.tracemalloc and tracemalloc.is_tracing():
-            alloc_now, alloc_peak = tracemalloc.get_traced_memory()
-        return (cpu, rss, alloc_now, alloc_peak)
+            now, peak = tracemalloc.get_traced_memory()
+            stack = self._open_allocs()
+            if stack:
+                # The enclosing span's peak so far, before the reset.
+                stack[-1][1] = max(stack[-1][1], peak)
+            tracemalloc.reset_peak()
+            alloc = [now, now]
+            stack.append(alloc)
+        return (cpu, rss, alloc)
 
     def end(self, readings: _Readings) -> Dict[str, Any]:
         """Deltas since :meth:`begin`, as the span's ``profile`` attr."""
-        cpu0, rss0, alloc0, alloc_peak0 = readings
+        cpu0, rss0, alloc = readings
         profile: Dict[str, Any] = {}
         if cpu0 is not None:
             profile["cpu_s"] = round(max(0.0, _thread_cpu() - cpu0), 6)
@@ -139,9 +161,15 @@ class SpanProfiler:
             rss1 = _rss_kb()
             if rss1 is not None:
                 profile["rss_peak_kb"] = round(max(0.0, rss1 - rss0), 1)
-        if alloc0 is not None and tracemalloc.is_tracing():
-            alloc1, alloc_peak1 = tracemalloc.get_traced_memory()
-            profile["alloc_net_kb"] = round((alloc1 - alloc0) / 1024.0, 1)
-            profile["alloc_peak_kb"] = round(
-                max(0, alloc_peak1 - (alloc_peak0 or 0)) / 1024.0, 1)
+        if alloc is not None:
+            stack = self._open_allocs()
+            stack.pop()
+            if tracemalloc.is_tracing():
+                now, peak = tracemalloc.get_traced_memory()
+                peak = max(alloc[1], peak)
+                if stack:
+                    stack[-1][1] = max(stack[-1][1], peak)
+                profile["alloc_net_kb"] = round((now - alloc[0]) / 1024.0, 1)
+                profile["alloc_peak_kb"] = round(
+                    (peak - alloc[0]) / 1024.0, 1)
         return profile

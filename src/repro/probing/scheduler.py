@@ -10,15 +10,20 @@ by address, and an up-fraction ``f`` keeps the first ``f`` share of blocks
 reachable — consistent with the BGP fast path, so a partial outage takes
 down the *same* part of the network in both signals.
 
-The whole run is simulated columnar: one RNG block draw covers every
-round (bit-identical to per-round draws — the generator fills row by
-row), and beliefs are never iterated round by round.  Because an
-answered round resets a block's belief to 1.0 and every unanswered
-round applies the same deterministic map, a block's belief after any
-round is a table lookup on "rounds since last answer"
+The run is simulated columnar, a block of rounds at a time: each block
+is one RNG draw of about :data:`repro.rng.BLOCK_CELLS` cells
+(:func:`repro.rng.uniform_blocks`; the generator fills row by row, so
+the blocks are bit-identical to per-round draws), and beliefs are never
+iterated round by round.  Because an answered round resets a block's
+belief to 1.0 and every unanswered round applies the same
+deterministic map, a block's belief after any round is a table lookup
+on "rounds since last answer"
 (:meth:`~repro.probing.trinocular.TrinocularInference.belief_iterate_tables`);
-the last-answer index for every (round, block) cell is one
-``maximum.accumulate``.  The per-round reference loop the tests hold
+the last-answer index of every (round, block) cell is one
+``maximum.accumulate`` per block, and each block's last answer is all
+the state carried from one block to the next.  So a call's memory is
+bounded by the block size whatever the window's length, and its
+round indices fit int32.  The per-round reference loop the tests hold
 this to, bit for bit, lives in ``tests/oracles.py``.
 
 The kernel compares each draw with its block's answer probability once,
@@ -37,16 +42,26 @@ blocks alone would, and the country's tables serve all its regions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SignalError
 from repro.probing.trinocular import TrinocularConfig, TrinocularInference
+from repro.rng import uniform_blocks
 from repro.signals.series import TimeSeries
 from repro.timeutils.timestamps import TEN_MINUTES, TimeRange, bin_floor
 
 __all__ = ["ActiveProbingRun"]
+
+#: The first-down level of a block that stays UP, and the bound on a
+#: window's round count.  Round indices are int32: a never-answered
+#: block starts at a last answer no lower than :data:`_NO_ANSWER`, so
+#: its rounds since that answer stay below 2**31.
+_NEVER_DOWN = 1 << 30
+#: The last-answer index of a cell whose block did not answer in it,
+#: below every carried-in last answer.
+_NO_ANSWER = np.int32(-_NEVER_DOWN - 1)
 
 
 class ActiveProbingRun:
@@ -89,7 +104,6 @@ class ActiveProbingRun:
         self._up_table: np.ndarray | None = None
         self._up_table_converged = False
         self._first_down: np.ndarray | None = None
-        self._limits: Dict[type, np.ndarray] = {}
 
     @property
     def n_blocks(self) -> int:
@@ -110,7 +124,8 @@ class ActiveProbingRun:
         only the sample's first ``keep`` blocks are probed, bit for bit
         as by a run built over those blocks alone.
 
-        Columnar over the whole window (see the module docstring).
+        Columnar, a block of rounds at a time (see the module
+        docstring).
         """
         start = bin_floor(window.start, self._round_width)
         n_rounds = -(-(window.end - start) // self._round_width)
@@ -118,6 +133,8 @@ class ActiveProbingRun:
         if up.shape != (n_rounds,):
             raise SignalError(
                 f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
+        if n_rounds >= _NEVER_DOWN:
+            raise SignalError(f"too many rounds: {n_rounds}")
 
         if keep is not None and keep < 1:
             raise SignalError(f"keep must be >= 1: {keep}")
@@ -126,101 +143,91 @@ class ActiveProbingRun:
         cols = (None if keep is None or keep >= self.n_blocks
                 else np.flatnonzero(self._order < keep))
         n = self.n_blocks if cols is None else len(cols)
-        # One draw for every (round, block) cell: the generator fills
-        # the matrix row-major, so row r carries the exact floats a
-        # per-round loop's r-th rng.random(n) call would.
-        draws = rng.random((n_rounds, n))
         if self._p_answer is None:
             self._p_answer = 1.0 - self._inference.miss_likelihood(
                 self._rates)
         p_answer = (self._p_answer if cols is None
                     else self._p_answer[cols])
-        # A down block never answers (draws are in [0, 1) and its
-        # answer probability is 0), so "answered" is the draw beating
-        # p_answer on a block that ground truth keeps up.  Every block
-        # is up on a round whose up-fraction reaches the last block's
-        # quantile, 1.0; only the other rounds need the per-block test.
-        answered = draws < p_answer
+        # Every block is up on a round whose up-fraction reaches the
+        # last block's quantile, 1.0; only the other rounds need the
+        # per-block ground-truth test.
         block_quantile = (np.arange(n) + 1.0) / n
-        partial = np.flatnonzero(~(block_quantile[-1] <= up + 1e-12))
-        if len(partial):
-            answered[partial] &= (
-                block_quantile[None, :] <= up[partial, None] + 1e-12)
+        partial = ~(block_quantile[-1] <= up + 1e-12)
 
         # up_table[j, 0, i]: is block i UP j rounds after an answer;
         # up_table[j, 1, i]: is it UP after j unanswered rounds from
-        # the prior.  Lookups clamp to the tables' fixed point.
+        # the prior.  Lookups clamp to the tables' last level.
         up_table = self._up_table_for(n_rounds + 1)
-        idx_dtype = np.int16 if n_rounds < 32000 else np.int64
-        round_index = np.arange(n_rounds, dtype=idx_dtype)[:, None]
-        last_answer = np.maximum.accumulate(
-            np.where(answered, round_index, idx_dtype(-1)), axis=0)
-        # Never-answered cells (last_answer == -1) land on j = t + 1,
-        # which is exactly their unanswered-round count from the prior.
-        limits = self._first_down_limits(idx_dtype)
+        limits = self._first_down
         if limits is not None:
             if cols is not None:
                 limits = limits[:, cols]
-            # Beliefs decay monotonically between answers, so each table
-            # column is True up to its first False (verified when the
-            # table was built): the clamped lookup collapses to comparing
-            # rounds-since-answer against that first-down level.
-            limit = np.where(last_answer < 0, limits[1], limits[0])
-            up_mask = (round_index - last_answer) < limit
+            # Beliefs decay monotonically between answers, so each
+            # table column is True up to its first False, and a block
+            # is UP while its rounds since the last answer stay below
+            # that first-down level (both verified when the table was
+            # built).  A never-answered block is UP at round t while
+            # t + 1 < limits[1]; starting its last answer at
+            # limits[1] - limits[0] - 1, which is negative, turns that
+            # into the same test against limits[0].
+            last = limits[1] - limits[0] - 1
         else:
-            j = np.minimum(round_index - last_answer,
-                           idx_dtype(up_table.shape[0] - 1))
-            from_prior = (last_answer < 0).astype(np.int8)
+            # Never-answered cells (last answer -1) land on j = t + 1,
+            # exactly their unanswered-round count from the prior.
+            last = np.full(n, -1, dtype=np.int32)
             block = np.arange(n) if cols is None else cols
-            up_mask = up_table[j, from_prior, block[None, :]]
-        values = np.count_nonzero(up_mask, axis=1).astype(np.float64)
+            top = np.int32(up_table.shape[0] - 1)
+
+        values = np.empty(n_rounds, dtype=np.float64)
+        for first, draws in uniform_blocks(rng, n_rounds, n):
+            rows = slice(first, first + len(draws))
+            # A down block never answers (draws are in [0, 1) and its
+            # answer probability is 0), so "answered" is the draw
+            # beating p_answer on a block that ground truth keeps up.
+            answered = draws < p_answer
+            part = np.flatnonzero(partial[rows])
+            if len(part):
+                answered[part] &= (block_quantile[None, :]
+                                   <= up[first + part, None] + 1e-12)
+            # The last answered round of every cell, carrying each
+            # block's last answer in from the previous block.
+            round_index = np.arange(rows.start, rows.stop,
+                                    dtype=np.int32)[:, None]
+            last_answer = answered.astype(np.int32)
+            last_answer *= round_index - _NO_ANSWER
+            last_answer += _NO_ANSWER
+            np.maximum(last_answer[0], last, out=last_answer[0])
+            np.maximum.accumulate(last_answer, axis=0, out=last_answer)
+            last = last_answer[-1].copy()
+            since = round_index - last_answer
+            if limits is not None:
+                up_mask = since < limits[0]
+            else:
+                from_prior = (last_answer < 0).astype(np.int8)
+                np.minimum(since, top, out=since)
+                up_mask = up_table[since, from_prior, block[None, :]]
+            values[rows] = np.count_nonzero(up_mask, axis=1)
         return TimeSeries(start, self._round_width, values)
 
     def _up_table_for(self, max_levels: int) -> np.ndarray:
         """The classify-up lookup table, memoized across windows.
 
         The belief iterates are a pure function of the (fixed) response
-        rates, so a table that reached its fixed point serves every
+        rates, so a table that stopped early (at its fixed point, or at
+        a 2-cycle both of whose phases classify alike) serves every
         window, and a longer-than-needed table gives identical lookups
-        (levels past a request's depth are never indexed).  Only rebuilt
-        when an unconverged cached table is shorter than the request.
-
-        The first table is built twice as deep as requested.  A
-        converging table stops at its fixed point whatever the bound,
-        so this costs it nothing; a block whose iterates never converge
-        (they can settle into a 2-cycle of adjacent floats) keeps the
-        table unconverged, and the headroom absorbs the spread of
-        investigation-window lengths.  A rebuild, for a request beyond
-        that (a whole-period tile), is built to the request's depth.
+        (levels past a request's depth are never indexed).  A table cut
+        at its depth bound is rebuilt to a longer request's depth.
         """
         if self._up_table is None or (
                 not self._up_table_converged
                 and self._up_table.shape[0] < max_levels + 1):
-            depth = (2 * max_levels if self._up_table is None
-                     else max_levels)
             tables = self._inference.belief_iterate_tables(
-                self._rates, max_levels=depth)
+                self._rates, max_levels=max_levels)
             self._up_table = self._inference.batch_classify_up(tables)
-            self._up_table_converged = tables.shape[0] < depth + 1
+            self._up_table_converged = tables.shape[0] < max_levels + 1
             self._first_down = self._first_down_of(self._up_table)
-            self._limits.clear()
         return self._up_table
-
-    def _first_down_limits(self, idx_dtype) -> np.ndarray | None:
-        """The first-down levels in the round-index dtype, memoized.
-
-        Levels past the dtype's range clamp to its maximum: a run short
-        enough for that dtype never counts that many rounds, so the
-        comparison against a clamped level is unchanged.
-        """
-        if self._first_down is None:
-            return None
-        limits = self._limits.get(idx_dtype)
-        if limits is None:
-            limits = np.minimum(
-                self._first_down, np.iinfo(idx_dtype).max).astype(idx_dtype)
-            self._limits[idx_dtype] = limits
-        return limits
 
     @staticmethod
     def _first_down_of(up_table: np.ndarray) -> np.ndarray | None:
@@ -228,15 +235,17 @@ class ActiveProbingRun:
 
         Valid only when every column of the table is True up to a single
         transition (beliefs decay monotonically between answers, so this
-        holds in practice); all-True columns get an unreachable sentinel.
-        The structure is verified exactly against the table — a
-        non-monotone table returns ``None`` and lookups fall back to the
-        clamped gather.
+        holds in practice) and no block goes down later from the prior
+        than from 1.0 (the belief map is increasing and the prior is
+        below 1.0); all-True columns get the unreachable
+        :data:`_NEVER_DOWN`.  Both are verified exactly against the
+        table — a table that breaks either returns ``None`` and lookups
+        fall back to the clamped gather.
         """
-        first_down = np.where(up_table.all(axis=0),
-                              np.iinfo(np.int64).max,
+        first_down = np.where(up_table.all(axis=0), _NEVER_DOWN,
                               np.argmin(up_table, axis=0))
         levels = np.arange(up_table.shape[0], dtype=np.int64)[:, None, None]
-        if np.array_equal(up_table, levels < first_down[None, :, :]):
-            return first_down
+        if (np.array_equal(up_table, levels < first_down[None, :, :])
+                and (first_down[1] <= first_down[0]).all()):
+            return first_down.astype(np.int32)
         return None

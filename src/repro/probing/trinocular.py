@@ -151,10 +151,14 @@ class TrinocularInference:
         last answer: ``f^j(1.0)``, or ``f^j(prior)`` for blocks never
         answered.  This returns those iterates as a table of shape
         ``(levels, 2, n_blocks)`` — ``[j, 0]`` is ``f^j(1.0)`` and
-        ``[j, 1]`` is ``f^j(prior)`` — stopping early once the iterates
-        hit their (float-exact) fixed point, so lookups past the last
-        level just clamp to it.  At most ``max_levels + 1`` levels are
-        produced.
+        ``[j, 1]`` is ``f^j(prior)``.  At most ``max_levels + 1`` levels
+        are produced, and the table stops early once every later level
+        classifies like its last one, so lookups past the last level
+        just clamp to it:
+
+        - at the iterates' (float-exact) fixed point;
+        - at a 2-cycle (``f^(k+1) == f^(k-1)``, which adjacent floats
+          can settle into) whose two phases classify every block alike.
         """
         miss = self.miss_likelihood(response_rates)
         prior = self._config.prior_up
@@ -167,6 +171,10 @@ class TrinocularInference:
             posterior = numerator / (numerator + (1.0 - beliefs))
             drifted = posterior + drift * (prior - posterior)
             if np.array_equal(drifted, beliefs):
+                break
+            if (len(levels) > 1 and np.array_equal(drifted, levels[-2])
+                    and np.array_equal(self.batch_classify_up(drifted),
+                                       self.batch_classify_up(beliefs))):
                 break
             levels.append(drifted)
         return np.stack(levels)

@@ -5,20 +5,28 @@ independent generator from the scenario seed plus a string path (e.g.
 ``("topology", "SY")``).  This makes the whole pipeline reproducible while
 keeping components order-independent: adding a country or reordering
 generation does not perturb any other component's draws.
+
+The signal kernels draw their per-cell uniforms through
+:func:`uniform_blocks`, a fixed number of cells at a time, so their
+working set stays cache-sized however long the window is.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
 from repro.obs.runtime import current
 
-__all__ = ["substream", "derive_seed"]
+__all__ = ["BLOCK_CELLS", "derive_seed", "substream", "uniform_blocks"]
 
 _Label = Union[str, int]
+
+#: Cells per block of :func:`uniform_blocks` (512 rows of 128 columns):
+#: a few such float64 blocks and their masks fit in a core's L2 cache.
+BLOCK_CELLS = 1 << 16
 
 
 def derive_seed(seed: int, *labels: _Label) -> int:
@@ -50,3 +58,23 @@ def substream(seed: int, *labels: _Label) -> np.random.Generator:
                             component=str(labels[0]) if labels
                             else "root").inc()
     return np.random.Generator(np.random.PCG64(derive_seed(seed, *labels)))
+
+
+def uniform_blocks(rng: np.random.Generator, n_rows: int,
+                   n_cols: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """An ``(n_rows, n_cols)`` uniform draw, in blocks of whole rows.
+
+    Yields ``(first_row, draws)`` pairs whose ``draws`` stack to exactly
+    ``rng.random((n_rows, n_cols))``: the generator fills an array row
+    by row, one 64-bit output per double, so consecutive block draws
+    consume the stream one whole draw would.  Each block holds about
+    :data:`BLOCK_CELLS` cells, and at least one row.
+
+    >>> whole = substream(7, "doc").random((5, 3))
+    >>> blocks = uniform_blocks(substream(7, "doc"), 5, 3)
+    >>> bool((np.vstack([d for _, d in blocks]) == whole).all())
+    True
+    """
+    rows = max(1, BLOCK_CELLS // max(1, n_cols))
+    for first in range(0, n_rows, rows):
+        yield first, rng.random((min(rows, n_rows - first), n_cols))

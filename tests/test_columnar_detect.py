@@ -15,6 +15,7 @@ production.
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from hypothesis import assume, given, settings, strategies as st
 import repro.api as api
 import repro.ioda.dashboard as dashboard
 import repro.ioda.platform as platform
+import repro.rng
 import repro.stream.engine as engine
 from repro import io
 from repro.bgp.view import visible_slash24_series
 from repro.errors import SignalError
 from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.probing.scheduler import ActiveProbingRun
-from repro.probing.trinocular import TrinocularConfig
+from repro.probing.trinocular import TrinocularConfig, TrinocularInference
 from repro.signals.alerts import Alert, DetectorConfig
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
@@ -453,6 +455,21 @@ class TestGroupAlertsEquivalence:
             grouper.feed(alerts[1:])
 
 
+#: A response rate whose unanswered-round belief iterates settle into a
+#: 2-cycle of adjacent floats (both phases DOWN) under the default
+#: Trinocular config, instead of a fixed point.
+TWO_CYCLE_RATE = float.fromhex("0x1.5e3162e29ef04p-3")
+
+
+@contextmanager
+def cell_budget(cells):
+    """Draw the signal kernels' uniforms ``cells`` at a time, so that
+    one window spans many blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.rng, "BLOCK_CELLS", cells)
+        yield
+
+
 class TestProbingEquivalence:
     def _run(self, rng, n_blocks, config=None):
         return ActiveProbingRun(np.arange(n_blocks),
@@ -517,14 +534,19 @@ class TestBGPEquivalence:
                                   st.floats(-0.5, 1.5)),
                         min_size=1, max_size=200),
            miss_rate=st.one_of(st.just(0.02), st.floats(0.3, 0.6)),
+           cells=st.one_of(st.just(repro.rng.BLOCK_CELLS),
+                           st.integers(1, 120)),
            seed=st.integers(0, 2**32 - 1))
     def test_kernel_matches_dense_reference(self, sizes, ups, miss_rate,
-                                            seed):
+                                            cells, seed):
+        """Also with a cell budget of a few cells, so that one window
+        spans many blocks."""
         window = TimeRange(0, len(ups) * FIVE_MINUTES)
         up = np.array(ups)
-        kernel = visible_slash24_series(
-            window, sizes, up, np.random.default_rng(seed),
-            miss_rate=miss_rate)
+        with cell_budget(cells):
+            kernel = visible_slash24_series(
+                window, sizes, up, np.random.default_rng(seed),
+                miss_rate=miss_rate)
         dense = oracles.visible_slash24_series(
             window, sizes, up, np.random.default_rng(seed),
             miss_rate=miss_rate)
@@ -549,6 +571,136 @@ class TestBGPEquivalence:
         with pytest.raises(SignalError, match="non-negative"):
             visible_slash24_series(TimeRange(0, FIVE_MINUTES), [4, -1],
                                    np.ones(1), np.random.default_rng(0))
+
+
+class TestBlockedKernels:
+    """The kernels draw in row blocks of ``repro.rng.BLOCK_CELLS``
+    cells and carry state across block edges; with a budget of a few
+    cells a window spans many blocks, and the series must still equal
+    the references bit for bit."""
+
+    def _probe(self, run, ups, seed, keep=None):
+        window = TimeRange(0, len(ups) * 600)
+        up = np.array(ups, dtype=np.float64)
+        got = run.up_count_series(window, up, np.random.default_rng(seed),
+                                  keep=keep)
+        want = oracles.up_count_series(run, window, up,
+                                       np.random.default_rng(seed),
+                                       keep=keep)
+        assert got.start == want.start
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_blocks=st.integers(1, 40), cells=st.integers(1, 120),
+           two_cycle=st.booleans(), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_probing_matches_oracle_across_block_edges(
+            self, n_blocks, cells, two_cycle, data, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.uniform(0.15, 0.95, size=n_blocks)
+        if two_cycle:
+            rates[rng.integers(n_blocks)] = TWO_CYCLE_RATE
+        run = ActiveProbingRun(rng.permutation(n_blocks), rates)
+        on_quantile = st.integers(0, n_blocks).map(lambda k: k / n_blocks)
+        ups = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                      on_quantile),
+            min_size=1, max_size=120))
+        keep = data.draw(st.one_of(st.none(), st.integers(1, n_blocks)))
+        with cell_budget(cells):
+            self._probe(run, ups, seed, keep=keep)
+
+    def test_partial_rounds_straddle_block_edges(self):
+        run = ActiveProbingRun(np.arange(16),
+                               np.random.default_rng(3).uniform(
+                                   0.15, 0.95, size=16))
+        ups = [1.0] * 40
+        ups[3:8] = [0.4, 0.55, 0.25, 0.4, 0.9]   # across the edge at 5
+        ups[14:16] = [0.5, 0.5]                  # across the edge at 15
+        with cell_budget(16 * 5):
+            for seed in range(5):
+                self._probe(run, ups, seed)
+                self._probe(run, ups, seed, keep=7)
+
+    @pytest.mark.parametrize("cells", [1, 3 * 12, 5 * 12])
+    def test_never_answered_across_block_edges(self, cells):
+        """Ground truth keeps every block down over the first 12 rounds,
+        so no block has answered at several block edges; with a prior
+        above the up threshold, never-answered blocks stay UP for a few
+        rounds, which the default config never does."""
+        config = TrinocularConfig(probes_per_round=1, up_threshold=0.6,
+                                  prior_up=0.99, belief_drift=0.05)
+        rates = np.random.default_rng(4).uniform(0.15, 0.95, size=12)
+        ups = [0.0] * 12 + [1.0, 0.5] * 10
+        for run in (ActiveProbingRun(np.arange(12), rates),
+                    ActiveProbingRun(np.arange(12), rates, config)):
+            with cell_budget(cells):
+                for seed in range(4):
+                    self._probe(run, ups, seed)
+        assert (run._first_down[1] > 3).any()
+
+    def test_gather_fallback_across_block_edges(self):
+        """With the first-down levels unavailable (a non-monotone
+        table), lookups gather from the table itself."""
+        rates = np.random.default_rng(5).uniform(0.15, 0.95, size=10)
+        rates[3] = TWO_CYCLE_RATE
+        config = TrinocularConfig(probes_per_round=1, up_threshold=0.6,
+                                  prior_up=0.99, belief_drift=0.05)
+        ups = [0.0] * 7 + [1.0] * 30 + [0.3] * 5 + [0.0] * 9 + [1.0] * 8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ActiveProbingRun, "_first_down_of",
+                          staticmethod(lambda up_table: None))
+            for run_config in (None, config):
+                run = ActiveProbingRun(np.arange(10), rates, run_config)
+                for cells in (1, 10 * 4, 10 * 7, 10_000):
+                    with cell_budget(cells):
+                        self._probe(run, ups, cells)
+                        self._probe(run, ups, cells, keep=6)
+                assert run._first_down is None
+
+    def test_bgp_blocks_without_invisible_cells(self):
+        """At a 30% peer miss rate about one block in ten of 10 cells
+        holds an invisible cell: the others skip the subtraction."""
+        sizes = np.arange(1, 11)
+        up = np.resize([1.0, 0.0, 0.37, 0.999], 200)
+        window = TimeRange(0, len(up) * FIVE_MINUTES)
+        quorum = int(np.ceil(24 * 0.5))
+        p_visible = oracles._p_visible(quorum, 24, 0.3)
+        crossed = (np.random.default_rng(6).random((len(up), len(sizes)))
+                   >= p_visible).any(axis=1)
+        assert crossed.any() and not crossed.all()
+        with cell_budget(len(sizes)):
+            kernel = visible_slash24_series(
+                window, sizes, up, np.random.default_rng(6), miss_rate=0.3)
+        dense = oracles.visible_slash24_series(
+            window, sizes, up, np.random.default_rng(6), miss_rate=0.3)
+        assert kernel.values.tobytes() == dense.values.tobytes()
+
+
+class TestBeliefTables:
+    def test_cycle_stopped_table_gives_full_depth_lookups(self):
+        """A table whose iterates settle into a 2-cycle stops there, and
+        every lookup clamped to its last level classifies like the
+        full-depth iterates."""
+        inference = TrinocularInference()
+        rates = np.array([TWO_CYCLE_RATE, 0.3, 0.5, 0.9])
+        depth = 400
+        table = inference.belief_iterate_tables(rates, max_levels=depth)
+        assert table.shape[0] < 40
+        # The full-depth iterates, one unanswered round at a time.
+        beliefs = np.stack([np.ones(len(rates)),
+                            np.full(len(rates), inference.initial_belief())])
+        full = [beliefs]
+        for _ in range(depth):
+            full.append(np.stack([
+                inference.batch_update(row, np.zeros(len(rates), bool),
+                                       rates) for row in full[-1]]))
+        full = np.stack(full)
+        assert np.array_equal(full[-1], full[-3])
+        assert not np.array_equal(full[-1], full[-2])
+        clamped = np.minimum(np.arange(depth + 1), table.shape[0] - 1)
+        assert np.array_equal(inference.batch_classify_up(table[clamped]),
+                              inference.batch_classify_up(full))
 
 
 class TestSeriesArrayAPI:

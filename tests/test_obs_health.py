@@ -59,6 +59,38 @@ class TestSpanProfiler:
             profiler.uninstall()
         assert not tracemalloc.is_tracing()
 
+    def test_nested_spans_report_their_own_peaks(self):
+        """Each span's peak counts from its own open: a span opened
+        below an earlier, freed peak still reads a peak of at least its
+        net allocation, and an enclosing span's peak covers what its
+        children allocated and freed."""
+        profiler = SpanProfiler(
+            ProfileConfig(tracemalloc=True, cpu=False, rss=False)).install()
+        try:
+            outer = profiler.begin()
+            spike = bytes(512 * 1024)
+            del spike  # the process peak now sits 512 KiB above us
+            inner = profiler.begin()
+            kept = [bytes(1024) for _ in range(64)]
+            inner_profile = profiler.end(inner)
+            sibling = profiler.begin()
+            burst = bytes(2048 * 1024)
+            del burst
+            sibling_profile = profiler.end(sibling)
+            outer_profile = profiler.end(outer)
+            del kept
+        finally:
+            profiler.uninstall()
+        assert inner_profile["alloc_net_kb"] >= 64
+        assert inner_profile["alloc_peak_kb"] \
+            >= inner_profile["alloc_net_kb"]
+        assert inner_profile["alloc_peak_kb"] < 512
+        assert sibling_profile["alloc_peak_kb"] >= 2048
+        assert sibling_profile["alloc_net_kb"] < 64
+        assert outer_profile["alloc_peak_kb"] >= 2048 + 64
+        assert outer_profile["alloc_net_kb"] >= 64
+        assert profiler._open_allocs() == []
+
     def test_uninstall_is_idempotent_and_respects_foreign_tracing(self):
         tracemalloc.start()
         try:
