@@ -2,35 +2,13 @@
 
 IODA's BGP signal counts, every 5 minutes, the number of /24-equivalents
 visible to at least 50% of "full-feed" peers across all RouteViews and RIPE
-RIS collectors (§3.1.1).  This subpackage implements that machinery:
-
-- :mod:`repro.bgp.messages` — update/withdraw records and per-peer RIBs.
-- :mod:`repro.bgp.peers` — peer specifications and the full-feed rule
-  (>400k IPv4 prefixes).
-- :mod:`repro.bgp.collector` — collectors that synthesize per-peer update
-  streams from a ground-truth reachability timeline.
-- :mod:`repro.bgp.stream` — a BGPStream-style time-ordered merge of
-  multiple collectors.
-- :mod:`repro.bgp.view` — the BGPView-style visibility counter producing
-  the per-entity visible-/24 series, plus the vectorized fast path used
-  for fleet-scale simulation.
+RIS collectors (§3.1.1).  :mod:`repro.bgp.view` computes that count per
+bin from the entity's ground-truth reachable fraction: a prefix is
+visible with the probability that a quorum of full-feed peers carries
+it, each peer missing it at a fixed rate.  Collectors, peer sessions and
+update streams are not simulated.
 """
 
-from repro.bgp.messages import BGPUpdate, RouteTable, UpdateType
-from repro.bgp.peers import PeerSpec, full_feed_peers
-from repro.bgp.collector import Collector, ReachabilityTimeline
-from repro.bgp.stream import BGPStream
-from repro.bgp.view import BGPView, visible_slash24_series
+from repro.bgp.view import visible_slash24_series
 
-__all__ = [
-    "BGPUpdate",
-    "RouteTable",
-    "UpdateType",
-    "PeerSpec",
-    "full_feed_peers",
-    "Collector",
-    "ReachabilityTimeline",
-    "BGPStream",
-    "BGPView",
-    "visible_slash24_series",
-]
+__all__ = ["visible_slash24_series"]

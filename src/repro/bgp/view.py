@@ -1,16 +1,11 @@
-"""BGPView-style visibility counting.
+"""BGP visibility counting.
 
 IODA's BGP signal for an entity is the number of /24-equivalents visible to
-at least 50% of full-feed peers, computed every 5 minutes (§3.1.1).  Two
-implementations are provided:
-
-- :class:`BGPView` — the reference path: consumes a merged update stream,
-  maintains one RIB per peer, and counts visibility at each bin boundary.
-  Used by unit tests, examples and the single-event benches.
-- :func:`visible_slash24_series` — the kernel used for fleet-scale
-  simulation: statistically equivalent per-bin counts computed directly
-  from a per-bin reachable-fraction array.  A test asserts the two paths
-  agree on identical ground truth.
+at least 50% of full-feed peers, computed every 5 minutes (§3.1.1).
+:func:`visible_slash24_series` computes it per bin from the entity's
+ground-truth reachable fraction: each announced prefix is visible with
+the probability that at least a quorum of ``n_full_feed_peers`` peers,
+each missing it at ``miss_rate``, carries it (:func:`_p_visible`).
 
 The kernel draws one visibility uniform per (bin, prefix) cell but does
 arithmetic only where a draw can change the count.  With every prefix
@@ -29,80 +24,20 @@ which ``tests/oracles.py`` keeps as the reference.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.bgp.messages import BGPUpdate, RouteTable
-from repro.bgp.peers import PeerSpec, full_feed_peers
-from repro.errors import ConfigurationError, SignalError
-from repro.net.ipv4 import Prefix
+from repro.errors import SignalError
 from repro.rng import uniform_blocks
 from repro.signals.series import TimeSeries
 from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
 
-__all__ = ["BGPView", "visible_slash24_series"]
+__all__ = ["visible_slash24_series"]
 
 #: A prefix is visible when at least this fraction of full-feed peers
 #: carries it.
 VISIBILITY_QUORUM = 0.5
-
-
-class BGPView:
-    """Reference per-bin visibility counter.
-
-    Feed it the peers and a time-ordered update stream; it reconstructs
-    each peer's RIB and reports, for every bin in the window, the number of
-    /24-equivalents visible to at least half of the full-feed peers.
-    """
-
-    def __init__(self, peers: Sequence[PeerSpec],
-                 bin_width: int = FIVE_MINUTES):
-        self._full_feed = full_feed_peers(peers)
-        if not self._full_feed:
-            raise ConfigurationError("BGPView requires full-feed peers")
-        self._bin_width = bin_width
-
-    @property
-    def quorum(self) -> int:
-        """Minimum number of full-feed peers for visibility."""
-        return int(np.ceil(len(self._full_feed) * VISIBILITY_QUORUM))
-
-    def count_series(self, updates: Iterable[BGPUpdate],
-                     window: TimeRange,
-                     prefixes: Sequence[Prefix]) -> TimeSeries:
-        """Visible-/24 series over ``window`` for the given prefix set.
-
-        ``updates`` must be time-ordered (as produced by
-        :class:`repro.bgp.stream.BGPStream`).  The value of each bin is the
-        visibility measured at the bin's *end*, matching IODA publishing a
-        bin only once it closes.
-        """
-        full_feed_ids = {p.peer_id for p in self._full_feed}
-        ribs: Dict[int, RouteTable] = {
-            peer.peer_id: RouteTable() for peer in self._full_feed}
-        series = TimeSeries.zeros(window, self._bin_width)
-        update_iter = iter(updates)
-        pending = next(update_iter, None)
-        prefix_list = list(prefixes)
-        for index in range(len(series)):
-            bin_end = series.start + (index + 1) * self._bin_width
-            while pending is not None and pending.time < bin_end:
-                if pending.peer_id in full_feed_ids:
-                    ribs[pending.peer_id].apply(pending)
-                pending = next(update_iter, None)
-            series.values[index] = self._visible24(ribs, prefix_list)
-        return series
-
-    def _visible24(self, ribs: Dict[int, RouteTable],
-                   prefixes: List[Prefix]) -> int:
-        quorum = self.quorum
-        total = 0
-        for prefix in prefixes:
-            carriers = sum(1 for rib in ribs.values() if prefix in rib)
-            if carriers >= quorum:
-                total += prefix.num_slash24s
-        return total
 
 
 def visible_slash24_series(
@@ -113,15 +48,15 @@ def visible_slash24_series(
         n_full_feed_peers: int = 24,
         miss_rate: float = 0.02,
         bin_width: int = FIVE_MINUTES) -> TimeSeries:
-    """Vectorized visible-/24 series.
+    """The visible-/24 series of one entity over ``window``.
 
     ``prefix_slash24s`` gives the /24-equivalent size of each announced
     prefix; ``up_fraction[i]`` is the ground-truth fraction of the entity's
     address space reachable during bin ``i``.  Prefixes are taken down
     largest-fraction-first deterministically (a severity-``s`` event
     removes a contiguous ``s`` share of the space — disruptions hit whole
-    operators, not random prefixes), and per-prefix peer visibility noise
-    is applied exactly as the reference path would produce it.
+    operators, not random prefixes), and each (bin, prefix) cell is
+    visible with probability :func:`_p_visible`.
     """
     sizes = np.asarray(prefix_slash24s, dtype=np.int64)
     if sizes.ndim != 1 or len(sizes) == 0:

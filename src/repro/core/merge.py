@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.labeling import LabeledEvent, label_events
-from repro.core.matching import EventMatcher, Match, MatchingConfig
+from repro.core.matching import EventMatcher, Match
 from repro.countries.registry import CountryRegistry
 from repro.ioda.records import OutageRecord
 from repro.kio.schema import KIOEvent
@@ -93,8 +93,7 @@ def build_merged_dataset(
         registry: CountryRegistry,
         kio_events: Sequence[KIOEvent],
         ioda_records: Sequence[OutageRecord],
-        period: TimeRange,
-        matching: MatchingConfig | None = None) -> MergedDataset:
+        period: TimeRange) -> MergedDataset:
     """Filter, match, and label; see module docstring for the rules."""
     period_days = TimeRange(period.start // DAY, -(-period.end // DAY))
     kio_filtered = tuple(
@@ -105,7 +104,7 @@ def build_merged_dataset(
         record for record in ioda_records
         if record.scope is EntityScope.COUNTRY
         and period.contains(record.span.start))
-    matcher = EventMatcher(registry, matching)
+    matcher = EventMatcher(registry)
     matches = tuple(matcher.match(kio_filtered, ioda_filtered))
     labeled = tuple(label_events(ioda_filtered, matches))
     recorder = current().provenance

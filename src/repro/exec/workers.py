@@ -63,7 +63,7 @@ from repro.obs.runtime import WorkerReport, WorkerSettings, current, \
     run_reported
 from repro.ioda.curation import CurationConfig, CurationPipeline, \
     finalize_records
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import IODAPlatform
 from repro.ioda.records import OutageRecord
 from repro.resilience import BreakerBoard, FaultPlan, ResilienceConfig, \
     call_with_retry, inject
@@ -128,7 +128,6 @@ _ShardResult = Tuple[_ShardRecords, _Quarantined]
 
 
 def _curate_shard(scenario: WorldScenario,
-                  platform_config: PlatformConfig,
                   curation_config: CurationConfig,
                   period: TimeRange, countries: Tuple[str, ...],
                   windows: Optional[
@@ -160,7 +159,7 @@ def _curate_shard(scenario: WorldScenario,
     fault-free bytes exactly.
     """
     if platform is None:
-        platform = IODAPlatform(scenario, platform_config)
+        platform = IODAPlatform(scenario)
     pipeline = CurationPipeline(platform, curation_config)
     if windows is None:
         windows = pipeline.country_windows(period)
@@ -188,9 +187,9 @@ def _curate_shard(scenario: WorldScenario,
 
 
 #: The worker-resident world: one platform (and the scenario it
-#: observes) per process, keyed by the fingerprint of everything that
-#: shaped it.  A pool worker reuses the entry for every unit of work it
-#: runs; a key change rebuilds and replaces it.  Lives at module level
+#: observes) per process, keyed by the fingerprint of the scenario
+#: config that shaped it.  A pool worker reuses the entry for every
+#: unit of work it runs; a key change rebuilds and replaces it.  Lives at module level
 #: so it survives across units within one worker process — worker
 #: processes are forked per pool, so entries never leak between runs.
 _WORKER_WORLD: Dict[str, IODAPlatform] = {}
@@ -201,8 +200,7 @@ _WORKER_WORLD: Dict[str, IODAPlatform] = {}
 _WORLD_BUILDS = 0
 
 
-def resident_world(scenario_config: ScenarioConfig,
-                   platform_config: PlatformConfig) -> IODAPlatform:
+def resident_world(scenario_config: ScenarioConfig) -> IODAPlatform:
     """This process's platform, built at most once per config.
 
     The pool initializer: it runs before a worker's first unit, outside
@@ -213,13 +211,12 @@ def resident_world(scenario_config: ScenarioConfig,
     country caches accumulate across every unit the worker runs.
     """
     global _WORLD_BUILDS
-    key = fingerprint(scenario_config, platform_config)
+    key = fingerprint(scenario_config)
     platform = _WORKER_WORLD.get(key)
     if platform is None:
         scenario = ScenarioGenerator(scenario_config).generate()
         _WORKER_WORLD.clear()
-        platform = _WORKER_WORLD[key] = IODAPlatform(scenario,
-                                                     platform_config)
+        platform = _WORKER_WORLD[key] = IODAPlatform(scenario)
         _WORLD_BUILDS += 1
     return platform
 
@@ -229,7 +226,7 @@ def resident_world(scenario_config: ScenarioConfig,
 _Unit = Callable[..., Any]
 
 
-def _run_unit(world: Tuple[ScenarioConfig, PlatformConfig],
+def _run_unit(scenario_config: ScenarioConfig,
               plan: Optional[FaultPlan],
               settings: Optional[WorkerSettings], fn: _Unit,
               args: tuple) -> Tuple[Any, Optional[WorkerReport]]:
@@ -240,7 +237,7 @@ def _run_unit(world: Tuple[ScenarioConfig, PlatformConfig],
     pure functions of the plan, so the worker faults exactly where an
     inline run would.
     """
-    platform = resident_world(*world)
+    platform = resident_world(scenario_config)
 
     def unit() -> Any:
         result = fn(platform, "process", *args)
@@ -291,13 +288,13 @@ class WorkerPool:
         settings = obs.worker_settings()
         if settings is not None and not self._heartbeats:
             settings = replace(settings, telemetry=None)
-        world = (self._platform.scenario.config, self._platform.config)
+        scenario_config = self._platform.scenario.config
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self._size, initializer=resident_world,
-                initargs=world)
-        futures = [self._pool.submit(_run_unit, world, active_plan(),
-                                     settings, fn, args)
+                initargs=(scenario_config,))
+        futures = [self._pool.submit(_run_unit, scenario_config,
+                                     active_plan(), settings, fn, args)
                    for args in units]
         # Worker spans were recorded in other processes; they join the
         # tree under the caller's span.
@@ -337,7 +334,7 @@ def _curate_shard_subprocess(platform: IODAPlatform, backend: str,
     with current().span(SHARD_SPAN, shard=shard_index,
                         countries=len(countries), backend=backend):
         return _curate_shard(
-            platform.scenario, platform.config, curation_config, period,
+            platform.scenario, curation_config, period,
             countries, windows=windows, platform=platform,
             resilience=resilience)
 
@@ -463,10 +460,8 @@ class ShardedCurationExecutor:
 
     def _shard_key(self, scenario: WorldScenario,
                    shard: Shard) -> Tuple[object, ...]:
-        # The platform config shapes every signal a shard curates, so
-        # it stays in the key.
-        return (scenario.config, PlatformConfig(),
-                self._curation_config, self._period, shard.countries)
+        return (scenario.config, self._curation_config, self._period,
+                shard.countries)
 
     def _cache_get(self, scenario: WorldScenario,
                    shard: Shard) -> Optional[_ShardRecords]:

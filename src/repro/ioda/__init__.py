@@ -17,7 +17,7 @@ This subpackage reproduces the measurement side of §3.1:
   re-derives visibility flags from the signals and fixes disagreements.
 """
 
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import IODAPlatform
 from repro.ioda.detectors import DETECTOR_CONFIGS
 from repro.ioda.records import ConfirmationStatus, OutageRecord
 from repro.ioda.dashboard import Dashboard, ioda_url
@@ -28,7 +28,6 @@ __all__ = [
     "DataWorksReviewer",
     "ReviewOutcome",
     "IODAPlatform",
-    "PlatformConfig",
     "DETECTOR_CONFIGS",
     "ConfirmationStatus",
     "OutageRecord",

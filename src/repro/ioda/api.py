@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
     Union
 
 from repro.errors import CursorError, TimeRangeError
-from repro.exec.cachestore import fingerprint
 from repro.resilience.faults import maybe_fault
 from repro.ioda.dashboard import Dashboard, DashboardEntry
 from repro.ioda.platform import IODAPlatform
@@ -56,7 +55,7 @@ def decode_cursor(cursor: str, query_key: str) -> int:
 
     Raises :class:`~repro.errors.CursorError` on tampered, truncated,
     or unsupported-version tokens, and on any key mismatch (different
-    filters, different client, or a moved feed revision).
+    filters or a different feed revision).
     """
     try:
         token = base64.urlsafe_b64decode(cursor.encode("ascii"))
@@ -127,10 +126,6 @@ class IODAClient:
         self._feed = feed
         self._revision = revision
         self._records = sorted(records, key=lambda r: r.span.start)
-        # The only hashed ingredient of a query key is the platform
-        # config, which cannot change after construction — fingerprint
-        # it once here so paging never re-hashes (see _query_key).
-        self._base_key = fingerprint(platform.config)
 
     # -- signals --------------------------------------------------------------
 
@@ -184,8 +179,9 @@ class IODAClient:
         - A cursor binds to the exact filters it was minted with *and*
           to the feed revision (the record set — or, for a live
           streaming client, the watermark — the page was served from).
-          Reusing it with different filters, against a different
-          client, or after the feed changed raises
+          Reusing it with different filters, or under a different
+          feed revision (after the feed changed, or on a client whose
+          feed is at another revision), raises
           :class:`~repro.errors.CursorError`.
         - So does any tampered, truncated, or unsupported-version
           token.  ``CursorError`` subclasses
@@ -228,21 +224,15 @@ class IODAClient:
     def _query_key(self, country_iso2: Optional[str],
                    from_ts: Optional[int], until_ts: Optional[int],
                    records: Sequence[OutageRecord]) -> str:
-        """The key binding a cursor to its filters and feed revision.
-
-        Pure string assembly over the pre-hashed ``_base_key`` — the
-        hot paging path never calls :func:`fingerprint`.
-        """
+        """The key binding a cursor to its filters and feed revision."""
         if self._revision is not None:
             revision = (self._revision()
                         if callable(self._revision) else self._revision)
         else:
             revision = len(records)
         country = country_iso2.upper() if country_iso2 else "-"
-        return (f"{self._base_key}.{country}"
-                f".{'-' if from_ts is None else from_ts}"
-                f".{'-' if until_ts is None else until_ts}"
-                f".r{revision}")
+        return (f"{country}.{'-' if from_ts is None else from_ts}"
+                f".{'-' if until_ts is None else until_ts}.r{revision}")
 
     _encode_cursor = staticmethod(encode_cursor)
     _decode_cursor = staticmethod(decode_cursor)

@@ -46,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.bgp.view import visible_slash24_series
-from repro.errors import ConfigurationError, SignalError
+from repro.errors import SignalError
 from repro.probing.blocks import sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
 from repro.resilience.faults import maybe_fault
@@ -60,7 +60,7 @@ from repro.topology.generator import CountryNetwork
 from repro.world.disruptions import Cause, GroundTruthDisruption
 from repro.world.scenario import WorldScenario
 
-__all__ = ["PlatformConfig", "IODAPlatform"]
+__all__ = ["IODAPlatform"]
 
 #: Cause-specific per-signal severity damping.  A power outage leaves many
 #: routers announcing from UPS/generator power, so BGP visibility falls far
@@ -73,20 +73,11 @@ _SIGNAL_DAMPING: Mapping[Cause, Mapping[SignalKind, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class PlatformConfig:
-    """Measurement-layer knobs."""
-
-    n_full_feed_peers: int = 24
-    bgp_peer_miss_rate: float = 0.02
-    max_probed_blocks: int = 128
-    telescope_overdispersion: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.n_full_feed_peers < 2:
-            raise ConfigurationError("need at least 2 full-feed peers")
-        if self.max_probed_blocks < 8:
-            raise ConfigurationError("need at least 8 probed blocks")
+# Changing these changes signals, so bump exec.cachestore.CACHE_VERSION.
+N_FULL_FEED_PEERS = 24
+BGP_PEER_MISS_RATE = 0.02
+MAX_PROBED_BLOCKS = 128
+TELESCOPE_OVERDISPERSION = 4.0
 
 
 @dataclass
@@ -106,10 +97,8 @@ class _CountryCache:
 class IODAPlatform:
     """The simulated IODA measurement platform."""
 
-    def __init__(self, scenario: WorldScenario,
-                 config: PlatformConfig | None = None):
+    def __init__(self, scenario: WorldScenario):
         self._scenario = scenario
-        self._config = config or PlatformConfig()
         # Every country's cache, its probing-blocks sample included, is
         # built here rather than on first query: each country draws from
         # its own substream, so the values are the same either way, but
@@ -134,10 +123,6 @@ class IODAPlatform:
     @property
     def scenario(self) -> WorldScenario:
         return self._scenario
-
-    @property
-    def config(self) -> PlatformConfig:
-        return self._config
 
     # -- public query interface ------------------------------------------------
 
@@ -194,7 +179,7 @@ class IODAPlatform:
         mobile24 = sum(a.num_slash24s for a in network.ases if a.mobile)
         block_rng = substream(self._scenario.seed, "probing-blocks", iso2)
         block_slash24, block_rates = sample_blocks(
-            network, block_rng, max_blocks=self._config.max_probed_blocks)
+            network, block_rng, max_blocks=MAX_PROBED_BLOCKS)
         return _CountryCache(
             network=network,
             prefix_sizes=prefix_sizes,
@@ -315,8 +300,8 @@ class IODAPlatform:
         if kind is SignalKind.BGP:
             series = visible_slash24_series(
                 window, self._scaled_prefixes(cache, scale), up, rng,
-                n_full_feed_peers=self._config.n_full_feed_peers,
-                miss_rate=self._config.bgp_peer_miss_rate)
+                n_full_feed_peers=N_FULL_FEED_PEERS,
+                miss_rate=BGP_PEER_MISS_RATE)
         elif kind is SignalKind.ACTIVE_PROBING:
             run = cache.probing
             if run is None:
@@ -332,7 +317,7 @@ class IODAPlatform:
             series = unique_source_series(
                 window, intensity, up,
                 cache.network.country.utc_offset.seconds, rng,
-                overdispersion=self._config.telescope_overdispersion)
+                overdispersion=TELESCOPE_OVERDISPERSION)
         # Substrate counts are integer-valued, so without an artifact the
         # multiply-and-round pass would return them unchanged.
         factor = self._artifact_multiplier(kind, window, bin_width)

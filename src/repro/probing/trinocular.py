@@ -159,6 +159,11 @@ class TrinocularInference:
         - at the iterates' (float-exact) fixed point;
         - at a 2-cycle (``f^(k+1) == f^(k-1)``, which adjacent floats
           can settle into) whose two phases classify every block alike.
+
+        A block with response rate 1.0 never misses while up, so one
+        unanswered round from belief 1.0 is 0/0: its answered-path
+        iterates are NaN, which classify not UP, as in
+        :meth:`batch_update`.  The stop tests count NaN equal to NaN.
         """
         miss = self.miss_likelihood(response_rates)
         prior = self._config.prior_up
@@ -168,11 +173,13 @@ class TrinocularInference:
         for _ in range(max_levels):
             beliefs = levels[-1]
             numerator = beliefs * miss
-            posterior = numerator / (numerator + (1.0 - beliefs))
+            with np.errstate(invalid="ignore"):
+                posterior = numerator / (numerator + (1.0 - beliefs))
             drifted = posterior + drift * (prior - posterior)
-            if np.array_equal(drifted, beliefs):
+            if np.array_equal(drifted, beliefs, equal_nan=True):
                 break
-            if (len(levels) > 1 and np.array_equal(drifted, levels[-2])
+            if (len(levels) > 1
+                    and np.array_equal(drifted, levels[-2], equal_nan=True)
                     and np.array_equal(self.batch_classify_up(drifted),
                                        self.batch_classify_up(beliefs))):
                 break

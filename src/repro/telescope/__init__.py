@@ -7,20 +7,14 @@ radiation (IBR) from a country tracks how much of that country is up, with
 a strong diurnal cycle and high variance — hence the telescope's unusually
 low 25% alert threshold.
 
-- :mod:`repro.telescope.packets` — packet records and the detailed IBR
-  generator used in tests, examples and the Figure 1 bench.
-- :mod:`repro.telescope.filters` — anti-spoofing heuristics and noise
-  filters.
-- :mod:`repro.telescope.counter` — unique-source counting: the reference
-  packet path and the statistically equivalent vectorized path.
+- :mod:`repro.telescope.counter` — the per-bin unique-source series,
+  drawn from the count distribution filtered IBR converges to; no
+  packets are generated or filtered.
+- :mod:`repro.telescope.campaigns` — scanning campaigns and their
+  suppression mask (not used by the platform's signals).
 """
 
-from repro.telescope.packets import IBRGenerator, TelescopePacket
-from repro.telescope.filters import FilterPipeline, default_filters
-from repro.telescope.counter import (
-    unique_sources_from_packets,
-    unique_source_series,
-)
+from repro.telescope.counter import unique_source_series
 from repro.telescope.campaigns import (
     Campaign,
     CampaignSchedule,
@@ -29,11 +23,6 @@ from repro.telescope.campaigns import (
 )
 
 __all__ = [
-    "IBRGenerator",
-    "TelescopePacket",
-    "FilterPipeline",
-    "default_filters",
-    "unique_sources_from_packets",
     "unique_source_series",
     "Campaign",
     "CampaignSchedule",

@@ -1,43 +1,40 @@
 """Unique-source counting: the Telescope signal.
 
-Two paths produce the per-bin unique-source-IP series:
-
-- :func:`unique_sources_from_packets` — the reference path: bin filtered
-  packets and count distinct sources per 5-minute bin.
-- :func:`unique_source_series` — the fleet-scale statistical path: draws
-  per-bin counts from the same compound distribution the packet path
-  converges to (Poisson arrivals with diurnal modulation and gamma
-  overdispersion, scaled by the ground-truth up fraction).  Tests assert
-  both paths agree in distribution on identical ground truth.
+:func:`unique_source_series` draws each 5-minute bin's unique-source
+count from a compound distribution: Poisson arrivals with diurnal
+modulation and gamma overdispersion, scaled by the ground-truth up
+fraction.  Packets are not simulated.  ``tests/oracles.py`` keeps a
+packet-level generator, anti-spoofing filters and a distinct-source
+counter, and a test holds this series' mean to theirs within 20%.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from repro.errors import SignalError
 from repro.signals.series import TimeSeries
-from repro.telescope.packets import TelescopePacket, diurnal_factors
-from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
+from repro.timeutils.timestamps import DAY, FIVE_MINUTES, HOUR, TimeRange, \
+    bin_floor
 
-__all__ = ["unique_sources_from_packets", "unique_source_series"]
+__all__ = ["diurnal_factors", "unique_source_series"]
 
 
-def unique_sources_from_packets(
-        packets: Iterable[TelescopePacket], window: TimeRange,
-        bin_width: int = FIVE_MINUTES) -> TimeSeries:
-    """Count distinct source IPs per bin over ``window``."""
-    start = bin_floor(window.start, bin_width)
-    n_bins = -(-(window.end - start) // bin_width)
-    sources = [set() for _ in range(n_bins)]
-    for packet in packets:
-        if not window.start <= packet.time < window.end:
-            continue
-        sources[(packet.time - start) // bin_width].add(packet.source.value)
-    values = np.array([len(s) for s in sources], dtype=np.float64)
-    return TimeSeries(start, bin_width, values)
+def diurnal_factors(bin_starts: np.ndarray, utc_offset_seconds: int,
+                    amplitude: float = 0.35) -> np.ndarray:
+    """Relative IBR intensity at each timestamp's local time of day.
+
+    IBR peaks in the local afternoon (machines on) and troughs pre-dawn.
+    Bit-identical element by element to the scalar
+    ``tests/oracles.diurnal_factor``: the integer modulo is exact, the
+    float expression applies the same operations in the same order, and
+    numpy's cos ufunc produces the same values through its array and
+    scalar loops (tests assert exact equality).
+    """
+    local_seconds = (np.asarray(bin_starts, dtype=np.int64)
+                     + utc_offset_seconds) % DAY
+    phase = 2.0 * np.pi * (local_seconds - 15 * HOUR) / DAY
+    return 1.0 + amplitude * np.cos(phase)
 
 
 def unique_source_series(

@@ -1,4 +1,5 @@
-"""Reference implementations the detection core is tested against.
+"""Reference implementations the signal and detection kernels are tested
+against.
 
 Production detects alerts through one columnar path
 (:mod:`repro.stream.detect`), simulates Active Probing rounds through
@@ -14,9 +15,18 @@ kernels of :mod:`repro.stats.rolling` are tested against, and
 :func:`campaign_suppression_mask` the one telescope campaign
 suppression is.
 
-Each one is shaped so it can stand in for production at the name
-production looks it up by, which is how the pipeline tests run a whole
-curation through the references:
+The telescope's packet path is kept here too: :class:`IBRGenerator`
+emits individual packets, :func:`default_filters` drops the spoofed
+ones, and :func:`unique_sources_from_packets` counts distinct sources
+per bin.  It is the physical model that
+:func:`repro.telescope.counter.unique_source_series` draws counts from
+in closed form; the two agree in mean, not bit for bit, and the scalar
+:func:`diurnal_factor` is the one the vectorized
+:func:`~repro.telescope.counter.diurnal_factors` matches exactly.
+
+Each kernel reference is shaped so it can stand in for production at
+the name production looks it up by, which is how the pipeline tests run
+a whole curation through the references:
 
 - :class:`ScalarAlertDetector` for
   :class:`~repro.stream.detect.StreamingAlertDetector`;
@@ -32,19 +42,24 @@ curation through the references:
 from __future__ import annotations
 
 import bisect
+import enum
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple
 
 import numpy as np
 
 from repro.bgp.view import VISIBILITY_QUORUM, _p_visible
 from repro.errors import SignalError
+from repro.net.ipv4 import IPv4Address, Prefix, parse_prefix
 from repro.probing.scheduler import ActiveProbingRun
 from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
-from repro.timeutils.timestamps import FIVE_MINUTES, TimeRange, bin_floor
+from repro.timeutils.timestamps import DAY, FIVE_MINUTES, HOUR, TimeRange, \
+    bin_floor
 
 
 class RollingMedian:
@@ -294,3 +309,160 @@ def region_episodes(pipeline, entity: Entity,
     :meth:`CurationPipeline._region_episodes` on the class.
     """
     return pipeline._dashboard.episodes_by_signal(entity, window)
+
+
+# -- the telescope packet path -------------------------------------------------
+
+
+class PacketKind(enum.Enum):
+    """Coarse class of unsolicited traffic."""
+
+    SCAN = "scan"
+    BACKSCATTER = "backscatter"
+    MISCONFIGURATION = "misconfiguration"
+    SPOOFED = "spoofed"
+
+
+@dataclass(frozen=True, slots=True)
+class TelescopePacket:
+    """One packet as captured by the telescope."""
+
+    time: int
+    source: IPv4Address
+    ttl: int
+    kind: PacketKind
+
+    @property
+    def likely_spoofed(self) -> bool:
+        """Ground-truth spoofing flag (filters must *infer* this)."""
+        return self.kind is PacketKind.SPOOFED
+
+
+def diurnal_factor(ts: int, utc_offset_seconds: int,
+                   amplitude: float = 0.35) -> float:
+    """Relative IBR intensity at one timestamp's local time of day."""
+    local_seconds = (ts + utc_offset_seconds) % DAY
+    phase = 2.0 * np.pi * (local_seconds - 15 * HOUR) / DAY
+    return 1.0 + amplitude * float(np.cos(phase))
+
+
+class IBRGenerator:
+    """Packet-level IBR from a set of source prefixes.
+
+    Per bin, ``Poisson(intensity * diurnal * up)`` genuine packets come
+    from the reachable (address-ordered) share of the prefixes, and
+    ``Poisson(intensity * spoofed_fraction)`` spoofed packets, with
+    pathological TTLs, from anywhere — a spoofer elsewhere can use any
+    source address, which is why the filters matter.
+    """
+
+    def __init__(self, prefixes: Sequence[Prefix], intensity_per_bin: float,
+                 utc_offset_seconds: int, rng: np.random.Generator,
+                 spoofed_fraction: float = 0.08):
+        self._prefixes = list(prefixes)
+        self._intensity = intensity_per_bin
+        self._offset = utc_offset_seconds
+        self._rng = rng
+        self._spoofed_fraction = spoofed_fraction
+        self._total24 = sum(p.num_slash24s for p in self._prefixes)
+
+    def packets(self, window: TimeRange, up_fraction: np.ndarray,
+                bin_width: int = FIVE_MINUTES) -> Iterator[TelescopePacket]:
+        """Yield the packets of each bin of ``window``."""
+        n_bins = -(-(window.end - window.start) // bin_width)
+        up = np.clip(np.asarray(up_fraction, dtype=np.float64), 0.0, 1.0)
+        for index in range(n_bins):
+            bin_start = window.start + index * bin_width
+            lam = (self._intensity * diurnal_factor(bin_start, self._offset)
+                   * up[index])
+            n_genuine = int(self._rng.poisson(lam))
+            n_spoofed = int(self._rng.poisson(
+                self._intensity * self._spoofed_fraction))
+            kinds = [PacketKind.SCAN, PacketKind.BACKSCATTER,
+                     PacketKind.MISCONFIGURATION]
+            for _ in range(n_genuine):
+                source = self._random_source(up[index])
+                if source is None:
+                    continue
+                yield TelescopePacket(
+                    time=bin_start + int(self._rng.integers(0, bin_width)),
+                    source=source,
+                    ttl=int(self._rng.integers(32, 120)),
+                    kind=kinds[int(self._rng.integers(0, len(kinds)))])
+            for _ in range(n_spoofed):
+                yield TelescopePacket(
+                    time=bin_start + int(self._rng.integers(0, bin_width)),
+                    source=IPv4Address(int(self._rng.integers(0, 2 ** 32))),
+                    ttl=int(self._rng.choice([255, 254, 1, 2])),
+                    kind=PacketKind.SPOOFED)
+
+    def _random_source(self, up_fraction: float) -> Optional[IPv4Address]:
+        """An address from the reachable share of the prefixes, or
+        ``None`` if nothing is up."""
+        reachable24 = int(self._total24 * up_fraction)
+        if reachable24 == 0:
+            return None
+        pick = int(self._rng.integers(0, reachable24))
+        for prefix in self._prefixes:
+            if pick < prefix.num_slash24s:
+                base = prefix.network + pick * 256
+                return IPv4Address(base + int(self._rng.integers(1, 255)))
+            pick -= prefix.num_slash24s
+        return None
+
+
+#: Special-use ranges that can never be genuine eyeball sources.
+BOGON_PREFIXES: Tuple[Prefix, ...] = tuple(parse_prefix(text) for text in (
+    "0.0.0.0/8", "10.0.0.0/8", "100.64.0.0/10", "127.0.0.0/8",
+    "169.254.0.0/16", "172.16.0.0/12", "192.0.2.0/24", "192.168.0.0/16",
+    "198.18.0.0/15", "224.0.0.0/4", "240.0.0.0/4",
+))
+
+
+def ttl_plausible(packet: TelescopePacket) -> bool:
+    """Reject arriving TTLs of 255/254 (untouched) or 0-2 (expired en
+    route to a passive telescope): both indicate crafted packets."""
+    return 3 <= packet.ttl <= 250
+
+
+def not_bogon(packet: TelescopePacket) -> bool:
+    """Reject packets sourced from special-use address space."""
+    return not any(prefix.contains(packet.source)
+                   for prefix in BOGON_PREFIXES)
+
+
+@dataclass(frozen=True)
+class FilterPipeline:
+    """An ordered conjunction of anti-spoofing packet predicates."""
+
+    predicates: Tuple[Callable[[TelescopePacket], bool], ...]
+
+    def partition(self, packets: Iterable[TelescopePacket]
+                  ) -> Tuple[List[TelescopePacket], List[TelescopePacket]]:
+        """Split packets into (accepted, rejected) lists."""
+        accepted: List[TelescopePacket] = []
+        rejected: List[TelescopePacket] = []
+        for packet in packets:
+            passes = all(predicate(packet) for predicate in self.predicates)
+            (accepted if passes else rejected).append(packet)
+        return accepted, rejected
+
+
+def default_filters() -> FilterPipeline:
+    """The IODA-style anti-spoofing pipeline."""
+    return FilterPipeline(predicates=(ttl_plausible, not_bogon))
+
+
+def unique_sources_from_packets(
+        packets: Iterable[TelescopePacket], window: TimeRange,
+        bin_width: int = FIVE_MINUTES) -> TimeSeries:
+    """Count distinct source IPs per bin over ``window``."""
+    start = bin_floor(window.start, bin_width)
+    n_bins = -(-(window.end - start) // bin_width)
+    sources = [set() for _ in range(n_bins)]
+    for packet in packets:
+        if window.start <= packet.time < window.end:
+            sources[(packet.time - start) // bin_width].add(
+                packet.source.value)
+    values = np.array([len(s) for s in sources], dtype=np.float64)
+    return TimeSeries(start, bin_width, values)

@@ -6,8 +6,10 @@ import pytest
 
 import repro
 import repro.api as api
+from repro.core.merge import build_merged_dataset
 from repro.core.pipeline import ReproPipeline
-from repro.exec.workers import ShardedCurationExecutor
+from repro.exec.workers import ShardedCurationExecutor, resident_world
+from repro.ioda.platform import IODAPlatform
 from repro.exec import ExecStats
 from repro.obs import HealthReport
 from repro.timeutils.timestamps import TimeRange, utc
@@ -170,6 +172,16 @@ class TestSurface:
         with pytest.raises(TypeError):
             ShardedCurationExecutor(study_period=SMALL_PERIOD,
                                     platform_config=None)
+
+    def test_platform_takes_only_the_scenario(self):
+        assert _keywords(IODAPlatform.__init__) == {"scenario"}
+
+    def test_resident_world_takes_only_the_scenario_config(self):
+        assert _keywords(resident_world) == {"scenario_config"}
+
+    def test_merge_takes_no_matching_config(self):
+        assert _keywords(build_merged_dataset) == {
+            "registry", "kio_events", "ioda_records", "period"}
 
 
 class TestClient:

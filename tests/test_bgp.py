@@ -1,212 +1,21 @@
-"""Tests for the BGP substrate: collectors, streams, and the view."""
+"""Tests for the BGP visibility kernel.
+
+Bit-for-bit agreement with the dense reference count lives in
+``tests/test_columnar_detect.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.bgp.collector import Collector, ReachabilityTimeline
-from repro.bgp.messages import BGPUpdate, RouteTable, UpdateType
-from repro.bgp.peers import FULL_FEED_IPV4_THRESHOLD, PeerSpec, \
-    full_feed_peers
-from repro.bgp.stream import BGPStream
-from repro.bgp.view import BGPView, visible_slash24_series
-from repro.errors import ConfigurationError, SignalError
+from repro.bgp.view import visible_slash24_series
+from repro.errors import SignalError
 from repro.net.ipv4 import parse_prefix
 from repro.rng import substream
 from repro.timeutils.timestamps import FIVE_MINUTES, HOUR, TimeRange
 
 
-def make_peers(collector="rv1", count=8, full=True):
-    size = FULL_FEED_IPV4_THRESHOLD + 1 if full else 1000
-    return [PeerSpec(peer_id=i, collector=collector, asn=64500 + i,
-                     ipv4_prefix_count=size, miss_rate=0.0)
-            for i in range(count)]
-
-
 PREFIXES = tuple(parse_prefix(p) for p in
                  ("10.0.0.0/22", "10.0.4.0/23", "10.0.8.0/24"))
-
-
-class TestRouteTable:
-    def test_announce_withdraw(self):
-        table = RouteTable()
-        update = BGPUpdate(0, "rv1", 1, UpdateType.ANNOUNCE, PREFIXES[0],
-                           origin_asn=65001)
-        table.apply(update)
-        assert PREFIXES[0] in table
-        assert table.origin(PREFIXES[0]) == 65001
-        assert table.slash24_count() == 4
-        table.apply(BGPUpdate(1, "rv1", 1, UpdateType.WITHDRAW, PREFIXES[0]))
-        assert PREFIXES[0] not in table
-        assert table.slash24_count() == 0
-
-    def test_withdraw_unknown_prefix_is_noop(self):
-        table = RouteTable()
-        table.apply(BGPUpdate(0, "rv1", 1, UpdateType.WITHDRAW, PREFIXES[0]))
-        assert len(table) == 0
-
-
-class TestPeers:
-    def test_full_feed_threshold(self):
-        assert make_peers(full=True)[0].full_feed
-        assert not make_peers(full=False)[0].full_feed
-
-    def test_full_feed_filter(self):
-        peers = make_peers(count=3) + make_peers(count=2, full=False)
-        assert len(full_feed_peers(peers)) == 3
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PeerSpec(1, "rv1", 65000, 1000, miss_rate=1.5)
-
-
-class TestCollector:
-    def test_requires_peers(self):
-        with pytest.raises(ConfigurationError):
-            Collector("rv1", [], seed=1)
-
-    def test_peer_collector_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            Collector("rv1", make_peers(collector="rv2"), seed=1)
-
-    def test_initial_announcements_then_withdrawals(self):
-        window = TimeRange(0, 2 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        timeline.mark_down([PREFIXES[0]], TimeRange(HOUR, 2 * HOUR))
-        collector = Collector("rv1", make_peers(count=4), seed=1,
-                              propagation_jitter_s=0)
-        updates = collector.updates(timeline)
-        announces = [u for u in updates if u.time == 0]
-        assert len(announces) == 4 * len(PREFIXES)
-        withdrawals = [u for u in updates
-                       if u.update_type is UpdateType.WITHDRAW]
-        assert len(withdrawals) == 4
-        assert all(u.time == HOUR for u in withdrawals)
-
-    def test_recovery_reannounces(self):
-        window = TimeRange(0, 3 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        timeline.mark_down([PREFIXES[1]], TimeRange(HOUR, 2 * HOUR))
-        collector = Collector("rv1", make_peers(count=2), seed=1,
-                              propagation_jitter_s=0)
-        updates = collector.updates(timeline)
-        reannounce = [u for u in updates
-                      if u.update_type is UpdateType.ANNOUNCE
-                      and u.time == 2 * HOUR]
-        assert len(reannounce) == 2
-
-    def test_updates_time_ordered(self):
-        window = TimeRange(0, 2 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        timeline.mark_down(PREFIXES, TimeRange(HOUR, 2 * HOUR))
-        collector = Collector("rv1", make_peers(count=4), seed=1)
-        updates = collector.updates(timeline)
-        times = [u.time for u in updates]
-        assert times == sorted(times)
-
-
-class TestSessionFlaps:
-    def test_flap_withdraws_and_recovers_whole_table(self):
-        window = TimeRange(0, 2 * 24 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        flappy = [PeerSpec(peer_id=0, collector="rv1", asn=64500,
-                           ipv4_prefix_count=FULL_FEED_IPV4_THRESHOLD + 1,
-                           miss_rate=0.0, session_flap_rate=1.0)]
-        collector = Collector("rv1", flappy, seed=3,
-                              propagation_jitter_s=0)
-        updates = collector.updates(timeline)
-        withdrawals = [u for u in updates
-                       if u.update_type is UpdateType.WITHDRAW]
-        # At least one flap: every carried prefix withdrawn together.
-        assert withdrawals
-        flap_time = withdrawals[0].time
-        simultaneous = [u for u in withdrawals if u.time == flap_time]
-        assert len(simultaneous) == len(PREFIXES)
-        # Re-announcements follow within minutes.
-        reannounce = [u for u in updates
-                      if u.update_type is UpdateType.ANNOUNCE
-                      and flap_time < u.time <= flap_time + 600]
-        assert len(reannounce) >= len(PREFIXES)
-
-    def test_quorum_absorbs_single_peer_flap(self):
-        """One flapping peer among eight must not move the visible count."""
-        window = TimeRange(0, 24 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        peers = make_peers(count=8)
-        flappy = PeerSpec(peer_id=99, collector="rv1", asn=64599,
-                          ipv4_prefix_count=FULL_FEED_IPV4_THRESHOLD + 1,
-                          miss_rate=0.0, session_flap_rate=1.0)
-        all_peers = list(peers) + [flappy]
-        view = BGPView(all_peers)
-        stream = BGPStream([Collector("rv1", all_peers, seed=3,
-                                      propagation_jitter_s=0)])
-        series = view.count_series(stream.updates(timeline), window,
-                                   PREFIXES)
-        total24 = sum(p.num_slash24s for p in PREFIXES)
-        assert series.values.min() == total24
-
-    def test_no_flaps_when_rate_zero(self):
-        window = TimeRange(0, 24 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        collector = Collector("rv1", make_peers(count=2), seed=3,
-                              propagation_jitter_s=0)
-        updates = collector.updates(timeline)
-        assert all(u.update_type is UpdateType.ANNOUNCE for u in updates)
-
-
-class TestBGPStream:
-    def test_merged_ordering(self):
-        window = TimeRange(0, 2 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        timeline.mark_down(PREFIXES, TimeRange(HOUR, 2 * HOUR))
-        stream = BGPStream([
-            Collector("rv1", make_peers("rv1", 3), seed=1),
-            Collector("ris1", make_peers("ris1", 3), seed=2),
-        ])
-        updates = list(stream.updates(timeline))
-        times = [u.time for u in updates]
-        assert times == sorted(times)
-        assert {u.collector for u in updates} == {"rv1", "ris1"}
-        assert len(list(stream.all_peers())) == 6
-
-
-class TestBGPView:
-    def test_requires_full_feed(self):
-        with pytest.raises(ConfigurationError):
-            BGPView(make_peers(full=False))
-
-    def test_counts_track_outage(self):
-        window = TimeRange(0, 4 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        outage = TimeRange(HOUR, 2 * HOUR)
-        timeline.mark_down(PREFIXES, outage)
-        peers = make_peers(count=8)
-        view = BGPView(peers)
-        stream = BGPStream([Collector("rv1", peers, seed=1,
-                                      propagation_jitter_s=0)])
-        series = view.count_series(stream.updates(timeline), window,
-                                   PREFIXES)
-        total24 = sum(p.num_slash24s for p in PREFIXES)
-        assert series.at(0) == total24          # before outage
-        assert series.at(HOUR) == 0             # first outage bin
-        assert series.at(2 * HOUR - 1) == 0     # last outage bin
-        assert series.at(2 * HOUR) == total24   # recovered
-
-    def test_partial_outage_partial_count(self):
-        window = TimeRange(0, 2 * HOUR)
-        timeline = ReachabilityTimeline(window=window, prefixes=PREFIXES)
-        timeline.mark_down([PREFIXES[0]], TimeRange(HOUR, 2 * HOUR))
-        peers = make_peers(count=8)
-        view = BGPView(peers)
-        stream = BGPStream([Collector("rv1", peers, seed=1,
-                                      propagation_jitter_s=0)])
-        series = view.count_series(stream.updates(timeline), window,
-                                   PREFIXES)
-        assert series.at(HOUR) == PREFIXES[1].num_slash24s \
-            + PREFIXES[2].num_slash24s
-
-    def test_quorum(self):
-        view = BGPView(make_peers(count=8))
-        assert view.quorum == 4
 
 
 class TestVectorizedFastPath:

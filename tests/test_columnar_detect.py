@@ -702,6 +702,29 @@ class TestBeliefTables:
         assert np.array_equal(inference.batch_classify_up(table[clamped]),
                               inference.batch_classify_up(full))
 
+    def test_rate_one_block_stops_early_and_matches_the_oracle(self):
+        """A block that always answers while up (rate 1.0) has NaN
+        answered-path iterates (one miss from belief 1.0 is 0/0); the
+        table still stops at its fixed point, and the series equals the
+        per-round reference."""
+        inference = TrinocularInference()
+        rates = np.array([0.5, 1.0])
+        table = inference.belief_iterate_tables(rates, max_levels=1000)
+        assert table.shape[0] < 40
+        assert np.isnan(table[1:, 0, 1]).all()
+        run = ActiveProbingRun(np.arange(len(rates)), rates)
+        window = TimeRange(utc(2019, 1, 1), utc(2019, 1, 3))
+        up = np.ones((window.end - window.start) // 600)
+        up[40:70] = 0.0
+        up[100:130] = 0.5
+        for seed in range(5):
+            got = run.up_count_series(window, up,
+                                      np.random.default_rng(seed))
+            want = oracles.up_count_series(run, window, up,
+                                           np.random.default_rng(seed))
+            assert got.values.tobytes() == want.values.tobytes(), seed
+        assert run._up_table.shape[0] == table.shape[0]
+
 
 class TestSeriesArrayAPI:
     def test_arrays_roundtrip_through_from_arrays(self):

@@ -36,7 +36,7 @@ from repro.core.pipeline import ReproPipeline
 from repro.exec.workers import WorkerPool, _curate_shard, backend_label, \
     pool_size
 from repro.ioda.curation import CurationConfig, CurationPipeline
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import IODAPlatform
 from repro.obs import Observability
 from repro.obs.runtime import activate
 from repro.timeutils.timestamps import HOUR, TimeRange, utc
@@ -313,11 +313,11 @@ class TestEquivalence:
         windows = pipeline.country_windows(SMALL_PERIOD)
         iso2 = sorted(windows)[0]
         restricted = _curate_shard(
-            small_scenario, PlatformConfig(), CurationConfig(),
+            small_scenario, CurationConfig(),
             SMALL_PERIOD, (iso2,), windows={iso2: windows[iso2]},
             platform=platform)
         recomputed = _curate_shard(
-            small_scenario, PlatformConfig(), CurationConfig(),
+            small_scenario, CurationConfig(),
             SMALL_PERIOD, (iso2,), platform=platform)
         assert restricted == recomputed
         (shard_iso2, records), = restricted[0]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.ioda.platform import IODAPlatform, PlatformConfig
+from repro.ioda.platform import MAX_PROBED_BLOCKS, IODAPlatform
 from repro.probing.blocks import sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
 from repro.resilience import FaultPlan, inject
@@ -30,14 +29,6 @@ def _event(scenario, iso2, pool="shutdowns", predicate=None):
 
 def _window(event, lead=DAY, tail=12 * HOUR):
     return TimeRange(event.span.start - lead, event.span.end + tail)
-
-
-class TestPlatformConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PlatformConfig(n_full_feed_peers=1)
-        with pytest.raises(ConfigurationError):
-            PlatformConfig(max_probed_blocks=2)
 
 
 class TestCountrySignals:
@@ -226,7 +217,7 @@ class TestRegionProbing:
         for iso2, network in sorted(world.topology.networks.items()):
             blocks, rates = sample_blocks(
                 network, substream(world.seed, "probing-blocks", iso2),
-                max_blocks=PlatformConfig().max_probed_blocks)
+                max_blocks=MAX_PROBED_BLOCKS)
             if not len(rates):
                 continue
             # A window around the country's first disruption exercises

@@ -1,4 +1,4 @@
-"""Tests for the telescope substrate."""
+"""Tests for the telescope substrate and its packet-level reference."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,19 @@ import pytest
 from repro.errors import SignalError
 from repro.net.ipv4 import IPv4Address, parse_prefix
 from repro.rng import substream
-from repro.telescope.counter import (
-    unique_source_series,
-    unique_sources_from_packets,
-)
-from repro.telescope.filters import (
+from repro.telescope.counter import diurnal_factors, unique_source_series
+from repro.timeutils.timestamps import DAY, HOUR, TimeRange
+from tests.oracles import (
     BOGON_PREFIXES,
-    default_filters,
-    not_bogon,
-    ttl_plausible,
-)
-from repro.telescope.packets import (
     IBRGenerator,
     PacketKind,
     TelescopePacket,
+    default_filters,
     diurnal_factor,
-    diurnal_factors,
+    not_bogon,
+    ttl_plausible,
+    unique_sources_from_packets,
 )
-from repro.timeutils.timestamps import DAY, HOUR, TimeRange
 
 PREFIXES = [parse_prefix("20.0.0.0/20"), parse_prefix("20.0.16.0/22")]
 
