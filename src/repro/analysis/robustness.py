@@ -29,8 +29,7 @@ from repro.datasets.protests import PROTEST_DATA_END, ProtestDataset
 from repro.stats.contingency import ConditionalRates, DayLevelContingency
 from repro.timeutils.timestamps import DAY
 
-__all__ = ["weekly_mobilization_table", "within_country_rates",
-           "mobilization_with_margin"]
+__all__ = ["weekly_mobilization_table", "within_country_rates"]
 
 Cell = Tuple[str, int]
 
@@ -66,50 +65,6 @@ def weekly_mobilization_table(merged: MergedDataset,
         "coup": (_to_weeks(_event_cells(registry, coups)), None),
         "protest": (_to_weeks(_event_cells(registry, protests)),
                     protest_weeks),
-    }
-    rates: Dict[str, Tuple[ConditionalRates, ConditionalRates]] = {}
-    for kind, (cells, subset) in conditions.items():
-        rates[kind] = (
-            contingency.rates(cells, shutdown_cells, subset),
-            contingency.rates(cells, outage_cells, subset),
-        )
-    return MobilizationTable(rates=rates)
-
-
-def mobilization_with_margin(merged: MergedDataset,
-                             coups: CoupDataset,
-                             elections: ElectionDataset,
-                             protests: ProtestDataset,
-                             margin_days: int = 1) -> MobilizationTable:
-    """Table 4 with condition days widened by ±``margin_days``.
-
-    Shutdown orders sometimes precede an election by a day or trail a
-    protest's first day; widening the condition window tests whether the
-    same-day result is an artifact of exact-day alignment.
-    """
-    registry = merged.registry
-    first_day = merged.period.start // DAY
-    last_day = -(-merged.period.end // DAY)
-    contingency = DayLevelContingency(
-        countries=[c.iso2 for c in registry],
-        day_indices=range(first_day, last_day))
-
-    def widen(cells: Set[Cell]) -> Set[Cell]:
-        widened: Set[Cell] = set()
-        for iso2, day in cells:
-            for delta in range(-margin_days, margin_days + 1):
-                widened.add((iso2, day + delta))
-        return widened
-
-    shutdown_cells = _start_day_cells(merged, shutdown=True)
-    outage_cells = _start_day_cells(merged, shutdown=False)
-    protest_days = frozenset(
-        range(first_day, min(last_day, PROTEST_DATA_END)))
-    conditions = {
-        "election": (widen(_event_cells(registry, elections)), None),
-        "coup": (widen(_event_cells(registry, coups)), None),
-        "protest": (widen(_event_cells(registry, protests)),
-                    protest_days),
     }
     rates: Dict[str, Tuple[ConditionalRates, ConditionalRates]] = {}
     for kind, (cells, subset) in conditions.items():

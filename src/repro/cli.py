@@ -675,7 +675,7 @@ def _parse_step(spec: str) -> int:
         text = text[:-1]
     try:
         seconds = int(float(text) * scale)
-    except ValueError:
+    except (ValueError, OverflowError):   # int() of nan or inf
         raise ConfigurationError(
             f"unparseable step {spec!r}; expected e.g. '12h', '7d', or "
             f"seconds") from None
@@ -949,9 +949,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ServeError
     from repro.serve import ArtifactStore, LoadgenConfig, ServeApp, \
         build_store, run_loadgen, serve_forever
+    from repro.serve.artifacts import check_build_options
 
     if args.serve_command == "build":
-        result = _run(args)
         try:
             zooms = tuple(int(z) for z in args.zooms.split(","))
         except ValueError:
@@ -961,6 +961,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         build_options = {"zooms": zooms, "max_countries": args.countries}
         if args.tile_bins is not None:
             build_options["tile_bins"] = args.tile_bins
+        check_build_options(**build_options)
+        result = _run(args)
         started = time.time()
         store = build_store(result, args.out, **build_options)
         resources = store.resources()

@@ -50,7 +50,6 @@ from repro.resilience import (
     inject,
     maybe_fault,
 )
-from repro.rng import substream
 from repro.timeutils.timestamps import TimeRange
 from repro.topology.metrics import StateShare
 from repro.world.scenario import (
@@ -280,15 +279,13 @@ class ReproPipeline:
                      board: Optional[BreakerBoard]):
         """Load one source, retried and fault-injectable when configured.
 
-        The source RNG substream is re-derived per attempt so a retried
-        load sees exactly the generator state a first-try load would —
-        retries can never shift the output bytes.
+        A load is a pure function of the world, so a retried load
+        returns exactly the records a first-try load would — retries
+        can never shift the output bytes.
         """
         def load():
             maybe_fault("datasets.load", key=source.name)
-            return source.load(
-                world=scenario,
-                rng=substream(scenario.seed, "dataset-source", source.name))
+            return source.load(world=scenario)
 
         if self._resilience is None:
             return load()

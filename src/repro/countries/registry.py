@@ -86,11 +86,6 @@ class Country:
         """ISO-3166 alpha-3 code (some sources publish only these)."""
         return ISO2_TO_ISO3[self.iso2]
 
-    @property
-    def friday_weekend(self) -> bool:
-        """Whether Friday falls outside the customary workweek."""
-        return 4 in self.workweek.weekend
-
     def all_names(self) -> Tuple[str, ...]:
         """Canonical name followed by every alias."""
         return (self.name, *self.aliases)

@@ -16,10 +16,9 @@ granularity, limited temporal coverage:
 
 :mod:`repro.datasets.sources` wraps all of the above (plus the
 topology-derived state-ownership shares) behind the uniform
-:class:`~repro.datasets.sources.DatasetSource` protocol — ``name``,
-``load(*, world, rng)``, ``fingerprint()`` — so resilience wrapping
-(:mod:`repro.resilience`) and cache keying apply to every feed the same
-way.
+:class:`~repro.datasets.sources.DatasetSource` protocol — ``name`` and
+``load(*, world)`` — so resilience wrapping (:mod:`repro.resilience`)
+applies to every feed the same way.
 """
 
 from repro.datasets.sources import (

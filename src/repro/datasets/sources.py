@@ -1,19 +1,19 @@
 """The unified :class:`DatasetSource` protocol and the seven sources.
 
-Before this module, every auxiliary dataset arrived through a bespoke
-classmethod (``VDemDataset.from_profiles(seed, registry, profiles)``,
-``CoupDataset.from_events(seed, registry, events)``, ...), which meant
-resilience wrapping, observability, and cache keying each had to know
-seven shapes.  A :class:`DatasetSource` normalizes them to one surface:
+Each auxiliary dataset is emitted by its own classmethod
+(``VDemDataset.from_profiles(seed, registry, profiles)``,
+``CoupDataset.from_events(seed, registry, events)``, ...).  A
+:class:`DatasetSource` puts one surface over all seven, so the
+pipeline's resilience wrapping and observability handle every feed the
+same way:
 
 - ``name`` — the stable source identifier (``"vdem"``, ``"coups"``, …);
-  also the operation key fault plans and circuit breakers target.
-- ``load(*, world, rng)`` — produce the source's records from the world
-  scenario; ``rng`` is the source-level substream for any draws the
-  source makes beyond its internal per-record substreams.
-- ``fingerprint()`` — a canonical digest of the source identity and its
-  parameters, suitable as cache-key material
-  (:func:`repro.exec.cachestore.fingerprint` underneath).
+  also the operation key fault plans and circuit breakers target, and
+  the :class:`~repro.core.pipeline.PipelineResult` field it fills.
+- ``load(*, world)`` — produce the source's records from the world
+  scenario.  Every draw a source makes comes from its emitter's own
+  substreams of the world seed, so a load is a pure function of the
+  world and a retried load returns the same records.
 
 The seven adapters cover every auxiliary product of the pipeline's
 dataset stage: V-Dem, World Bank, coups, elections, protests,
@@ -21,8 +21,8 @@ DataReportal, and the topology-derived state-ownership shares.  The
 pipeline loads them uniformly (see
 :meth:`repro.core.pipeline.ReproPipeline._assemble`), wrapping each load
 in the run's retry/breaker machinery when resilience is configured.
-Sources are frozen dataclasses: picklable, hashable, and canonical
-fingerprint material.
+Sources are frozen dataclasses whose fields are the emitters'
+parameters.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Protocol, Tuple, runtime_checkable
 
-import numpy as np
-
 from repro.datasets.coups import CoupDataset
 from repro.datasets.datareportal import DataReportalDataset
 from repro.datasets.elections import ElectionDataset
 from repro.datasets.protests import ProtestDataset
 from repro.datasets.vdem import VDemDataset
 from repro.datasets.worldbank import WorldBankDataset
-from repro.exec.cachestore import fingerprint
 from repro.topology.eyeballs import EyeballEstimates
 from repro.topology.geolocation import GeoDatabase
 from repro.topology.metrics import compute_state_shares
@@ -65,117 +62,96 @@ class DatasetSource(Protocol):
 
     name: str
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> Any:
+    def load(self, *, world: WorldScenario) -> Any:
         """Produce the source's records from world ground truth."""
         ...
 
-    def fingerprint(self) -> str:
-        """Canonical digest of the source identity and parameters."""
-        ...
-
-
-class _SourceBase:
-    """Shared fingerprinting for the concrete (dataclass) sources."""
-
-    name: ClassVar[str]
-
-    def fingerprint(self) -> str:
-        return fingerprint(type(self).__name__, self.name, self)
-
 
 @dataclass(frozen=True)
-class VDemSource(_SourceBase):
+class VDemSource:
     """V-Dem-style political indices (:mod:`repro.datasets.vdem`)."""
 
     name: ClassVar[str] = "vdem"
     noise_sigma: float = 0.01
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> VDemDataset:
+    def load(self, *, world: WorldScenario) -> VDemDataset:
         return VDemDataset.from_profiles(
             world.seed, world.registry, world.profiles,
             noise_sigma=self.noise_sigma)
 
 
 @dataclass(frozen=True)
-class WorldBankSource(_SourceBase):
+class WorldBankSource:
     """World-Bank-style macro indicators
     (:mod:`repro.datasets.worldbank`)."""
 
     name: ClassVar[str] = "worldbank"
     missing_rate: float = 0.02
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> WorldBankDataset:
+    def load(self, *, world: WorldScenario) -> WorldBankDataset:
         return WorldBankDataset.from_profiles(
             world.seed, world.registry, world.profiles,
             missing_rate=self.missing_rate)
 
 
 @dataclass(frozen=True)
-class CoupSource(_SourceBase):
+class CoupSource:
     """Powell/Thyne-style coup list (:mod:`repro.datasets.coups`)."""
 
     name: ClassVar[str] = "coups"
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> CoupDataset:
+    def load(self, *, world: WorldScenario) -> CoupDataset:
         return CoupDataset.from_events(
             world.seed, world.registry, world.events)
 
 
 @dataclass(frozen=True)
-class ElectionSource(_SourceBase):
+class ElectionSource:
     """ElectionGuide-style election dates
     (:mod:`repro.datasets.elections`)."""
 
     name: ClassVar[str] = "elections"
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> ElectionDataset:
+    def load(self, *, world: WorldScenario) -> ElectionDataset:
         return ElectionDataset.from_events(
             world.seed, world.registry, world.events)
 
 
 @dataclass(frozen=True)
-class ProtestSource(_SourceBase):
+class ProtestSource:
     """Mass-Mobilization-style protest days
     (:mod:`repro.datasets.protests`)."""
 
     name: ClassVar[str] = "protests"
     coverage: float = 0.9
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> ProtestDataset:
+    def load(self, *, world: WorldScenario) -> ProtestDataset:
         return ProtestDataset.from_events(
             world.seed, world.registry, world.events,
             coverage=self.coverage)
 
 
 @dataclass(frozen=True)
-class DataReportalSource(_SourceBase):
+class DataReportalSource:
     """DataReportal-style Internet user estimates
     (:mod:`repro.datasets.datareportal`)."""
 
     name: ClassVar[str] = "datareportal"
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> DataReportalDataset:
+    def load(self, *, world: WorldScenario) -> DataReportalDataset:
         return DataReportalDataset.from_profiles(
             world.seed, world.registry, world.profiles)
 
 
 @dataclass(frozen=True)
-class StateSharesSource(_SourceBase):
+class StateSharesSource:
     """State-ownership address/eyeball shares derived from the
     CAIDA/MaxMind/APNIC-style topology emitters
     (:mod:`repro.topology.metrics`)."""
 
     name: ClassVar[str] = "state_shares"
 
-    def load(self, *, world: WorldScenario,
-             rng: np.random.Generator) -> dict:
+    def load(self, *, world: WorldScenario) -> dict:
         seed = world.seed
         prefix2as = Prefix2ASSnapshot.from_topology(world.topology, seed)
         geo = GeoDatabase.from_topology(world.topology, seed)

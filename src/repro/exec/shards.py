@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -84,8 +84,3 @@ class ShardPlan:
         """All countries in the plan, in global (sorted) merge order."""
         return tuple(sorted(
             iso2 for shard in self.shards for iso2 in shard.countries))
-
-    def shard_of(self) -> Dict[str, int]:
-        """Country → shard-index lookup."""
-        return {iso2: shard.index
-                for shard in self.shards for iso2 in shard.countries}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.rng import substream
 from repro.timeutils.timestamps import TimeRange, utc
@@ -71,20 +71,6 @@ class ObservationCalendar:
         rng = substream(seed, "calendar", ts)
         return bool(rng.random() < ObservationGap.DEGRADED_COVERAGE)
 
-    def clean_subperiods(self, period: TimeRange) -> List[TimeRange]:
-        """The gap-free sub-intervals of ``period``."""
-        boundaries = [period.start]
-        for gap in sorted(self.gaps, key=lambda g: g.span.start):
-            clipped = gap.span.intersect(period)
-            if clipped is None:
-                continue
-            boundaries.extend([clipped.start, clipped.end])
-        boundaries.append(period.end)
-        subperiods = []
-        for start, end in zip(boundaries[::2], boundaries[1::2]):
-            if end > start:
-                subperiods.append(TimeRange(start, end))
-        return subperiods
 
 
 #: The real IODA gaps the paper documents.

@@ -152,11 +152,6 @@ class IODAPlatform:
         return {kind: self.signal(entity, kind, window)
                 for kind in SignalKind}
 
-    def country_signals(self, iso2: str,
-                        window: TimeRange) -> Dict[SignalKind, TimeSeries]:
-        """Convenience: all three country-level signals."""
-        return self.signals(Entity.country(iso2), window)
-
     # -- internals: caches ------------------------------------------------------
 
     def _country_series(self, iso2: str, kind: SignalKind,

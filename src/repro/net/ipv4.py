@@ -102,28 +102,6 @@ class Prefix:
         """Bit mask covering the network portion."""
         return _MAX_ADDRESS ^ self.host_mask()
 
-    @classmethod
-    def from_slash24(cls, index: int) -> "Prefix":
-        """The /24 prefix with the given block index (0 .. 2**24-1)."""
-        if not 0 <= index < SLASH24_COUNT:
-            raise PrefixError(f"/24 index out of range: {index}")
-        return cls(index << 8, 24)
-
-    @property
-    def first_address(self) -> IPv4Address:
-        """Lowest address covered by the prefix."""
-        return IPv4Address(self.network)
-
-    @property
-    def last_address(self) -> IPv4Address:
-        """Highest address covered by the prefix."""
-        return IPv4Address(self.network | self.host_mask())
-
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered."""
-        return 1 << (32 - self.length)
-
     @property
     def num_slash24s(self) -> int:
         """Number of /24-equivalents covered.

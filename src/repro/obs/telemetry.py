@@ -33,6 +33,7 @@ metrics; the parent journals them through
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -84,8 +85,8 @@ def parse_interval(spec: Union[str, float, int]) -> float:
             raise ValueError(
                 f"unparseable interval {spec!r}; expected e.g. '1s', "
                 f"'500ms', or a number of seconds") from None
-    if seconds <= 0:
-        raise ValueError(f"interval must be positive: {spec!r}")
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"interval must be positive and finite: {spec!r}")
     return seconds
 
 
@@ -104,9 +105,9 @@ class TelemetryConfig:
     final_beat: bool = True
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(
-                f"heartbeat interval must be positive: {self.interval}")
+        if not 0 < self.interval < math.inf:
+            raise ValueError(f"heartbeat interval must be positive and "
+                             f"finite: {self.interval}")
 
     @classmethod
     def coerce(cls, value: Union["TelemetryConfig", str, float, int, None]

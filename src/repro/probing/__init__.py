@@ -7,23 +7,18 @@ considered up after each 10-minute round.
 
 - :mod:`repro.probing.blocks` — the sample of probed /24 blocks and their
   historical response rates.
-- :mod:`repro.probing.trinocular` — the belief-update inference (scalar
-  reference implementation and the vectorized batch used at fleet scale).
+- :mod:`repro.probing.trinocular` — the belief-update inference, as
+  per-block tables of belief by rounds since the last answer.
 - :mod:`repro.probing.scheduler` — 10-minute probing rounds over a window,
   producing the up-count time series.
 """
 
 from repro.probing.blocks import sample_blocks
-from repro.probing.trinocular import (
-    BlockState,
-    TrinocularConfig,
-    TrinocularInference,
-)
+from repro.probing.trinocular import TrinocularConfig, TrinocularInference
 from repro.probing.scheduler import ActiveProbingRun
 
 __all__ = [
     "sample_blocks",
-    "BlockState",
     "TrinocularConfig",
     "TrinocularInference",
     "ActiveProbingRun",

@@ -109,10 +109,6 @@ class ActiveProbingRun:
     def n_blocks(self) -> int:
         return len(self._rates)
 
-    @property
-    def inference(self) -> TrinocularInference:
-        return self._inference
-
     def up_count_series(self, window: TimeRange, up_fraction: np.ndarray,
                         rng: np.random.Generator,
                         keep: Optional[int] = None) -> TimeSeries:

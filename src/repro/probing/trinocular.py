@@ -13,31 +13,26 @@ the prober sends up to ``probes_per_round`` ICMP echoes to the block
 Between rounds the belief decays toward the prior, modelling state drift.
 Blocks are classified ``UP`` above :attr:`TrinocularConfig.up_threshold`,
 ``DOWN`` below :attr:`TrinocularConfig.down_threshold`, else ``UNKNOWN``
-(the three labels IODA publishes, §3.1.1).
+(the three labels IODA publishes, §3.1.1); the Active Probing signal
+counts the ``UP`` ones.
 
-The scalar methods are the reference implementation; the ``batch_*``
-methods implement exactly the same arithmetic on numpy arrays for
-fleet-scale simulation, and tests assert they agree.
+Because a reply resets the belief to 1.0 and every unanswered round
+applies the same map, :meth:`TrinocularInference.belief_iterate_tables`
+tabulates a block's belief by rounds since its last answer, and the
+kernel in :mod:`repro.probing.scheduler` looks beliefs up there instead
+of updating them round by round.  The per-round update it is tested
+against, bit for bit, is the probing oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["BlockState", "TrinocularConfig", "TrinocularInference"]
-
-
-class BlockState(enum.Enum):
-    """IODA's published block states."""
-
-    UP = "up"
-    DOWN = "down"
-    UNKNOWN = "unknown"
+__all__ = ["TrinocularConfig", "TrinocularInference"]
 
 
 @dataclass(frozen=True)
@@ -67,75 +62,13 @@ class TrinocularInference:
     def __init__(self, config: TrinocularConfig | None = None):
         self._config = config or TrinocularConfig()
 
-    @property
-    def config(self) -> TrinocularConfig:
-        return self._config
-
-    # -- scalar reference path ------------------------------------------------
-
-    def initial_belief(self) -> float:
-        """Belief assigned before any evidence."""
-        return self._config.prior_up
-
-    def update(self, belief: float, answered: bool,
-               unanswered_probes: int, response_rate: float) -> float:
-        """One round's Bayes update for a single block."""
-        if answered:
-            return 1.0
-        miss_likelihood = (1.0 - response_rate) ** unanswered_probes
-        numerator = belief * miss_likelihood
-        posterior = numerator / (numerator + (1.0 - belief))
-        return self._drift(posterior)
-
-    def classify(self, belief: float) -> BlockState:
-        """Map a belief to the published three-way state."""
-        if belief > self._config.up_threshold:
-            return BlockState.UP
-        if belief < self._config.down_threshold:
-            return BlockState.DOWN
-        return BlockState.UNKNOWN
-
-    def _drift(self, belief: float) -> float:
-        prior = self._config.prior_up
-        return belief + self._config.belief_drift * (prior - belief)
-
-    # -- vectorized batch path -------------------------------------------------
-
-    def batch_update(self, beliefs: np.ndarray, answered: np.ndarray,
-                     response_rates: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`update` over blocks.
-
-        ``answered`` is boolean per block; unanswered blocks are treated as
-        having exhausted all ``probes_per_round`` probes.
-        """
-        k = self._config.probes_per_round
-        miss_likelihood = (1.0 - response_rates) ** k
-        numerator = beliefs * miss_likelihood
-        posterior = numerator / (numerator + (1.0 - beliefs))
-        prior = self._config.prior_up
-        drifted = posterior + self._config.belief_drift * (prior - posterior)
-        return np.where(answered, 1.0, drifted)
-
     def batch_classify_up(self, beliefs: np.ndarray) -> np.ndarray:
         """Boolean mask of blocks classified UP."""
         return beliefs > self._config.up_threshold
 
-    def answer_probability(self, response_rates: np.ndarray,
-                           up: np.ndarray) -> np.ndarray:
-        """P(at least one of the round's probes answered) per block."""
-        k = self._config.probes_per_round
-        p_answer = 1.0 - (1.0 - response_rates) ** k
-        return np.where(up, p_answer, 0.0)
-
-    # -- columnar whole-run path ----------------------------------------------
-
     def miss_likelihood(self, response_rates: np.ndarray) -> np.ndarray:
-        """``(1 - rate) ** probes_per_round`` per block, computed once.
-
-        The same power :meth:`batch_update` and
-        :meth:`answer_probability` raise on every call; whole-run
-        consumers hoist it out of the round loop.
-        """
+        """``(1 - rate) ** probes_per_round`` per block: P(every probe
+        of a round to an up block goes unanswered)."""
         return (1.0 - response_rates) ** self._config.probes_per_round
 
     def belief_iterate_tables(self, response_rates: np.ndarray,
@@ -144,17 +77,16 @@ class TrinocularInference:
 
         An unanswered round applies the same deterministic map ``f`` to
         a block's belief (Bayes posterior on ``probes_per_round``
-        misses, then drift toward the prior — exactly the arithmetic of
-        :meth:`batch_update`), and an answered round resets the belief
-        to 1.0.  A block's belief after any round is therefore a pure
-        function of how many unanswered rounds have passed since the
-        last answer: ``f^j(1.0)``, or ``f^j(prior)`` for blocks never
-        answered.  This returns those iterates as a table of shape
-        ``(levels, 2, n_blocks)`` — ``[j, 0]`` is ``f^j(1.0)`` and
-        ``[j, 1]`` is ``f^j(prior)``.  At most ``max_levels + 1`` levels
-        are produced, and the table stops early once every later level
-        classifies like its last one, so lookups past the last level
-        just clamp to it:
+        misses, then drift toward the prior), and an answered round
+        resets the belief to 1.0.  A block's belief after any round is
+        therefore a pure function of how many unanswered rounds have
+        passed since the last answer: ``f^j(1.0)``, or ``f^j(prior)``
+        for blocks never answered.  This returns those iterates as a
+        table of shape ``(levels, 2, n_blocks)`` — ``[j, 0]`` is
+        ``f^j(1.0)`` and ``[j, 1]`` is ``f^j(prior)``.  At most
+        ``max_levels + 1`` levels are produced, and the table stops
+        early once every later level classifies like its last one, so
+        lookups past the last level just clamp to it:
 
         - at the iterates' (float-exact) fixed point;
         - at a 2-cycle (``f^(k+1) == f^(k-1)``, which adjacent floats
@@ -162,8 +94,8 @@ class TrinocularInference:
 
         A block with response rate 1.0 never misses while up, so one
         unanswered round from belief 1.0 is 0/0: its answered-path
-        iterates are NaN, which classify not UP, as in
-        :meth:`batch_update`.  The stop tests count NaN equal to NaN.
+        iterates are NaN, which classify not UP, as a per-round update
+        gives.  The stop tests count NaN equal to NaN.
         """
         miss = self.miss_likelihood(response_rates)
         prior = self._config.prior_up

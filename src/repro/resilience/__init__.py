@@ -9,9 +9,9 @@ failure a first-class, *deterministic* part of the system:
   sites (IODA platform/client queries, dataset loaders) as a pure
   function of the plan, so chaos runs reproduce exactly on every
   backend.
-- :mod:`repro.resilience.retry` — :class:`RetryPolicy` /
-  :func:`call_with_retry` / the :func:`retry` decorator: exponential
-  backoff whose jitter comes from the repro RNG substreams.
+- :mod:`repro.resilience.retry` — :class:`RetryPolicy` and
+  :func:`call_with_retry`: exponential backoff whose jitter comes from
+  the repro RNG substreams.
 - :mod:`repro.resilience.breaker` — per-source :class:`CircuitBreaker`
   with call-count cooldown (closed → open → half-open → closed).
 - :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the knob
@@ -42,7 +42,7 @@ from repro.resilience.faults import (
     inject,
     maybe_fault,
 )
-from repro.resilience.retry import RetryPolicy, call_with_retry, retry
+from repro.resilience.retry import RetryPolicy, call_with_retry
 
 __all__ = [
     "BreakerBoard",
@@ -57,5 +57,4 @@ __all__ = [
     "fault_scope",
     "inject",
     "maybe_fault",
-    "retry",
 ]

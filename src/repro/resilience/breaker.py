@@ -140,7 +140,3 @@ class BreakerBoard:
                 self._policy, source=source)
         return breaker
 
-    def open_sources(self) -> list[str]:
-        """Sources currently tripped (open), sorted."""
-        return sorted(name for name, b in self._breakers.items()
-                      if b.state is BreakerState.OPEN)

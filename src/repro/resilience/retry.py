@@ -9,16 +9,11 @@ run.  That determinism is load-bearing: retry timing must never become
 a hidden source of nondeterminism in a pipeline whose headline guarantee
 is byte-identical output.
 
-Use the imperative form around a closure::
+Wrap the operation in a closure::
 
     records = call_with_retry(
         lambda: pipeline.investigate_country(iso2, windows, period),
         policy=policy, key=iso2, site="curate.country", breaker=breaker)
-
-or the decorator form for a stable call site::
-
-    @retry(policy=RetryPolicy(max_retries=4), site="kio.fetch")
-    def fetch_snapshot(year): ...
 
 Each attempt runs under a :func:`repro.resilience.faults.fault_scope`,
 which is how the fault injector keys its deterministic decisions; only
@@ -30,10 +25,9 @@ observability session's metrics registry.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.errors import (
     CircuitOpenError,
@@ -47,7 +41,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_scope
 from repro.rng import substream
 
-__all__ = ["RetryPolicy", "call_with_retry", "retry"]
+__all__ = ["RetryPolicy", "call_with_retry"]
 
 T = TypeVar("T")
 
@@ -145,33 +139,3 @@ def call_with_retry(fn: Callable[[], T], *, policy: RetryPolicy,
                           site=site).observe(attempt + 1)
         return result
 
-
-def retry(*, policy: Optional[RetryPolicy] = None, site: Optional[str] = None,
-          key: Optional[Callable[..., str] | str] = None,
-          breaker: Optional[CircuitBreaker] = None,
-          sleeper: Callable[[float], None] = time.sleep
-          ) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator form of :func:`call_with_retry`.
-
-    ``key`` may be a static string or a callable over the wrapped
-    function's arguments (e.g. ``key=lambda iso2, *a, **k: iso2``); it
-    defaults to the function's qualified name, as does ``site``.
-    """
-    applied_policy = policy if policy is not None else RetryPolicy()
-
-    def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        fn_site = site if site is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> T:
-            if callable(key):
-                fn_key = str(key(*args, **kwargs))
-            else:
-                fn_key = key if key is not None else fn.__qualname__
-            return call_with_retry(
-                lambda: fn(*args, **kwargs), policy=applied_policy,
-                key=fn_key, site=fn_site, breaker=breaker, sleeper=sleeper)
-
-        return wrapper
-
-    return decorate

@@ -49,8 +49,8 @@ from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange
 from repro.world.scenario import STUDY_PERIOD
 
-__all__ = ["ArtifactStore", "build_store", "DEFAULT_TILE_BINS",
-           "DEFAULT_ZOOMS", "ZOOM_BASE", "tile_count"]
+__all__ = ["ArtifactStore", "build_store", "check_build_options",
+           "DEFAULT_TILE_BINS", "DEFAULT_ZOOMS", "ZOOM_BASE", "tile_count"]
 
 #: Maximum points per tile: one dashboard-panel's worth of resolution.
 DEFAULT_TILE_BINS = 512
@@ -241,6 +241,24 @@ def _tile_payload(iso2: str, kind: SignalKind, zoom: int, index: int,
 # -- the one-shot builder ------------------------------------------------------
 
 
+def check_build_options(*, tile_bins: int = DEFAULT_TILE_BINS,
+                        zooms: Sequence[int] = DEFAULT_ZOOMS,
+                        max_countries: Optional[int] = None
+                        ) -> Tuple[int, ...]:
+    """Validate :func:`build_store`'s options before any work is done;
+    returns the zoom levels, sorted and deduplicated."""
+    if tile_bins <= 0:
+        raise ConfigurationError(
+            f"tile_bins must be positive: {tile_bins}")
+    zooms = tuple(sorted(set(int(z) for z in zooms)))
+    if any(z < 0 for z in zooms) or not zooms:
+        raise ConfigurationError(f"invalid zoom levels: {zooms}")
+    if max_countries is not None and max_countries < 1:
+        raise ConfigurationError(
+            f"max_countries must be >= 1: {max_countries}")
+    return zooms
+
+
 def build_store(result: Any, root: Union[str, Path], *,
                 tile_bins: int = DEFAULT_TILE_BINS,
                 zooms: Sequence[int] = DEFAULT_ZOOMS,
@@ -259,12 +277,8 @@ def build_store(result: Any, root: Union[str, Path], *,
     from the result's scenario — pass the pipeline's own to reuse its
     per-country caches.
     """
-    if tile_bins <= 0:
-        raise ConfigurationError(
-            f"tile_bins must be positive: {tile_bins}")
-    zooms = tuple(sorted(set(int(z) for z in zooms)))
-    if any(z < 0 for z in zooms) or not zooms:
-        raise ConfigurationError(f"invalid zoom levels: {zooms}")
+    zooms = check_build_options(tile_bins=tile_bins, zooms=zooms,
+                                max_countries=max_countries)
     records = sorted(result.curated_records,
                      key=lambda r: (r.span.start, r.country_iso2))
     period = period if period is not None else STUDY_PERIOD

@@ -16,23 +16,12 @@ __all__ = ["EntityScope", "Entity"]
 
 
 class EntityScope(enum.Enum):
-    """Aggregation level of a signal or visibility scope of an outage.
-
-    Order matters: ``COUNTRY`` is the highest (widest) scope, ``AS`` the
-    lowest; comparisons use that ordering.
-    """
+    """Aggregation level of a signal or visibility scope of an outage,
+    widest first."""
 
     COUNTRY = "Country"
     REGION = "Region"
     AS = "AS"
-
-    @property
-    def rank(self) -> int:
-        """Width rank — higher is wider."""
-        return {"Country": 2, "Region": 1, "AS": 0}[self.value]
-
-    def wider_than(self, other: "EntityScope") -> bool:
-        return self.rank > other.rank
 
 
 @dataclass(frozen=True, slots=True)

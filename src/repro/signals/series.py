@@ -58,14 +58,6 @@ class TimeSeries:
         return cls(start, width, np.zeros(n_bins))
 
     @classmethod
-    def constant(cls, span: TimeRange, width: int,
-                 value: float) -> "TimeSeries":
-        """A constant series covering ``span``."""
-        series = cls.zeros(span, width)
-        series._values[:] = value
-        return series
-
-    @classmethod
     def from_arrays(cls, bin_starts: np.ndarray,
                     values: Sequence[float] | np.ndarray) -> "TimeSeries":
         """Build a series from a ``(bin_starts, values)`` column pair.

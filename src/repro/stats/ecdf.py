@@ -47,10 +47,6 @@ class ECDF:
         """``P(X <= x)``."""
         return bisect.bisect_right(self.sorted_samples, x) / self.n
 
-    def survival(self, x: float) -> float:
-        """``P(X > x)``."""
-        return 1.0 - self(x)
-
     def quantile(self, q: float) -> float:
         """The smallest sample value ``v`` with ``F(v) >= q``.
 
@@ -84,9 +80,3 @@ class ECDF:
                 previous = x
         steps.append((self.sorted_samples[-1], 1.0))
         return steps
-
-    def mass_at(self, x: float) -> float:
-        """``P(X == x)`` — the height of the step at ``x``."""
-        left = bisect.bisect_left(self.sorted_samples, x)
-        right = bisect.bisect_right(self.sorted_samples, x)
-        return (right - left) / self.n

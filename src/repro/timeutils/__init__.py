@@ -20,8 +20,6 @@ from repro.timeutils.timestamps import (
     WEEK,
     TimeRange,
     bin_floor,
-    bin_index,
-    bin_range,
     format_utc,
     parse_utc,
     utc,
@@ -49,8 +47,6 @@ __all__ = [
     "WEEK",
     "TimeRange",
     "bin_floor",
-    "bin_index",
-    "bin_range",
     "format_utc",
     "parse_utc",
     "utc",

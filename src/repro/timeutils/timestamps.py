@@ -26,9 +26,6 @@ __all__ = [
     "parse_utc",
     "format_utc",
     "bin_floor",
-    "bin_ceil",
-    "bin_index",
-    "bin_range",
     "TimeRange",
 ]
 
@@ -80,39 +77,6 @@ def bin_floor(ts: int, width: int) -> int:
     if width <= 0:
         raise TimeRangeError(f"bin width must be positive, got {width}")
     return ts - (ts % width)
-
-
-def bin_ceil(ts: int, width: int) -> int:
-    """Round ``ts`` up to the next bin boundary (identity on boundaries)."""
-    floored = bin_floor(ts, width)
-    if floored == ts:
-        return ts
-    return floored + width
-
-
-def bin_index(ts: int, start: int, width: int) -> int:
-    """Return the index of the bin containing ``ts`` for a series starting
-    at ``start`` with bins of ``width`` seconds."""
-    if ts < start:
-        raise TimeRangeError(
-            f"timestamp {ts} precedes series start {start}")
-    if width <= 0:
-        raise TimeRangeError(f"bin width must be positive, got {width}")
-    return (ts - start) // width
-
-
-def bin_range(start: int, end: int, width: int) -> Iterator[int]:
-    """Yield the start timestamps of all bins in ``[start, end)``.
-
-    ``start`` is floored to a bin boundary first; the final bin is the one
-    containing ``end - 1``.
-    """
-    if end <= start:
-        raise TimeRangeError(f"empty bin range: start={start} end={end}")
-    cursor = bin_floor(start, width)
-    while cursor < end:
-        yield cursor
-        cursor += width
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,6 @@ __all__ = [
     "local_hour_of_day",
     "local_weekday",
     "local_date",
-    "local_midnight_utc",
 ]
 
 _MINUTE = 60
@@ -99,13 +98,3 @@ def local_date(ts: int, offset: FixedOffset) -> int:
     """
     return to_local(ts, offset) // DAY
 
-
-def local_midnight_utc(ts: int, offset: FixedOffset) -> int:
-    """The UTC timestamp of the most recent local midnight at/before ``ts``.
-
-    KIO entries carry only local *dates*; to compare against IODA's UTC
-    timestamps the merge pipeline anchors each KIO date at its local
-    midnight expressed back in UTC.
-    """
-    local_day_start = (to_local(ts, offset) // DAY) * DAY
-    return local_day_start - offset.seconds

@@ -99,23 +99,6 @@ class CountryNetwork:
         state = sum(a.num_slash24s for a in self.ases if a.state_owned)
         return state / total
 
-    def state_owned_eyeball_fraction(self) -> float:
-        """Ground-truth fraction of users behind state-owned ASes."""
-        total = sum(a.eyeball_share for a in self.ases)
-        if total == 0:
-            return 0.0
-        state = sum(a.eyeball_share for a in self.ases if a.state_owned)
-        return state / total
-
-    def probeable_slash24s(self) -> int:
-        """/24 blocks visible to active probing (non-mobile allocations).
-
-        Mobile operators NAT most subscribers behind small address pools,
-        so their blocks respond poorly to ICMP; the paper notes this is why
-        IODA under-observes mobile-only shutdowns (§4).
-        """
-        return sum(a.num_slash24s for a in self.ases if not a.mobile)
-
 
 @dataclass
 class WorldTopology:

@@ -14,10 +14,9 @@ same epistemic position the paper is in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.topology.eyeballs import EyeballEstimates
-from repro.topology.generator import WorldTopology
 from repro.topology.geolocation import GeoDatabase
 from repro.topology.prefix2as import Prefix2ASSnapshot
 from repro.topology.state_owned import StateOwnedASList
@@ -84,18 +83,3 @@ def compute_state_shares(
         )
     return shares
 
-
-def ground_truth_state_shares(
-        topology: WorldTopology) -> Mapping[str, StateShare]:
-    """Ground-truth counterpart of :func:`compute_state_shares`.
-
-    Used by tests to bound the error the dataset noise introduces.
-    """
-    return {
-        network.country.iso2: StateShare(
-            country_iso2=network.country.iso2,
-            address_space_fraction=network.state_owned_slash24_fraction(),
-            eyeball_fraction=network.state_owned_eyeball_fraction(),
-        )
-        for network in topology
-    }

@@ -10,7 +10,6 @@ validation tests compare pipeline output against them.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -18,15 +17,7 @@ from repro.errors import ConfigurationError
 from repro.signals.entities import EntityScope
 from repro.timeutils.timestamps import TimeRange
 
-__all__ = ["Cause", "GroundTruthDisruption", "RestrictionEpisode",
-           "new_disruption_id"]
-
-_id_counter = itertools.count(1)
-
-
-def new_disruption_id() -> int:
-    """Process-unique disruption identifier."""
-    return next(_id_counter)
+__all__ = ["Cause", "GroundTruthDisruption", "RestrictionEpisode"]
 
 
 class Cause(enum.Enum):

@@ -146,12 +146,6 @@ class WorldScenario:
                 else self.country_disruptions(country_iso2))
         return [d for d in pool if period.contains(d.span.start)]
 
-    def country_level_disruptions(
-            self, period: TimeRange) -> List[GroundTruthDisruption]:
-        """Country-scope disruptions starting inside ``period``."""
-        from repro.signals.entities import EntityScope
-        return [d for d in self.disruptions_in(period)
-                if d.scope is EntityScope.COUNTRY]
 
 
 class ScenarioGenerator:

@@ -9,11 +9,16 @@ visibility through a kernel that skips cells its draws cannot change
 paths must match **bit for bit**: one bin, one alert, one probing round
 at a time, and every (bin, prefix) cell of the BGP count.  They share no
 logic with the code under test beyond the data types and the BGP
-visibility probability.  :class:`RollingMedian`, the sorted-window
-median tracker they use, is itself the reference the columnar median
-kernels of :mod:`repro.stats.rolling` are tested against, and
+visibility probability.  The probing reference updates each block's
+Trinocular belief round by round (:func:`update`, :func:`batch_update`,
+:func:`classify`), where production looks beliefs up by rounds since
+the last answer.  :class:`RollingMedian`, the sorted-window median
+tracker they use, is itself the reference the columnar median kernels
+of :mod:`repro.stats.rolling` are tested against, and
 :func:`campaign_suppression_mask` the one telescope campaign
-suppression is.
+suppression is.  :func:`ground_truth_state_shares` reads off the world
+the state shares :func:`repro.topology.metrics.compute_state_shares`
+estimates from noisy datasets.
 
 The telescope's packet path is kept here too: :class:`IBRGenerator`
 emits individual packets, :func:`default_filters` drops the spoofed
@@ -54,12 +59,15 @@ from repro.bgp.view import VISIBILITY_QUORUM, _p_visible
 from repro.errors import SignalError
 from repro.net.ipv4 import IPv4Address, Prefix, parse_prefix
 from repro.probing.scheduler import ActiveProbingRun
+from repro.probing.trinocular import TrinocularConfig
 from repro.signals.alerts import Alert, AlertEpisode, DetectorConfig
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.signals.series import TimeSeries
 from repro.timeutils.timestamps import DAY, FIVE_MINUTES, HOUR, TimeRange, \
     bin_floor
+from repro.topology.generator import WorldTopology
+from repro.topology.metrics import StateShare
 
 
 class RollingMedian:
@@ -226,6 +234,64 @@ def stream_episodes(series: TimeSeries, config: DetectorConfig,
                         max_gap_bins=max_gap_bins)
 
 
+class BlockState(enum.Enum):
+    """IODA's published block states."""
+
+    UP = "up"
+    DOWN = "down"
+    UNKNOWN = "unknown"
+
+
+def initial_belief(config: TrinocularConfig) -> float:
+    """Belief assigned before any evidence."""
+    return config.prior_up
+
+
+def update(config: TrinocularConfig, belief: float, answered: bool,
+           unanswered_probes: int, response_rate: float) -> float:
+    """One round's Bayes update for a single block."""
+    if answered:
+        return 1.0
+    miss_likelihood = (1.0 - response_rate) ** unanswered_probes
+    numerator = belief * miss_likelihood
+    posterior = numerator / (numerator + (1.0 - belief))
+    return _drift(config, posterior)
+
+
+def classify(config: TrinocularConfig, belief: float) -> BlockState:
+    """Map a belief to the published three-way state."""
+    if belief > config.up_threshold:
+        return BlockState.UP
+    if belief < config.down_threshold:
+        return BlockState.DOWN
+    return BlockState.UNKNOWN
+
+
+def _drift(config: TrinocularConfig, belief: float) -> float:
+    return belief + config.belief_drift * (config.prior_up - belief)
+
+
+def batch_update(config: TrinocularConfig, beliefs: np.ndarray,
+                 answered: np.ndarray,
+                 response_rates: np.ndarray) -> np.ndarray:
+    """:func:`update` over blocks.
+
+    ``answered`` is boolean per block; unanswered blocks are treated as
+    having exhausted all ``probes_per_round`` probes.
+    """
+    miss_likelihood = (1.0 - response_rates) ** config.probes_per_round
+    numerator = beliefs * miss_likelihood
+    posterior = numerator / (numerator + (1.0 - beliefs))
+    return np.where(answered, 1.0, _drift(config, posterior))
+
+
+def answer_probability(config: TrinocularConfig, response_rates: np.ndarray,
+                       up: np.ndarray) -> np.ndarray:
+    """P(at least one of the round's probes answered) per block."""
+    p_answer = 1.0 - (1.0 - response_rates) ** config.probes_per_round
+    return np.where(up, p_answer, 0.0)
+
+
 def up_count_series(run: ActiveProbingRun, window: TimeRange,
                     up_fraction: np.ndarray,
                     rng: np.random.Generator,
@@ -245,20 +311,20 @@ def up_count_series(run: ActiveProbingRun, window: TimeRange,
     if up.shape != (n_rounds,):
         raise SignalError(
             f"up_fraction has shape {up.shape}, expected ({n_rounds},)")
-    inference = run.inference
+    config = run._inference._config
     rates = run._rates
     if keep is not None:
         rates = rates[run._order < keep]
     n = len(rates)
     block_quantile = (np.arange(n) + 1.0) / n
-    beliefs = np.full(n, inference.initial_belief())
+    beliefs = np.full(n, initial_belief(config))
     values = np.empty(n_rounds, dtype=np.float64)
     for round_index in range(n_rounds):
         block_up = block_quantile <= up[round_index] + 1e-12
-        p_answer = inference.answer_probability(rates, block_up)
+        p_answer = answer_probability(config, rates, block_up)
         answered = rng.random(n) < p_answer
-        beliefs = inference.batch_update(beliefs, answered, rates)
-        values[round_index] = int(inference.batch_classify_up(beliefs).sum())
+        beliefs = batch_update(config, beliefs, answered, rates)
+        values[round_index] = int((beliefs > config.up_threshold).sum())
     return TimeSeries(start, width, values)
 
 
@@ -309,6 +375,23 @@ def region_episodes(pipeline, entity: Entity,
     :meth:`CurationPipeline._region_episodes` on the class.
     """
     return pipeline._dashboard.episodes_by_signal(entity, window)
+
+
+def ground_truth_state_shares(
+        topology: WorldTopology) -> Dict[str, StateShare]:
+    """The ground-truth state shares
+    :func:`repro.topology.metrics.compute_state_shares` estimates from
+    the four noisy operator datasets."""
+    shares = {}
+    for network in topology:
+        users = sum(a.eyeball_share for a in network.ases)
+        state_users = sum(a.eyeball_share for a in network.ases
+                          if a.state_owned)
+        shares[network.country.iso2] = StateShare(
+            country_iso2=network.country.iso2,
+            address_space_fraction=network.state_owned_slash24_fraction(),
+            eyeball_fraction=state_users / users if users else 0.0)
+    return shares
 
 
 # -- the telescope packet path -------------------------------------------------

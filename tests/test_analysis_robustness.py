@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.robustness import (
-    mobilization_with_margin,
     weekly_mobilization_table,
     within_country_rates,
 )
@@ -62,31 +61,6 @@ class TestWithinCountry:
                 + within.rates["election"][0].other_cells) < \
             (daily.rates["election"][0].condition_cells
              + daily.rates["election"][0].other_cells)
-
-
-class TestMarginSensitivity:
-    def test_margin_preserves_elevation(self, pipeline_result):
-        """±1 day widening must keep shutdowns strongly elevated."""
-        table = mobilization_with_margin(
-            pipeline_result.merged, pipeline_result.coups,
-            pipeline_result.elections, pipeline_result.protests,
-            margin_days=1)
-        assert table.risk_ratio("election") > 3
-        assert table.risk_ratio("coup") > 20
-        assert table.risk_ratio("protest") > 3
-
-    def test_margin_captures_at_least_same_day_hits(self, pipeline_result):
-        from repro.analysis.mobilization import mobilization_table
-        exact = mobilization_table(
-            pipeline_result.merged, pipeline_result.coups,
-            pipeline_result.elections, pipeline_result.protests)
-        widened = mobilization_with_margin(
-            pipeline_result.merged, pipeline_result.coups,
-            pipeline_result.elections, pipeline_result.protests,
-            margin_days=1)
-        for kind in ("election", "coup", "protest"):
-            assert widened.rates[kind][0].outcomes_on_condition >= \
-                exact.rates[kind][0].outcomes_on_condition
 
 
 class TestSubnational:

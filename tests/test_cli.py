@@ -621,6 +621,39 @@ class TestStreamCommand:
         assert "repro: error:" in capsys.readouterr().err
 
 
+class TestOptionsCheckedBeforeRun:
+    """Bad option values exit 2 with a one-line error before any
+    pipeline work starts."""
+
+    @pytest.fixture()
+    def no_run(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("repro.cli._run", explode)
+        monkeypatch.setattr("repro.cli.api.stream", explode)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--heartbeat", "nan"],
+        ["run", "--heartbeat", "inf"],
+        ["stream", "--heartbeat", "nan"],
+        ["stream", "--step", "inf"],
+        ["stream", "--step", "1e400"],
+        ["stream", "--step", "nan"],
+        ["serve", "build", "--countries", "-1"],
+        ["serve", "build", "--countries", "0"],
+        ["serve", "build", "--zooms", "0,-1"],
+        ["serve", "build", "--tile-bins", "0"],
+    ])
+    def test_bad_value_exits_2(self, capsys, no_run, tmp_path, argv):
+        if argv[:2] == ["serve", "build"]:
+            argv = argv + ["--out", str(tmp_path / "store")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "Traceback" not in err
+
+
 class TestCacheDirFallback:
     def test_unwritable_cache_dir_warns_and_runs_uncached(self, capsys,
                                                           tmp_path):

@@ -682,19 +682,22 @@ class TestBeliefTables:
         """A table whose iterates settle into a 2-cycle stops there, and
         every lookup clamped to its last level classifies like the
         full-depth iterates."""
-        inference = TrinocularInference()
+        config = TrinocularConfig()
+        inference = TrinocularInference(config)
         rates = np.array([TWO_CYCLE_RATE, 0.3, 0.5, 0.9])
         depth = 400
         table = inference.belief_iterate_tables(rates, max_levels=depth)
         assert table.shape[0] < 40
         # The full-depth iterates, one unanswered round at a time.
         beliefs = np.stack([np.ones(len(rates)),
-                            np.full(len(rates), inference.initial_belief())])
+                            np.full(len(rates),
+                                    oracles.initial_belief(config))])
         full = [beliefs]
         for _ in range(depth):
             full.append(np.stack([
-                inference.batch_update(row, np.zeros(len(rates), bool),
-                                       rates) for row in full[-1]]))
+                oracles.batch_update(config, row,
+                                     np.zeros(len(rates), bool), rates)
+                for row in full[-1]]))
         full = np.stack(full)
         assert np.array_equal(full[-1], full[-3])
         assert not np.array_equal(full[-1], full[-2])

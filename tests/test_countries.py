@@ -8,6 +8,7 @@ from repro.countries.names import normalize_name
 from repro.countries.registry import Archetype, CountryRegistry, \
     default_registry
 from repro.errors import CountryLookupError
+from repro.timeutils.calendars import Weekday
 
 
 class TestNormalizeName:
@@ -87,8 +88,8 @@ class TestRegistry:
 
     def test_friday_weekend_countries(self, registry):
         for iso2 in ("SY", "IQ", "IR", "SD", "DZ"):
-            assert registry.get(iso2).friday_weekend, iso2
-        assert not registry.get("US").friday_weekend
+            assert Weekday.FRIDAY in registry.get(iso2).workweek.weekend, iso2
+        assert Weekday.FRIDAY not in registry.get("US").workweek.weekend
 
     def test_paper_top_countries_have_matching_archetypes(self, registry):
         assert registry.get("SY").archetype is Archetype.EXAM

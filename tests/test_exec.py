@@ -107,7 +107,8 @@ class TestShardPlan:
         countries = [f"C{i}" for i in range(8)]
         weights = {c: 100.0 if c == "C0" else 1.0 for c in countries}
         plan = ShardPlan.split(countries, 2, weights=weights)
-        shard_of = plan.shard_of()
+        shard_of = {iso2: shard.index
+                    for shard in plan for iso2 in shard.countries}
         heavy = shard_of["C0"]
         # LPT puts every light country on the other shard.
         assert all(shard_of[c] != heavy for c in countries if c != "C0")

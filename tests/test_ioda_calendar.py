@@ -48,16 +48,9 @@ class TestCalendar:
         assert IODA_CALENDAR.observes(ts, seed=5) == \
             IODA_CALENDAR.observes(ts, seed=5)
 
-    def test_clean_subperiods(self):
-        period = TimeRange(utc(2021, 6, 1), utc(2022, 3, 1))
-        clean = IODA_CALENDAR.clean_subperiods(period)
-        assert clean[0] == TimeRange(utc(2021, 6, 1), utc(2021, 8, 1))
-        assert clean[-1] == TimeRange(utc(2022, 2, 7), utc(2022, 3, 1))
-
     def test_empty_calendar_observes_everything(self):
         calendar = ObservationCalendar()
         assert calendar.observes(utc(2021, 12, 15), seed=1)
-        assert calendar.clean_subperiods(STUDY_PERIOD) == [STUDY_PERIOD]
 
 
 class TestCurationWithCalendar:

@@ -120,8 +120,8 @@ class TestFullRun:
         country_scope = [r for r in records
                          if r.scope is EntityScope.COUNTRY]
         # Detection covers the large majority of country-level truth.
-        truth = [d for d in scenario.country_level_disruptions(STUDY_PERIOD)
-                 if not d.mobile_only]
+        truth = [d for d in scenario.disruptions_in(STUDY_PERIOD)
+                 if d.scope is EntityScope.COUNTRY and not d.mobile_only]
         assert len(country_scope) > 0.75 * len(truth)
         # Everything recorded lies in the study period.
         assert all(STUDY_PERIOD.contains(r.span.start) for r in records)

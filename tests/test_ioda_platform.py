@@ -34,7 +34,7 @@ def _window(event, lead=DAY, tail=12 * HOUR):
 class TestCountrySignals:
     def test_all_three_signals_produced(self, platform, scenario):
         event = _event(scenario, "SY")
-        signals = platform.country_signals("SY", _window(event))
+        signals = platform.signals(Entity.country("SY"), _window(event))
         assert set(signals) == set(SignalKind)
         for kind, series in signals.items():
             assert series.width == kind.bin_width
@@ -47,7 +47,8 @@ class TestCountrySignals:
                        and e.scope is EntityScope.COUNTRY)
         window = _window(event)
         mid = event.span.start + event.span.duration // 2
-        for kind, series in platform.country_signals("SY", window).items():
+        for kind, series in platform.signals(Entity.country("SY"),
+                                            window).items():
             baseline = np.median(
                 series.slice(TimeRange(window.start,
                                        event.span.start)).values)

@@ -43,7 +43,6 @@ class TestPrefix:
     def test_parse(self):
         prefix = parse_prefix("10.0.0.0/8")
         assert prefix.length == 8
-        assert prefix.num_addresses == 2 ** 24
         assert prefix.num_slash24s == 2 ** 16
 
     def test_rejects_host_bits(self):
@@ -69,15 +68,6 @@ class TestPrefix:
         assert len(blocks) == 4
         assert blocks[0] == (10 << 16)
 
-    def test_from_slash24_roundtrip(self):
-        prefix = Prefix.from_slash24(12345)
-        assert prefix.length == 24
-        assert list(prefix.slash24s()) == [12345]
-
-    def test_from_slash24_bounds(self):
-        with pytest.raises(PrefixError):
-            Prefix.from_slash24(SLASH24_COUNT)
-
     def test_contains(self):
         prefix = parse_prefix("192.0.2.0/24")
         assert prefix.contains(IPv4Address.parse("192.0.2.200"))
@@ -89,11 +79,6 @@ class TestPrefix:
         assert outer.covers(inner)
         assert not inner.covers(outer)
         assert outer.covers(outer)
-
-    def test_first_last_address(self):
-        prefix = parse_prefix("192.0.2.0/24")
-        assert str(prefix.first_address) == "192.0.2.0"
-        assert str(prefix.last_address) == "192.0.2.255"
 
     @given(st.integers(min_value=0, max_value=SLASH24_COUNT - 1),
            st.integers(min_value=0, max_value=8))

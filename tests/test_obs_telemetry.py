@@ -70,7 +70,10 @@ class TestParseInterval:
     def test_specs(self, spec, expected):
         assert parse_interval(spec) == expected
 
-    @pytest.mark.parametrize("spec", ["abc", "", "1x", "-1s", 0, -2])
+    # A NaN wait returns at once, so the sampler would busy-loop; an
+    # infinite one overflows the sampler thread's timeout.
+    @pytest.mark.parametrize("spec", ["abc", "", "1x", "-1s", 0, -2,
+                                      "nan", "inf", "1e400s"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             parse_interval(spec)
@@ -83,8 +86,9 @@ class TestTelemetryConfig:
         assert config.final_beat
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            TelemetryConfig(interval=0)
+        for interval in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TelemetryConfig(interval=interval)
 
     def test_coerce(self):
         assert TelemetryConfig.coerce(None) is None

@@ -61,9 +61,9 @@ class TestGroundTruthRecovery:
         for record in records:
             spans_by_country.setdefault(
                 record.country_iso2, []).append(record.span)
-        truth = [d for d in scenario.country_level_disruptions(STUDY_PERIOD)
-                 if not d.mobile_only and d.severity >= 0.9
-                 and d.span.duration >= 3600]
+        truth = [d for d in scenario.disruptions_in(STUDY_PERIOD)
+                 if d.scope is EntityScope.COUNTRY and not d.mobile_only
+                 and d.severity >= 0.9 and d.span.duration >= 3600]
         detected = sum(
             1 for d in truth
             if any(span.overlaps(d.span)

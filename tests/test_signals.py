@@ -95,12 +95,6 @@ class TestEntities:
     def test_asn_entity_has_no_country(self):
         assert Entity.asn(65001).country_iso2 is None
 
-    def test_scope_ordering(self):
-        assert EntityScope.COUNTRY.wider_than(EntityScope.REGION)
-        assert EntityScope.REGION.wider_than(EntityScope.AS)
-        assert not EntityScope.AS.wider_than(EntityScope.COUNTRY)
-
-
 class TestSignalKinds:
     def test_bin_widths(self):
         assert SignalKind.BGP.bin_width == FIVE_MINUTES

@@ -27,7 +27,6 @@ class TestECDF:
         assert cdf(1) == 0.25
         assert cdf(2) == 0.75
         assert cdf(4) == 1.0
-        assert cdf.survival(2) == 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(SignalError):
@@ -54,11 +53,6 @@ class TestECDF:
         assert xs == sorted(xs)
         assert ys == sorted(ys)
         assert ys[-1] == 1.0
-
-    def test_mass_at(self):
-        cdf = ECDF.from_samples([1, 2, 2, 3])
-        assert cdf.mass_at(2) == 0.5
-        assert cdf.mass_at(9) == 0.0
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               min_value=-1e9, max_value=1e9),

@@ -10,10 +10,7 @@ from repro.timeutils.timestamps import (
     HOUR,
     TEN_MINUTES,
     TimeRange,
-    bin_ceil,
     bin_floor,
-    bin_index,
-    bin_range,
     format_utc,
     parse_utc,
     utc,
@@ -60,29 +57,9 @@ class TestBinning:
         assert bin_floor(601, FIVE_MINUTES) == 600
         assert bin_floor(899, FIVE_MINUTES) == 600
 
-    def test_ceil(self):
-        assert bin_ceil(600, FIVE_MINUTES) == 600
-        assert bin_ceil(601, FIVE_MINUTES) == 900
-
     def test_floor_rejects_bad_width(self):
         with pytest.raises(TimeRangeError):
             bin_floor(600, 0)
-
-    def test_bin_index(self):
-        assert bin_index(0, 0, TEN_MINUTES) == 0
-        assert bin_index(1799, 0, TEN_MINUTES) == 2
-
-    def test_bin_index_before_start(self):
-        with pytest.raises(TimeRangeError):
-            bin_index(-1, 0, TEN_MINUTES)
-
-    def test_bin_range_covers_interval(self):
-        bins = list(bin_range(0, 1500, FIVE_MINUTES))
-        assert bins == [0, 300, 600, 900, 1200]
-
-    def test_bin_range_empty_raises(self):
-        with pytest.raises(TimeRangeError):
-            list(bin_range(100, 100, FIVE_MINUTES))
 
     @given(st.integers(min_value=0, max_value=10**10),
            st.sampled_from([FIVE_MINUTES, TEN_MINUTES, HOUR, DAY]))

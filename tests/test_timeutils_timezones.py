@@ -9,7 +9,6 @@ from repro.timeutils.timezones import (
     FixedOffset,
     local_date,
     local_hour_of_day,
-    local_midnight_utc,
     local_minute_of_hour,
     local_weekday,
 )
@@ -83,17 +82,11 @@ class TestLocalDate:
         ts = utc(2021, 3, 5, 23)   # already March 6 in Myanmar
         assert local_date(ts, MYANMAR) == local_date(ts, UTC) + 1
 
-    def test_local_midnight_utc(self):
-        ts = utc(2021, 3, 5, 12)
-        midnight = local_midnight_utc(ts, MYANMAR)
-        assert local_hour_of_day(midnight, MYANMAR) == 0
-        assert midnight <= ts
-
     @given(st.integers(min_value=0, max_value=2 * 10**9),
            st.sampled_from([-300, 0, 60, 210, 330, 345, 390, 540]))
     def test_local_date_consistent_with_midnight(self, ts, minutes):
         offset = FixedOffset(minutes)
-        midnight = local_midnight_utc(ts, offset)
+        midnight = local_date(ts, offset) * DAY - offset.seconds
         assert local_date(midnight, offset) == local_date(ts, offset)
         assert 0 < ts - midnight + 1 <= DAY
 

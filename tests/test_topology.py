@@ -11,10 +11,10 @@ from repro.rng import substream
 from repro.topology.eyeballs import EyeballEstimates
 from repro.topology.generator import TopologyGenerator, WorldTopology
 from repro.topology.geolocation import GeoDatabase
-from repro.topology.metrics import compute_state_shares, \
-    ground_truth_state_shares
+from repro.topology.metrics import compute_state_shares
 from repro.topology.prefix2as import Prefix2ASSnapshot
 from repro.topology.state_owned import StateOwnedASList
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +67,6 @@ class TestTopologyGenerator:
         low_share = np.mean([
             world.get(i).state_owned_slash24_fraction() for i in low])
         assert high_share > low_share + 0.3
-
-    def test_mobile_excluded_from_probeable(self, world):
-        for network in world:
-            assert network.probeable_slash24s() <= network.total_slash24s
-            mobile = sum(a.num_slash24s for a in network.ases if a.mobile)
-            assert network.probeable_slash24s() == \
-                network.total_slash24s - mobile
 
     def test_regions_share_simplex(self, world):
         for network in world:
@@ -153,7 +146,7 @@ class TestOperatorDatasets:
             GeoDatabase.from_topology(world, seed),
             StateOwnedASList.from_topology(world, seed),
             EyeballEstimates.from_topology(world, seed))
-        truth = ground_truth_state_shares(world)
+        truth = oracles.ground_truth_state_shares(world)
         errors = [
             abs(shares[iso2].address_space_fraction
                 - truth[iso2].address_space_fraction)
