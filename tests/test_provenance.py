@@ -17,6 +17,7 @@ The acceptance bar for :mod:`repro.obs.provenance`:
 """
 
 import json
+from hashlib import blake2b
 
 import pytest
 
@@ -367,6 +368,45 @@ class TestDecisionCounters:
         assert "repro_curation_decision_dismissed_total" in text
         assert 'reason="low_visibility"' in text
         assert "repro_curation_decision_recorded_total" in text
+
+
+#: The small run's decision tallies, one per ``curation.decision.*``
+#: series; with the capsule digest below they pin the evidence every
+#: decision leaves, so a refactor of the decision chain cannot move it.
+PINNED_DECISIONS = {
+    "curation.decision.dismissed{reason=control_artifact}": 21,
+    "curation.decision.dismissed{reason=low_visibility}": 1014,
+    "curation.decision.dismissed{reason=no_corroboration}": 206,
+    "curation.decision.dismissed{reason=outside_period}": 5,
+    "curation.decision.recorded{reason=corroborated}": 1,
+    "curation.decision.recorded{reason=multi_signal}": 129,
+    "curation.decision.recorded{reason=region_descent}": 17,
+}
+
+
+def _decision_counters(events):
+    counters = [e for e in events if e.get("type") == "metrics"][-1][
+        "counters"]
+    return {key: value for key, value in counters.items()
+            if key.startswith("curation.decision.")}
+
+
+class TestDecisionEvidencePin:
+    def test_capsule_ids_are_pinned(self, prov_run):
+        ids = sorted(c["capsule_id"] for c in prov_run.provenance)
+        assert len(ids) == 1393
+        digest = blake2b("\n".join(ids).encode("utf-8"),
+                         digest_size=8).hexdigest()
+        assert digest == "04375aa3d5381e31"
+
+    def test_decision_counters_are_pinned(self, prov_events):
+        assert _decision_counters(prov_events) == PINNED_DECISIONS
+
+    def test_provenance_off_counts_the_same(self, tmp_path):
+        small_run(
+            observability=Observability(journal=tmp_path / "run.jsonl"))
+        events = read_journal(tmp_path / "run.jsonl")
+        assert _decision_counters(events) == PINNED_DECISIONS
 
 
 class TestSummaryAndRegistry:
