@@ -54,8 +54,9 @@ def decode_cursor(cursor: str, query_key: str) -> int:
     """Recover the page position from a cursor minted under ``query_key``.
 
     Raises :class:`~repro.errors.CursorError` on tampered, truncated,
-    or unsupported-version tokens, and on any key mismatch (different
-    filters or a different feed revision).
+    or unsupported-version tokens, on a position that is not the
+    canonical non-negative decimal :func:`encode_cursor` writes, and on
+    any key mismatch (different filters or a different feed revision).
     """
     try:
         token = base64.urlsafe_b64decode(cursor.encode("ascii"))
@@ -68,9 +69,14 @@ def decode_cursor(cursor: str, query_key: str) -> int:
         raise CursorError(
             "cursor was issued for a different query or feed "
             "revision; restart pagination without a cursor")
+    # int() would also take "-5", "+7", " 7" and "0_7"; a negative
+    # position silently serves an empty page from the feed's tail.
+    if not position.isdigit() or (position != "0"
+                                  and position.startswith("0")):
+        raise CursorError(f"malformed cursor: {cursor!r}")
     try:
         return int(position)
-    except ValueError as exc:
+    except ValueError as exc:  # beyond int()'s digit limit
         raise CursorError(f"malformed cursor: {cursor!r}") from exc
 
 

@@ -31,7 +31,9 @@ The curators' decision procedure, implemented over simulated signals:
 
 6. **Scope descent.**  If nothing is visible at the country level, the
    curator inspects sub-national region views and records a region-scope
-   outage if visible there.
+   outage if visible there.  A region candidate goes through the same
+   decision chain as a country candidate (steps 3–5), but only when two
+   signals are visible, so it never asks for external corroboration.
 
 7. **Cause attribution.**  A news oracle models the curators' reading of
    media/advocacy reporting: causes of real events are discovered with
@@ -74,10 +76,10 @@ def finalize_records(
     and record ids local to the country), so the same per-country lists
     come out of a serial run and a sharded parallel run.  This step makes
     the global dataset: record ids are reassigned sequentially in
-    country-iteration order, then the list is sorted by (start, country)
-    exactly as :meth:`CurationPipeline.run` always has.  Feeding the
-    per-country lists in the same country order therefore yields
-    byte-identical output regardless of how the work was scheduled.
+    country-iteration order, then the list is sorted by (start,
+    country).  Feeding the per-country lists in the same country order
+    therefore yields byte-identical output regardless of how the work
+    was scheduled.
 
     When a provenance recorder is active, the renumbering is also
     journaled as a ``provenance.manifest`` event mapping each global
@@ -116,7 +118,7 @@ class CurationConfig:
     window_lead: int = int(3.5 * DAY)
     #: Slack after a trigger.
     window_tail: int = 12 * HOUR
-    #: Observation period (events outside are not investigated).
+    #: Bins an episode must last for a reviewer to call it visible.
     min_visible_bins: int = 2
     #: Relative drop a reviewer needs to call a signal visibly down.
     human_depth: Mapping[SignalKind, float] = field(
@@ -191,17 +193,18 @@ class CandidateOutcome:
 class WindowAdjudication:
     """The full result of adjudicating one investigation window.
 
-    ``records`` is exactly what the batch path appends for the window
-    (country-level records, then any scope-descent records), in order.
-    ``outcomes`` adds the per-candidate verdicts the streaming engine
-    turns into lifecycle events; ``descended`` says whether the curator
-    fell through to sub-national views.  Frozen and picklable, so a
+    ``outcomes`` are the per-candidate verdicts the streaming engine
+    turns into lifecycle events: every country candidate, then the
+    recorded scope-descent findings.  Frozen and picklable, so a
     process worker of the stream's worker pool ships it home unchanged.
     """
 
-    records: Tuple[OutageRecord, ...]
     outcomes: Tuple[CandidateOutcome, ...]
-    descended: bool
+
+    @property
+    def records(self) -> Tuple[OutageRecord, ...]:
+        """What the batch path appends for the window, in order."""
+        return tuple(o.record for o in self.outcomes if o.record is not None)
 
 
 class CurationPipeline:
@@ -229,42 +232,33 @@ class CurationPipeline:
 
     # -- top level ---------------------------------------------------------------
 
-    def run(self, period: TimeRange) -> List[OutageRecord]:
-        """Curate all outages observable within ``period``.
-
-        Countries are processed independently — each country's random
-        draws come from its own ``("curation", iso2)`` substream — so the
-        result is identical whether the loop below runs here or the
-        countries are fanned out across shards by :mod:`repro.exec`.
-        """
-        windows = self.country_windows(period)
-        return finalize_records(
-            self.investigate_country(iso2, windows[iso2], period)
-            for iso2 in sorted(windows))
-
     def investigate_country(self, iso2: str,
                             windows: Sequence[TimeRange],
                             period: TimeRange) -> List[OutageRecord]:
         """Curate one country's investigation windows.
 
-        Record ids are local to the country (1, 2, ...); callers that
-        assemble a multi-country dataset renumber them via
-        :func:`finalize_records`.
+        Each country's random draws come from its own ``("curation",
+        iso2)`` substream, so the result is the same whether countries
+        run here one by one or fanned out across shards by
+        :mod:`repro.exec`.  Record ids are local to the country (1, 2,
+        ...); callers that assemble a multi-country dataset renumber
+        them via :func:`finalize_records`.
         """
         obs = current()
+        entity = Entity.country(iso2)
         with obs.span("curate.country", country=iso2,
                       windows=len(windows)):
             rng = substream(self._scenario.seed, "curation", iso2)
             record_ids = itertools.count(1)
             # One RNG-draw cursor per country so capsules can cite the
-            # exact substream coordinate of each probabilistic verdict;
-            # only consumed when a provenance recorder is active.
+            # exact substream coordinate of each probabilistic verdict.
             draws = DrawCursor()
             records: List[OutageRecord] = []
             for window in windows:
-                records.extend(
-                    self._investigate(iso2, window, period, rng,
-                                      record_ids, draws))
+                episodes = self._dashboard.episodes_by_signal(entity, window)
+                records.extend(self.adjudicate_window(
+                    iso2, window, period, episodes, rng, record_ids,
+                    draws).records)
         metrics = obs.metrics
         metrics.counter("curation.windows_investigated").inc(len(windows))
         metrics.counter("curation.records_curated", country=iso2) \
@@ -276,115 +270,88 @@ class CurationPipeline:
         """Investigate one country window; return any recorded outages."""
         return self.investigate_country(iso2, [window], period)
 
-    def _investigate(self, iso2: str, window: TimeRange, period: TimeRange,
-                     rng: np.random.Generator,
-                     record_ids: Iterator[int],
-                     draws: Optional[DrawCursor] = None
-                     ) -> List[OutageRecord]:
-        entity = Entity.country(iso2)
-        episodes = self._dashboard.episodes_by_signal(entity, window)
-        return list(self.adjudicate_window(
-            iso2, window, period, episodes, rng, record_ids,
-            draws=draws).records)
-
     def adjudicate_window(self, iso2: str, window: TimeRange,
                           period: TimeRange,
                           episodes: Dict[SignalKind, List[AlertEpisode]],
                           rng: np.random.Generator,
                           record_ids: Iterator[int],
-                          draws: Optional[DrawCursor] = None
-                          ) -> WindowAdjudication:
+                          draws: DrawCursor) -> WindowAdjudication:
         """Adjudicate one window given its per-signal alert episodes.
 
-        This is the batch `_investigate` loop with the dashboard pull
-        factored out — the streaming engine accumulates the episodes
-        incrementally and calls here once the watermark closes the
-        window, consuming ``rng`` draws and record ids in exactly the
-        order the batch path does, so the records come out identical.
+        The batch path pulls the episodes from the dashboard; the
+        streaming engine accumulates them incrementally and calls here
+        once the watermark closes the window, consuming ``rng`` draws
+        and record ids in exactly the order the batch path does, so the
+        records come out identical.
 
-        When the active session has a provenance recorder, every
-        candidate's decision chain is sealed into a lineage capsule and
-        the outcome carries its capsule id; the capsules are journal-only
-        and the records are byte-identical either way.  ``draws`` is the
-        country's RNG-draw cursor (threaded across windows so capsule
-        coordinates are chunking-independent); it is only consumed when
-        a recorder is active.
+        Every candidate, country or region, is decided by
+        :meth:`_decide`.  When no country candidate was recorded or fell
+        in a calendar gap, the curator descends to the region views
+        (:meth:`_region_candidates`).  ``draws`` is the country's
+        RNG-draw cursor, threaded across windows so capsule coordinates
+        are chunking-independent.
         """
-        entity = Entity.country(iso2)
-        obs = current()
-        recorder = obs.provenance
-        if recorder is None:
-            draws = None
+        country = Entity.country(iso2)
         candidates = self._cluster(episodes)
-        obs.metrics.counter("curation.candidates_clustered") \
+        current().metrics.counter("curation.candidates_clustered") \
             .inc(len(candidates))
-        records: List[OutageRecord] = []
-        outcomes: List[CandidateOutcome] = []
-        found_visible = False
-        for candidate in candidates:
-            signals = tuple(self.visible_signals_of(candidate))
-            if not self._calendar.observes(candidate.span.start,
-                                           self._scenario.seed):
-                # Nobody was investigating at the time (§3.1.2 gaps);
-                # mark it handled so the descent does not re-find it.
-                found_visible = True
-                capsule_id = None
-                if recorder is not None:
-                    capsule_id = recorder.emit(self._capsule_payload(
-                        iso2, entity, window, candidate, "unobserved",
-                        "calendar_gap", None))
-                obs.metrics.counter("curation.decision.unobserved",
-                                    reason="calendar_gap").inc()
-                outcomes.append(CandidateOutcome(
-                    candidate.span, signals, "unobserved",
-                    capsule_id=capsule_id))
-                continue
-            trail: Optional[Dict] = {} if recorder is not None else None
-            record, reason = self._adjudicate(
-                iso2, entity, candidate, period, rng, record_ids,
-                trail=trail, draws=draws)
-            outcome = "recorded" if record is not None else "dismissed"
-            capsule_id = None
-            if recorder is not None:
-                capsule_id = recorder.emit(self._capsule_payload(
-                    iso2, entity, window, candidate, outcome, reason,
-                    trail))
-            obs.metrics.counter(f"curation.decision.{outcome}",
-                                reason=reason).inc()
-            if record is not None:
-                found_visible = True
-                records.append(record)
-                outcomes.append(CandidateOutcome(
-                    candidate.span, signals, "recorded", record,
-                    capsule_id=capsule_id))
-            else:
-                outcomes.append(CandidateOutcome(
-                    candidate.span, signals, "dismissed",
-                    capsule_id=capsule_id))
-        descended = not found_visible
-        if descended:
-            for record, capsule_id in self._descend(iso2, window, period,
-                                                    rng, record_ids,
-                                                    draws=draws):
-                records.append(record)
-                outcomes.append(CandidateOutcome(
-                    record.span,
-                    tuple(k for k in SignalKind if record.human_visible[k]),
-                    "recorded", record, capsule_id=capsule_id))
-        return WindowAdjudication(
-            records=tuple(records), outcomes=tuple(outcomes),
-            descended=descended)
+        outcomes = [
+            self._decide(iso2, country, window, period, candidate,
+                         self.visible_signals_of(candidate), rng,
+                         record_ids, draws)
+            for candidate in candidates]
+        if all(o.outcome == "dismissed" for o in outcomes):
+            for entity, candidate, visible in self._region_candidates(
+                    iso2, window, period):
+                outcome = self._decide(iso2, entity, window, period,
+                                       candidate, visible, rng,
+                                       record_ids, draws)
+                # A region dismissal leaves its capsule and counter but
+                # no outcome, so the stream opens no event for it; a
+                # region record reports the record's own span.
+                if outcome.record is not None:
+                    outcomes.append(replace(outcome,
+                                            span=outcome.record.span))
+        return WindowAdjudication(tuple(outcomes))
+
+    def _decide(self, iso2: str, entity: Entity, window: TimeRange,
+                period: TimeRange, candidate: _Candidate,
+                visible: Dict[SignalKind, List[AlertEpisode]],
+                rng: np.random.Generator, record_ids: Iterator[int],
+                draws: DrawCursor) -> CandidateOutcome:
+        """Decide one candidate and seal the decision.
+
+        ``visible`` is the candidate's anchored human-visible episodes
+        per signal.  Every decision ticks one
+        ``curation.decision.<outcome>{reason=...}`` counter; when a
+        provenance recorder is active, the evidence trail is also
+        sealed into a lineage capsule whose id the outcome carries.
+        """
+        trail: Dict = {}
+        record, outcome, reason = self._verdict(
+            iso2, entity, candidate, visible, period, rng, record_ids,
+            trail, draws)
+        obs = current()
+        capsule_id = None
+        if obs.provenance is not None:
+            capsule_id = obs.provenance.emit(self._capsule_payload(
+                iso2, entity, window, candidate, outcome, reason, trail))
+        obs.metrics.counter(f"curation.decision.{outcome}",
+                            reason=reason).inc()
+        return CandidateOutcome(candidate.span, tuple(visible), outcome,
+                                record, capsule_id=capsule_id)
 
     def _capsule_payload(self, iso2: str, entity: Entity, window: TimeRange,
                          candidate: _Candidate, outcome: str, reason: str,
-                         trail: Optional[Dict]) -> Dict:
+                         trail: Dict) -> Dict:
         """Assemble the content-addressed lineage-capsule payload.
 
         Carries only decision evidence — no timestamps or run-local
         state — so identical decisions hash identically across runs,
-        backends, and stream chunkings.
+        backends, and stream chunkings.  The trail's evidence follows
+        the fixed fields.
         """
-        payload: Dict = {
+        return {
             "stage": "adjudicate",
             "country_iso2": iso2,
             "entity": entity.identifier,
@@ -403,10 +370,8 @@ class CurationPipeline:
                 }
                 for kind, eps in candidate.episodes.items() if eps},
             "rng": {"substream": ["curation", iso2]},
+            **trail,
         }
-        if trail:
-            payload.update(trail)
-        return payload
 
     def cluster_episodes(
             self, episodes: Dict[SignalKind, List[AlertEpisode]]
@@ -422,8 +387,21 @@ class CurationPipeline:
 
     def visible_signals_of(
             self, candidate: _Candidate) -> Dict[SignalKind, List[AlertEpisode]]:
-        """The anchored human-visible episodes of a candidate (pure)."""
-        return self._anchor_overlapping(self._visible_signals(candidate))
+        """The anchored human-visible episodes of a candidate (pure).
+
+        Per signal, the episodes a human reviewer would call visibly
+        down (:meth:`_qualifies`), kept only where they overlap the
+        deepest drop (:meth:`_anchor_overlapping`).  Signals with none
+        are absent.
+        """
+        visible: Dict[SignalKind, List[AlertEpisode]] = {}
+        for kind in SignalKind:
+            qualifying = [
+                episode for episode in candidate.episodes.get(kind, ())
+                if self._qualifies(kind, episode)]
+            if qualifying:
+                visible[kind] = qualifying
+        return self._anchor_overlapping(visible)
 
     def observes(self, timestamp: int) -> bool:
         """Whether the observation calendar covers ``timestamp`` (pure)."""
@@ -442,11 +420,6 @@ class CurationPipeline:
         hands each shard just its own countries' slice; shards never
         recompute the world-wide map.
         """
-        return {iso2: list(windows)
-                for iso2, windows in self._grouped_windows(period).items()}
-
-    def _grouped_windows(
-            self, period: TimeRange) -> Dict[str, List[TimeRange]]:
         triggers: Dict[str, List[TimeRange]] = {}
         for disruption in self._scenario.all_disruptions():
             if not period.contains(disruption.span.start):
@@ -461,7 +434,6 @@ class CurationPipeline:
                 triggers.setdefault(iso2, []).append(artifact.span)
         for iso2, spans in self._background_windows(period).items():
             triggers.setdefault(iso2, []).extend(spans)
-
         return {iso2: self._merge_windows(triggers[iso2], period)
                 for iso2 in sorted(triggers)}
 
@@ -551,48 +523,48 @@ class CurationPipeline:
 
     # -- adjudication -------------------------------------------------------------------
 
-    def _adjudicate(self, iso2: str, entity: Entity, candidate: _Candidate,
-                    period: TimeRange, rng: np.random.Generator,
-                    record_ids: Iterator[int],
-                    trail: Optional[Dict] = None,
-                    draws: Optional[DrawCursor] = None
-                    ) -> Tuple[Optional[OutageRecord], str]:
-        """Adjudicate one candidate; return ``(record, reason)``.
+    def _verdict(self, iso2: str, entity: Entity, candidate: _Candidate,
+                 visible: Dict[SignalKind, List[AlertEpisode]],
+                 period: TimeRange, rng: np.random.Generator,
+                 record_ids: Iterator[int], trail: Dict,
+                 draws: DrawCursor
+                 ) -> Tuple[Optional[OutageRecord], str, str]:
+        """The decision chain; return ``(record, outcome, reason)``.
 
+        ``outcome`` is ``recorded``, ``dismissed`` or ``unobserved``;
         ``reason`` names the decision point that settled the candidate
-        (``low_visibility``, ``no_corroboration``, ``control_artifact``,
-        ... for dismissals; ``multi_signal``/``corroborated`` for
-        records).  ``trail``, when provided, accumulates the evidence
-        each decision point saw — the body of the provenance capsule.
-        The RNG is consumed identically whether or not a trail is
-        collected.
+        (``calendar_gap``, ``low_visibility``, ``no_corroboration``,
+        ``control_artifact``, ... for the unrecorded;
+        ``multi_signal``/``corroborated``/``region_descent`` for
+        records).  Each decision point writes the evidence it saw into
+        ``trail``, the body of the provenance capsule.
         """
+        if not self.observes(candidate.span.start):
+            # Nobody was investigating at the time (§3.1.2 gaps).
+            return None, "unobserved", "calendar_gap"
         if not period.contains(candidate.span.start):
-            return None, "outside_period"
-        if not self._calendar.observes(candidate.span.start,
-                                       self._scenario.seed):
-            return None, "calendar_gap"
-        visible = self._anchor_overlapping(self._visible_signals(candidate))
-        if trail is not None:
-            trail["visibility"] = {
-                "visible": sorted(k.value for k in visible),
-                "required": 2}
+            return None, "dismissed", "outside_period"
+        trail["visibility"] = {
+            "visible": sorted(k.value for k in visible), "required": 2}
         if not visible:
-            return None, "low_visibility"
+            return None, "dismissed", "low_visibility"
         corroborated = False
         if len(visible) < 2:
             corroborated = self._externally_corroborated(
-                iso2, candidate, rng, trail=trail, draws=draws)
+                iso2, candidate, rng, trail, draws)
             if not corroborated:
-                return None, "no_corroboration"
-        elif trail is not None:
+                return None, "dismissed", "no_corroboration"
+        else:
             trail["corroboration"] = {"checked": False}
-        if self._is_infrastructure_artifact(iso2, candidate, visible,
-                                            trail=trail):
-            return None, "control_artifact"
+        if self._is_infrastructure_artifact(iso2, candidate, visible, trail):
+            return None, "dismissed", "control_artifact"
         record = self._record(iso2, entity, candidate, visible, corroborated,
-                              rng, record_ids, trail=trail, draws=draws)
-        return record, ("corroborated" if corroborated else "multi_signal")
+                              rng, record_ids, trail, draws)
+        if entity.scope is EntityScope.REGION:
+            reason = "region_descent"
+        else:
+            reason = "corroborated" if corroborated else "multi_signal"
+        return record, "recorded", reason
 
     def _anchor_overlapping(
             self, visible: Dict[SignalKind, List[AlertEpisode]]
@@ -618,20 +590,6 @@ class CurationPipeline:
                 anchored[kind] = keep
         return anchored
 
-    def _visible_signals(
-            self, candidate: _Candidate
-    ) -> Dict[SignalKind, List[AlertEpisode]]:
-        """Per signal, the episodes a human reviewer would call visibly
-        down (sustained and deep enough).  Signals with none are absent."""
-        visible: Dict[SignalKind, List[AlertEpisode]] = {}
-        for kind in SignalKind:
-            qualifying = [
-                episode for episode in candidate.episodes.get(kind, ())
-                if self._qualifies(kind, episode)]
-            if qualifying:
-                visible[kind] = qualifying
-        return visible
-
     def _qualifies(self, kind: SignalKind, episode: AlertEpisode) -> bool:
         """Whether a reviewer would call ``episode`` of signal ``kind``
         visibly down: sustained over ``min_visible_bins`` bins and at
@@ -640,9 +598,8 @@ class CurationPipeline:
                 and episode.depth >= self._config.human_depth[kind])
 
     def _externally_corroborated(self, iso2: str, candidate: _Candidate,
-                                 rng: np.random.Generator,
-                                 trail: Optional[Dict] = None,
-                                 draws: Optional[DrawCursor] = None) -> bool:
+                                 rng: np.random.Generator, trail: Dict,
+                                 draws: DrawCursor) -> bool:
         """Whether Kentik/Cloudflare-Radar style trackers confirm.
 
         External trackers observed the real world, so corroboration
@@ -651,62 +608,46 @@ class CurationPipeline:
         when a real event overlaps — the trail records its substream
         coordinate so the verdict can be replayed.
         """
-        overlapping = [
-            d for d in self._scenario.disruptions_in(
-                candidate.span.expand(before=2 * HOUR, after=2 * HOUR),
-                country_iso2=iso2)
-        ]
-        if not overlapping:
-            overlapping = [
+        overlapping = self._scenario.disruptions_in(
+            candidate.span.expand(before=2 * HOUR, after=2 * HOUR),
+            country_iso2=iso2) or [
                 d for d in self._scenario.country_disruptions(iso2)
                 if d.span.overlaps(candidate.span)]
         if not overlapping:
-            if trail is not None:
-                trail["corroboration"] = {
-                    "checked": True, "overlapping": 0,
-                    "corroborated": False}
+            trail["corroboration"] = {
+                "checked": True, "overlapping": 0, "corroborated": False}
             return False
         strongest = max(overlapping, key=lambda d: d.severity)
         p = (self._config.p_external_corroboration
              * strongest.severity
              * min(1.0, strongest.span.duration / (2 * HOUR)))
-        index = draws.take() if draws is not None else None
+        index = draws.take()
         corroborated = bool(rng.random() < p)
-        if trail is not None:
-            trail["corroboration"] = {
-                "checked": True,
-                "overlapping": len(overlapping),
-                "p": round(p, 9),
-                "draw": {"substream": ["curation", iso2], "index": index},
-                "corroborated": corroborated}
+        trail["corroboration"] = {
+            "checked": True,
+            "overlapping": len(overlapping),
+            "p": round(p, 9),
+            "draw": {"substream": ["curation", iso2], "index": index},
+            "corroborated": corroborated}
         return corroborated
 
     def _is_infrastructure_artifact(self, iso2: str, candidate: _Candidate,
                                     visible: Iterable[SignalKind],
-                                    trail: Optional[Dict] = None) -> bool:
+                                    trail: Dict) -> bool:
         """Control-group check: similar simultaneous drop elsewhere?"""
         controls = self._control_countries(iso2)
-        if not controls:
-            if trail is not None:
-                trail["control"] = {
-                    "controls": [], "n_similar": 0,
-                    "reject_fraction":
-                        self._config.control_reject_fraction,
-                    "artifact": False}
-            return False
         check_window = candidate.span.expand(before=6 * HOUR, after=2 * HOUR)
-        n_similar = 0
-        for control in controls:
-            if self._control_shows_drop(control, check_window, visible):
-                n_similar += 1
-        artifact = (n_similar / len(controls)
-                    >= self._config.control_reject_fraction)
-        if trail is not None:
-            trail["control"] = {
-                "controls": list(controls),
-                "n_similar": n_similar,
-                "reject_fraction": self._config.control_reject_fraction,
-                "artifact": artifact}
+        n_similar = sum(
+            1 for control in controls
+            if self._control_shows_drop(control, check_window, visible))
+        artifact = bool(controls) and (
+            n_similar / len(controls)
+            >= self._config.control_reject_fraction)
+        trail["control"] = {
+            "controls": list(controls),
+            "n_similar": n_similar,
+            "reject_fraction": self._config.control_reject_fraction,
+            "artifact": artifact}
         return artifact
 
     def _control_countries(self, iso2: str) -> Tuple[str, ...]:
@@ -759,9 +700,8 @@ class CurationPipeline:
     def _record(self, iso2: str, entity: Entity, candidate: _Candidate,
                 visible: Dict[SignalKind, List[AlertEpisode]],
                 corroborated: bool, rng: np.random.Generator,
-                record_ids: Iterator[int],
-                trail: Optional[Dict] = None,
-                draws: Optional[DrawCursor] = None) -> OutageRecord:
+                record_ids: Iterator[int], trail: Dict,
+                draws: DrawCursor) -> OutageRecord:
         starts = [min(e.span.start for e in episodes)
                   for episodes in visible.values()]
         ends = [max(e.span.end for e in episodes)
@@ -770,8 +710,8 @@ class CurationPipeline:
         auto = {kind: bool(candidate.episodes.get(kind))
                 for kind in SignalKind}
         human = {kind: kind in visible for kind in SignalKind}
-        cause, more_info = self._attribute_cause(iso2, span, rng,
-                                                 trail=trail, draws=draws)
+        cause, more_info = self._attribute_cause(iso2, span, rng, trail,
+                                                 draws)
         if corroborated or cause is not None:
             confirmation = ConfirmationStatus.CONFIRMED
         elif len(visible) >= 2:
@@ -792,18 +732,16 @@ class CurationPipeline:
             region_names=((entity.identifier.split("-", 1)[1],)
                           if entity.scope is EntityScope.REGION else ()),
         )
-        if trail is not None:
-            trail["record"] = {
-                "local_id": record.record_id,
-                "span": {"start": span.start, "end": span.end},
-                "confirmation": record.confirmation.value,
-                "scope": record.scope.value}
+        trail["record"] = {
+            "local_id": record.record_id,
+            "span": {"start": span.start, "end": span.end},
+            "confirmation": record.confirmation.value,
+            "scope": record.scope.value}
         return record
 
     def _attribute_cause(self, iso2: str, span: TimeRange,
-                         rng: np.random.Generator,
-                         trail: Optional[Dict] = None,
-                         draws: Optional[DrawCursor] = None
+                         rng: np.random.Generator, trail: Dict,
+                         draws: DrawCursor
                          ) -> Tuple[Optional[str], Tuple[str, ...]]:
         """The news oracle: what reporting would the curators find?"""
         overlapping = [
@@ -811,26 +749,22 @@ class CurationPipeline:
             if d.span.overlaps(
                 span.expand(before=2 * HOUR, after=2 * HOUR))]
         if not overlapping:
-            if trail is not None:
-                trail["cause"] = {"overlapping": 0, "cause": None}
+            trail["cause"] = {"overlapping": 0, "cause": None}
             return None, ()
         truth = max(overlapping, key=lambda d: d.severity)
         p_discover = (self._config.p_discover_shutdown_cause
                       if truth.intentional
                       else self._config.p_discover_outage_cause)
-        index = draws.take() if draws is not None else None
+        index = draws.take()
         discovered = bool(rng.random() < p_discover)
-        if trail is not None:
-            trail["cause"] = {
-                "overlapping": len(overlapping),
-                "p_discover": round(p_discover, 9),
-                "draw": {"substream": ["curation", iso2], "index": index},
-                "cause": None}
-        if not discovered:
+        cause = _CAUSE_TEXT[truth.cause] if discovered else None
+        trail["cause"] = {
+            "overlapping": len(overlapping),
+            "p_discover": round(p_discover, 9),
+            "draw": {"substream": ["curation", iso2], "index": index},
+            "cause": cause}
+        if cause is None:
             return None, ()
-        cause = _CAUSE_TEXT[truth.cause]
-        if trail is not None:
-            trail["cause"]["cause"] = cause
         info = [f"https://news.example.org/{iso2.lower()}/"
                 f"{truth.disruption_id}"]
         if truth.trigger_event_id is not None:
@@ -840,77 +774,39 @@ class CurationPipeline:
 
     # -- scope descent --------------------------------------------------------------------
 
-    def _descend(self, iso2: str, window: TimeRange, period: TimeRange,
-                 rng: np.random.Generator,
-                 record_ids: Iterator[int],
-                 draws: Optional[DrawCursor] = None
-                 ) -> List[Tuple[OutageRecord, Optional[str]]]:
-        """Inspect region views when the country view shows nothing.
+    def _region_candidates(
+            self, iso2: str, window: TimeRange, period: TimeRange
+    ) -> List[Tuple[Entity, _Candidate,
+                    Dict[SignalKind, List[AlertEpisode]]]]:
+        """The region-view candidates scope descent decides.
 
-        A region is recorded only when two signals drop together, so its
-        signals are pulled one kind at a time (:meth:`_region_episodes`)
-        and the pull stops once two qualifying kinds are out of reach:
-        the telescope series is neither synthesized nor detected when
-        BGP and active probing show no qualifying episode.  Such a
-        region yields no record, capsule, RNG draw or counter either
-        way.  :class:`SignalKind` order puts the telescope last because
-        it is the kind worth sparing: it qualifies in about 85% of
-        region views, so pulled earlier it would almost never let the
-        pull stop, and its series carries the most bins.
+        A region candidate is kept only if it starts in the period,
+        falls in an observed part of the calendar and shows two anchored
+        visible signals; the rest are skipped without a capsule, RNG
+        draw or counter.  Every region is pulled before the first
+        candidate is decided.
 
-        Returns ``(record, capsule_id)`` pairs; capsule ids are ``None``
-        when no provenance recorder is active.
+        A record needs two signals, so a region's signals are pulled one
+        kind at a time (:meth:`_region_episodes`) and the pull stops
+        once two qualifying kinds are out of reach: the telescope series
+        is neither synthesized nor detected when BGP and active probing
+        show no qualifying episode.  :class:`SignalKind` order puts the
+        telescope last: it qualifies in about 85% of region views, so
+        pulled earlier it would almost never let the pull stop, and its
+        series carries the most bins.
         """
-        obs = current()
-        recorder = obs.provenance
-        results: List[Tuple[OutageRecord, Optional[str]]] = []
-        network = self._scenario.topology.get(iso2)
-        affected_regions: List[Tuple[str, _Candidate, List[SignalKind]]] = []
-        for region in network.regions:
+        found = []
+        for region in self._scenario.topology.get(iso2).regions:
             entity = Entity.region(iso2, region.name)
-            episodes = self._region_episodes(entity, window)
-            for candidate in self._cluster(episodes):
-                if not period.contains(candidate.span.start):
+            for candidate in self._cluster(
+                    self._region_episodes(entity, window)):
+                if not (period.contains(candidate.span.start)
+                        and self.observes(candidate.span.start)):
                     continue
-                if not self._calendar.observes(candidate.span.start,
-                                               self._scenario.seed):
-                    continue
-                visible = self._anchor_overlapping(
-                    self._visible_signals(candidate))
+                visible = self.visible_signals_of(candidate)
                 if len(visible) >= 2:
-                    affected_regions.append(
-                        (region.name, candidate, visible))
-        # One record per affected region, matching the paper's "record all
-        # affected regions" while our schema keeps one region per row.
-        for region_name, candidate, visible in affected_regions:
-            entity = Entity.region(iso2, region_name)
-            trail: Optional[Dict] = {} if recorder is not None else None
-            if trail is not None:
-                trail["visibility"] = {
-                    "visible": sorted(k.value for k in visible),
-                    "required": 2}
-                trail["corroboration"] = {"checked": False}
-            if self._is_infrastructure_artifact(iso2, candidate, visible,
-                                                trail=trail):
-                if recorder is not None:
-                    recorder.emit(self._capsule_payload(
-                        iso2, entity, window, candidate, "dismissed",
-                        "control_artifact", trail))
-                obs.metrics.counter("curation.decision.dismissed",
-                                    reason="control_artifact").inc()
-                continue
-            record = self._record(iso2, entity, candidate, visible,
-                                  False, rng, record_ids,
-                                  trail=trail, draws=draws)
-            capsule_id = None
-            if recorder is not None:
-                capsule_id = recorder.emit(self._capsule_payload(
-                    iso2, entity, window, candidate, "recorded",
-                    "region_descent", trail))
-            obs.metrics.counter("curation.decision.recorded",
-                                reason="region_descent").inc()
-            results.append((record, capsule_id))
-        return results
+                    found.append((entity, candidate, visible))
+        return found
 
     def _region_episodes(self, entity: Entity, window: TimeRange
                          ) -> Dict[SignalKind, List[AlertEpisode]]:

@@ -11,10 +11,9 @@ the prober sends up to ``probes_per_round`` ICMP echoes to the block
   ``B' = B(1-A)^k / (B(1-A)^k + (1-B))``.
 
 Between rounds the belief decays toward the prior, modelling state drift.
-Blocks are classified ``UP`` above :attr:`TrinocularConfig.up_threshold`,
-``DOWN`` below :attr:`TrinocularConfig.down_threshold`, else ``UNKNOWN``
-(the three labels IODA publishes, §3.1.1); the Active Probing signal
-counts the ``UP`` ones.
+IODA publishes three labels per block (``UP``, ``DOWN``, ``UNKNOWN``,
+§3.1.1); the Active Probing signal counts only the ``UP`` ones, blocks
+whose belief is above :attr:`TrinocularConfig.up_threshold`.
 
 Because a reply resets the belief to 1.0 and every unanswered round
 applies the same map, :meth:`TrinocularInference.belief_iterate_tables`
@@ -42,14 +41,12 @@ class TrinocularConfig:
 
     probes_per_round: int = 12
     up_threshold: float = 0.9
-    down_threshold: float = 0.1
     prior_up: float = 0.92
     belief_drift: float = 0.02  # per-round pull toward the prior
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.down_threshold < self.up_threshold <= 1.0):
-            raise ConfigurationError(
-                "need 0 <= down_threshold < up_threshold <= 1")
+        if not 0.0 < self.up_threshold <= 1.0:
+            raise ConfigurationError("need 0 < up_threshold <= 1")
         if self.probes_per_round < 1:
             raise ConfigurationError("probes_per_round must be >= 1")
         if not 0.0 < self.prior_up < 1.0:

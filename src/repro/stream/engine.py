@@ -14,9 +14,10 @@ curation loop
 Because batch curation runs the same detectors over each whole series
 (their alerts do not depend on the chunking) and adjudication consumes
 the per-country RNG substream and record ids in batch order, the
-finalized record set is byte-identical to
-:meth:`repro.ioda.curation.CurationPipeline.run` over the same windows
-— however the bins were chunked, and on every backend.
+finalized record set is byte-identical to a batch run
+(:meth:`repro.ioda.curation.CurationPipeline.investigate_country` over
+the same windows) — however the bins were chunked, and on every
+backend.
 
 Between adjudications the engine maintains a provisional **event
 lifecycle**: after each advance it re-clusters the episodes seen so far
@@ -175,7 +176,7 @@ def _adjudicate_windows(platform: IODAPlatform, backend: str,
                         windows=len(work), backend=backend):
         adjudications = [
             pipeline.adjudicate_window(iso2, window, period, episodes, rng,
-                                       record_ids, draws=draws)
+                                       record_ids, draws)
             for window, episodes in work]
     return (adjudications, bit_generator.state, next(record_ids),
             draws.index)

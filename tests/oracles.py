@@ -258,11 +258,16 @@ def update(config: TrinocularConfig, belief: float, answered: bool,
     return _drift(config, posterior)
 
 
+#: Belief below which a block is published ``DOWN``.  The signal counts
+#: only ``UP`` blocks, so no product path reads this threshold.
+DOWN_THRESHOLD = 0.1
+
+
 def classify(config: TrinocularConfig, belief: float) -> BlockState:
     """Map a belief to the published three-way state."""
     if belief > config.up_threshold:
         return BlockState.UP
-    if belief < config.down_threshold:
+    if belief < DOWN_THRESHOLD:
         return BlockState.DOWN
     return BlockState.UNKNOWN
 

@@ -514,8 +514,7 @@ class TestProbingEquivalence:
             min_size=1, max_size=300))
         config = TrinocularConfig(probes_per_round=probes,
                                   up_threshold=up_threshold,
-                                  down_threshold=0.1, prior_up=prior_up,
-                                  belief_drift=drift)
+                                  prior_up=prior_up, belief_drift=drift)
         run = self._run(np.random.default_rng(seed), n_blocks, config)
         window = TimeRange(0, len(ups) * 600)
         up = np.array(ups)

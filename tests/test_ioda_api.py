@@ -114,6 +114,31 @@ class TestEventFeed:
         with pytest.raises(CursorError):
             client.get_events(limit=10, cursor=forged)
 
+    @pytest.mark.parametrize("position", [
+        "-5", "+7", " 7", "0_7", "07", "", "7.0", "9" * 5000])
+    def test_non_canonical_position_rejected(self, client, position):
+        # A position encode_cursor could not have written is rejected
+        # even under the right query key: "-5" would otherwise page
+        # records[-5:-5 + limit], an empty page with a next cursor.
+        page = client.get_events(limit=10)
+        key = base64.urlsafe_b64decode(
+            page.cursor.encode("ascii")).decode("ascii").split(":", 2)[2]
+        forged = base64.urlsafe_b64encode(
+            f"v1:{position}:{key}".encode("ascii")).decode("ascii")
+        with pytest.raises(CursorError, match="malformed"):
+            client.get_events(limit=10, cursor=forged)
+
+    def test_canonical_positions_accepted(self, client):
+        page = client.get_events(limit=10)
+        key = base64.urlsafe_b64decode(
+            page.cursor.encode("ascii")).decode("ascii").split(":", 2)[2]
+        for position in ("0", "10"):
+            token = base64.urlsafe_b64encode(
+                f"v1:{position}:{key}".encode("ascii")).decode("ascii")
+            resumed = client.get_events(limit=5, cursor=token)
+            assert resumed.events == client.get_events(
+                limit=10 + 5).events[int(position):int(position) + 5]
+
     def test_unsupported_cursor_version_rejected(self, client):
         forged = base64.urlsafe_b64encode(b"v9:0:abc").decode("ascii")
         with pytest.raises(CursorError, match="version"):

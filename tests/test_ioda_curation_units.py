@@ -11,6 +11,7 @@ import pytest
 
 from repro.ioda.curation import CurationConfig, CurationPipeline
 from repro.ioda.platform import IODAPlatform
+from repro.obs.provenance import DrawCursor
 from repro.signals.alerts import AlertEpisode
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
@@ -180,11 +181,13 @@ class TestRegionDescent:
                 for r in platform.scenario.topology.get("SY").regions]
 
     def _descend(self, platform, canned):
+        # A window with no country candidate falls through to the
+        # region views.
         pipeline = CurationPipeline(platform)
         dashboard = pipeline._dashboard = _CountingDashboard(canned)
-        records = pipeline._descend("SY", self.WINDOW, STUDY_PERIOD,
-                                    np.random.default_rng(0),
-                                    itertools.count(1))
+        records = list(pipeline.adjudicate_window(
+            "SY", self.WINDOW, STUDY_PERIOD, {}, np.random.default_rng(0),
+            itertools.count(1), DrawCursor()).records)
         return records, dashboard.asked
 
     def test_no_qualifying_bgp_or_probing_skips_telescope(self, platform):

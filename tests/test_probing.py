@@ -35,7 +35,9 @@ class TestTrinocularScalar:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            TrinocularConfig(up_threshold=0.1, down_threshold=0.9)
+            TrinocularConfig(up_threshold=0.0)
+        with pytest.raises(ConfigurationError):
+            TrinocularConfig(up_threshold=1.5)
         with pytest.raises(ConfigurationError):
             TrinocularConfig(probes_per_round=0)
 

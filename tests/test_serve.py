@@ -16,6 +16,7 @@ The acceptance bar:
 """
 
 import asyncio
+import base64
 import json
 
 import pytest
@@ -234,6 +235,17 @@ class TestEventFeedParity:
         mangled = page["cursor"][:-4] + "AAAA"
         response = get(app, f"/v1/events?limit=2&cursor={mangled}")
         assert response.status == 400
+
+    @pytest.mark.parametrize("position", ["-5", "+2", "02"])
+    def test_non_canonical_cursor_position_is_400(self, app, position):
+        page = get(app, "/v1/events?limit=2").json()
+        key = base64.urlsafe_b64decode(
+            page["cursor"].encode("ascii")).decode("ascii").split(":", 2)[2]
+        forged = base64.urlsafe_b64encode(
+            f"v1:{position}:{key}".encode("ascii")).decode("ascii")
+        response = get(app, f"/v1/events?limit=2&cursor={forged}")
+        assert response.status == 400
+        assert "cursor" in response.json()["error"]
 
     def test_time_filters_apply(self, app):
         everything = get(app, "/v1/events?limit=500").json()
