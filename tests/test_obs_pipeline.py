@@ -247,3 +247,63 @@ def test_cachestore_metrics_follow_cold_then_warm(tmp_path):
     assert warm_counters.get("cachestore.bytes_read{stage=curate}",
                              0) > 0
     assert warm_counters.get("cachestore.misses{stage=curate}", 0) == 0
+
+
+def _journal_skeleton(path):
+    """A journal reduced to the run envelope's own lines.
+
+    Keeps the header, every span whose parent is the ``run`` span (or
+    none) as ``(name, parent name)``, the final heartbeat, and the
+    closing ``health``/``metrics``/``run_end`` lines, in journal order.
+    """
+    events = read_journal(path)
+    names = {e["span_id"]: e["name"] for e in events if e["type"] == "span"}
+    skeleton = []
+    for event in events:
+        kind = event["type"]
+        if kind == "span":
+            parent = names.get(event["parent_id"])
+            if parent in (None, "run"):
+                skeleton.append((event["name"], parent))
+        elif kind == "heartbeat":
+            if event["final"]:
+                skeleton.append("final heartbeat")
+        elif kind in ("run_start", "health", "metrics", "run_end"):
+            skeleton.append(kind)
+    return skeleton
+
+
+class TestRunEnvelopePin:
+    """Batch and stream runs open and close the same envelope."""
+
+    EXPECTED = [
+        "run_start",
+        ("stage:scenario", "run"),
+        ("stage:curate", "run"),
+        ("stage:kio", "run"),
+        ("stage:merge", "run"),
+        ("stage:datasets", "run"),
+        ("run", None),
+        "final heartbeat",
+        "health",
+        "metrics",
+        "run_end",
+    ]
+
+    def test_batch_envelope(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+                observability=Observability(journal=path, telemetry="5s"))
+        assert _journal_skeleton(path) == self.EXPECTED
+
+    def test_stream_envelope(self, tmp_path):
+        from repro.timeutils.timestamps import DAY
+
+        path = tmp_path / "stream.jsonl"
+        session = api.stream(
+            scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+            observability=Observability(journal=path, telemetry="5s"))
+        for _ in session.replay(30 * DAY):
+            pass
+        session.finalize()
+        assert _journal_skeleton(path) == self.EXPECTED
