@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import PipelineResult, ReproPipeline
+import repro.api as api
+from repro.core.pipeline import PipelineResult
 from repro.ioda.platform import IODAPlatform
 from repro.world.scenario import ScenarioConfig
 
@@ -30,10 +31,8 @@ def pytest_collection_modifyitems(items) -> None:
 
 @pytest.fixture(scope="session")
 def pipeline_result() -> PipelineResult:
-    pipeline = ReproPipeline(
-        scenario_config=ScenarioConfig(seed=CANONICAL_SEED),
-        cache_dir=CACHE_DIR)
-    return pipeline.run()
+    return api.run(scenario_config=ScenarioConfig(seed=CANONICAL_SEED),
+                   cache_dir=CACHE_DIR).events
 
 
 @pytest.fixture(scope="session")

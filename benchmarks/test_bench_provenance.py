@@ -20,7 +20,7 @@ import statistics
 import time
 
 from benchmarks.conftest import CANONICAL_SEED, print_banner
-from repro.core.pipeline import ReproPipeline
+import repro.api as api
 from repro.obs.runtime import Observability
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
@@ -36,11 +36,9 @@ SLACK_SECONDS = 0.005
 
 def _run_once(provenance):
     obs = Observability(provenance=provenance)
-    pipeline = ReproPipeline(
-        scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-        observability=obs)
     start = time.perf_counter()
-    pipeline.run()
+    api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+            observability=obs)
     return time.perf_counter() - start, obs
 
 

@@ -31,8 +31,7 @@ def _store(tmp_path):
     result = api.run(scenario_config=SMALL_CONFIG,
                      study_period=SMALL_PERIOD)
     return build_store(result, tmp_path / "store", tile_bins=64,
-                       zooms=(0, 1), max_countries=3,
-                       period=SMALL_PERIOD)
+                       zooms=(0, 1), max_countries=3)
 
 
 def _drive(app, target, headers=None, rounds=ROUNDS):

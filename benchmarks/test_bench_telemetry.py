@@ -21,7 +21,7 @@ import threading
 import time
 
 from benchmarks.conftest import CANONICAL_SEED, print_banner
-from repro.core.pipeline import ReproPipeline
+import repro.api as api
 from repro.obs.runtime import Observability
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
@@ -37,11 +37,9 @@ SLACK_SECONDS = 0.005
 
 def _run_once(telemetry):
     obs = Observability(telemetry=telemetry)
-    pipeline = ReproPipeline(
-        scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-        observability=obs)
     start = time.perf_counter()
-    pipeline.run()
+    api.run(scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
+            observability=obs)
     return time.perf_counter() - start, obs
 
 

@@ -35,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.pipeline import PipelineResult, ReproPipeline
 from repro.datasets import DatasetSource, default_sources
@@ -99,75 +99,70 @@ __all__ = [
 ]
 
 
-def _pipeline(*, seed: int, workers: int, backend: str,
-              shards: Optional[int], cache_dir: Optional[Path | str],
-              scenario_config: Optional[ScenarioConfig],
-              curation_config: Optional[CurationConfig],
-              study_period: TimeRange,
-              observability: Observability,
-              resilience: Optional[ResilienceConfig]) -> ReproPipeline:
-    return ReproPipeline(
-        scenario_config=scenario_config or ScenarioConfig(seed=seed),
+def _open(*, seed: int, workers: int, backend: str,
+          shards: Optional[int], cache_dir: Optional[Path | str],
+          scenario_config: Optional[ScenarioConfig],
+          curation_config: Optional[CurationConfig],
+          study_period: TimeRange,
+          observability: Optional[Observability],
+          resilience: Optional[ResilienceConfig],
+          runs_dir: Optional[Path | str], run_name: Optional[str]
+          ) -> tuple[ReproPipeline, Observability,
+                     Callable[[PipelineResult], "RunResult"]]:
+    """The pipeline, session and result tail one run is driven with.
+
+    The session is the caller's (or a fresh one); when ``runs_dir`` is
+    set and it has no journal, a pending journal is attached under
+    ``runs_dir`` before the run starts, so every span, heartbeat and
+    capsule lands in what the registry files.  The tail — shared by
+    :func:`run` and a stream's finalize — grades the finished run
+    (:meth:`ReproPipeline.finish`), files its journal into the registry
+    when ``runs_dir`` is set, and packages the :class:`RunResult`.
+    """
+    active_config = scenario_config or ScenarioConfig(seed=seed)
+    pipeline = ReproPipeline(
+        scenario_config=active_config,
         curation_config=curation_config,
         study_period=study_period,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         executor=ExecutorConfig(
             workers=workers, backend=backend, n_shards=shards),
-        observability=observability,
         resilience=resilience)
-
-
-def _session(observability: Optional[Observability],
-             runs_dir: Optional[Path | str]
-             ) -> tuple[Observability, Optional[Path]]:
-    """The run's session, journaled when the registry needs it.
-
-    Returns the caller's session (or a fresh one) and, when ``runs_dir``
-    is set and the session has no journal, the pending journal attached
-    to it under ``runs_dir`` before the run starts, so every span,
-    heartbeat and capsule lands in what the registry files.
-    """
     obs = observability if observability is not None else Observability()
-    if runs_dir is None or obs.journal is not None:
-        return obs, None
-    root = Path(runs_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    pending = root / f"pending-{os.getpid()}-{time.time_ns()}.jsonl"
-    obs.attach_journal(pending)
-    return obs, pending
+    pending: Optional[Path] = None
+    if runs_dir is not None and obs.journal is None:
+        Path(runs_dir).mkdir(parents=True, exist_ok=True)
+        pending = (Path(runs_dir)
+                   / f"pending-{os.getpid()}-{time.time_ns()}.jsonl")
+        obs.attach_journal(pending)
 
+    def finish(events: PipelineResult) -> RunResult:
+        stats, health = pipeline.finish(obs, events)
+        journal_path = obs.journal.path if obs.journal is not None else None
+        run_id: Optional[str] = None
+        run_dir: Optional[Path] = None
+        if runs_dir is not None and journal_path is not None:
+            # Journals written directly under the runs dir (ours or a
+            # caller's) are moved into their registry slot; journals
+            # elsewhere are copied and left in place.
+            label = backend_label(backend, workers)
+            record = RunRegistry(Path(runs_dir)).register(
+                journal_path, name=run_name,
+                config={"seed": active_config.seed, "workers": workers,
+                        "backend": label},
+                fingerprint=fingerprint(active_config, workers, label,
+                                        shards),
+                move=(pending is not None
+                      or Path(journal_path).resolve().parent
+                      == Path(runs_dir).resolve()))
+            run_id, run_dir = record.run_id, record.path
+            journal_path = record.journal_path
+        return RunResult(events=events, stats=stats, health=health,
+                         journal_path=journal_path, run_id=run_id,
+                         run_dir=run_dir,
+                         provenance=sorted_capsules(obs.provenance))
 
-def _file_run(obs: Observability, *,
-              runs_dir: Optional[Path | str], pending: Optional[Path],
-              run_name: Optional[str], active_config: ScenarioConfig,
-              workers: int, backend: str, shards: Optional[int]
-              ) -> tuple[Optional[Path], Optional[str], Optional[Path]]:
-    """The registry tail shared by :func:`run` and a stream finalize.
-
-    Returns ``(journal_path, run_id, run_dir)`` — the latter two only
-    when ``runs_dir`` filed the journal into the registry.
-    """
-    backend = backend_label(backend, workers)
-    journal_path = obs.journal.path if obs.journal is not None else None
-    run_id: Optional[str] = None
-    run_dir: Optional[Path] = None
-    if runs_dir is not None and journal_path is not None:
-        # Journals written directly under the runs dir (ours or a
-        # caller's) are moved into their registry slot; journals
-        # elsewhere are copied and left in place.
-        move = (pending is not None
-                or Path(journal_path).resolve().parent
-                == Path(runs_dir).resolve())
-        record = RunRegistry(Path(runs_dir)).register(
-            journal_path, name=run_name,
-            config={"seed": active_config.seed, "workers": workers,
-                    "backend": backend},
-            fingerprint=fingerprint(active_config, workers, backend,
-                                    shards),
-            move=move)
-        run_id, run_dir = record.run_id, record.path
-        journal_path = record.journal_path
-    return journal_path, run_id, run_dir
+    return pipeline, obs, finish
 
 
 @dataclass(frozen=True)
@@ -312,23 +307,15 @@ def run(*, seed: int = 2023, workers: int = 1, backend: str = "process",
     ``repro health``, ``repro trace diff``).  ``run_name`` labels the
     registry entry (default: the ID's first 8 hex chars).
     """
-    obs, pending = _session(observability, runs_dir)
-    pipeline = _pipeline(
+    pipeline, obs, finish = _open(
         seed=seed, workers=workers, backend=backend, shards=shards,
         cache_dir=cache_dir, scenario_config=scenario_config,
-        curation_config=curation_config,
-        study_period=study_period, observability=obs,
-        resilience=resilience)
-    events = pipeline.run()
-    assert pipeline.stats is not None and pipeline.health is not None
-    journal_path, run_id, run_dir = _file_run(
-        obs, runs_dir=runs_dir, pending=pending, run_name=run_name,
-        active_config=scenario_config or ScenarioConfig(seed=seed),
-        workers=workers, backend=backend, shards=shards)
-    return RunResult(events=events, stats=pipeline.stats,
-                     health=pipeline.health, journal_path=journal_path,
-                     run_id=run_id, run_dir=run_dir,
-                     provenance=sorted_capsules(obs.provenance))
+        curation_config=curation_config, study_period=study_period,
+        observability=observability, resilience=resilience,
+        runs_dir=runs_dir, run_name=run_name)
+    with pipeline.envelope(obs) as scenario:
+        events = pipeline.complete(scenario, pipeline.curate(scenario))
+    return finish(events)
 
 
 def stream(*, seed: int = 2023, workers: int = 1,
@@ -385,32 +372,13 @@ def stream(*, seed: int = 2023, workers: int = 1,
     (``cache_dir``, ``shards``) are absent: a stream is incremental by
     construction and never consults the shard cache.
     """
-    obs, pending = _session(observability, runs_dir)
-    active_config = scenario_config or ScenarioConfig(seed=seed)
-    pipeline = _pipeline(
+    pipeline, obs, finish = _open(
         seed=seed, workers=workers, backend=backend, shards=None,
         cache_dir=None, scenario_config=scenario_config,
-        curation_config=curation_config,
-        study_period=study_period, observability=obs,
-        resilience=resilience)
-
-    def package(pipeline: ReproPipeline, obs: Observability,
-                events: PipelineResult) -> RunResult:
-        assert pipeline.stats is not None and pipeline.health is not None
-        journal_path, run_id, run_dir = _file_run(
-            obs, runs_dir=runs_dir, pending=pending, run_name=run_name,
-            active_config=active_config, workers=workers,
-            backend=backend, shards=None)
-        return RunResult(events=events, stats=pipeline.stats,
-                         health=pipeline.health,
-                         journal_path=journal_path,
-                         run_id=run_id, run_dir=run_dir,
-                         provenance=sorted_capsules(obs.provenance))
-
-    return StreamSession(
-        pipeline, seed=active_config.seed, period=study_period,
-        curation_config=curation_config, resilience=resilience,
-        package=package)
+        curation_config=curation_config, study_period=study_period,
+        observability=observability, resilience=resilience,
+        runs_dir=runs_dir, run_name=run_name)
+    return StreamSession(pipeline, obs, finish=finish)
 
 
 def client(result: Union[RunResult, PipelineResult]) -> IODAClient:

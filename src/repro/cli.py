@@ -931,7 +931,12 @@ def _cmd_health(args: argparse.Namespace) -> int:
               f"(was the run journaled with this version?)",
               file=sys.stderr)
         return 2
-    report = HealthReport.from_dict(records[-1])
+    try:
+        report = HealthReport.from_dict(records[-1])
+    except ValueError as exc:  # a row this version cannot grade
+        print(f"repro: error: unreadable health record in "
+              f"{args.journal}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:

@@ -1,9 +1,14 @@
-"""End-to-end orchestration.
+"""End-to-end stages.
 
-:class:`ReproPipeline` runs the whole reproduction: generate the synthetic
-world, observe it through the IODA platform and curation pipeline, compile
-and harmonize the KIO snapshots, emit the auxiliary datasets, and build
-the merged/labeled event dataset.
+:class:`ReproPipeline` holds the reproduction's stages: generate the
+synthetic world, observe it through the IODA platform and curation
+pipeline, compile and harmonize the KIO snapshots, emit the auxiliary
+datasets, and build the merged/labeled event dataset.  It does not
+drive a run: :func:`repro.api.run` (batch) and :func:`repro.api.stream`
+(incremental) do, both inside the one run envelope
+(:meth:`ReproPipeline.envelope`) and through the one tail
+(:meth:`ReproPipeline.finish`), so the two shapes open, close and grade
+a run identically.
 
 The observation+curation stage dominates the cost, so it runs through the
 sharded executor in :mod:`repro.exec`: countries are split into
@@ -11,21 +16,21 @@ deterministic shards, cold shards run in a selectable worker pool, and
 every shard's output is disk-cached content-addressed by seed, config
 fingerprints, study period, and :data:`repro.exec.CACHE_VERSION` — a
 changed config can never be served stale records.  Parallel runs are
-byte-identical to serial ones.  Prefer the stable facade
-(:func:`repro.api.run`) over constructing this class directly.
+byte-identical to serial ones.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.exec.cachestore import CACHE_VERSION, CacheStore
 from repro.exec.stats import ExecStats
 from repro.exec.workers import ExecutorConfig, ShardedCurationExecutor
 from repro.obs.health import HealthReport, evaluate_run
-from repro.obs.runtime import Observability, activate
+from repro.obs.runtime import Observability, activate, current
 from repro.core.merge import MergedDataset, build_merged_dataset
 from repro.datasets import (
     CoupDataset,
@@ -80,14 +85,13 @@ class PipelineResult:
 
 
 class ReproPipeline:
-    """Runs (and caches) the full reproduction."""
+    """The reproduction's stages, its run envelope and its tail."""
 
     def __init__(self, scenario_config: ScenarioConfig | None = None,
                  curation_config: CurationConfig | None = None,
                  study_period: TimeRange = STUDY_PERIOD,
                  cache_dir: Optional[Path] = None,
                  executor: ExecutorConfig | None = None,
-                 observability: Observability | None = None,
                  resilience: ResilienceConfig | None = None):
         self._scenario_config = scenario_config or ScenarioConfig()
         self._study_period = study_period
@@ -98,42 +102,35 @@ class ReproPipeline:
             cache=CacheStore(Path(cache_dir)) if cache_dir else None,
             config=executor,
             resilience=resilience)
-        self._observability = observability
-        self._last_obs: Optional[Observability] = None
-        self._stats: Optional[ExecStats] = None
-        self._health: Optional[HealthReport] = None
 
     @property
-    def stats(self) -> Optional[ExecStats]:
-        """Execution report of the most recent :meth:`run` (or None)."""
-        return self._stats
+    def executor(self) -> ShardedCurationExecutor:
+        """The observation+curation stage's executor."""
+        return self._executor
 
-    @property
-    def executor_config(self) -> ExecutorConfig:
-        """How the observation+curation stage is scheduled."""
-        return self._executor.config
+    @contextlib.contextmanager
+    def envelope(self, obs: Observability) -> Iterator[WorldScenario]:
+        """Open a run under ``obs``; yield its world.
 
-    @property
-    def health(self) -> Optional[HealthReport]:
-        """Fidelity scorecard of the most recent :meth:`run` (or None).
-
-        Graded against the paper-fidelity policy of
-        :func:`repro.obs.health.default_policy`; the same report is
-        streamed into the run journal as a ``health`` event.  Grade a
-        run against another policy with
-        ``evaluate_run(result, stats, policy)``.
+        The one run envelope of a batch run (:func:`repro.api.run`) and
+        a stream (:class:`~repro.stream.session.StreamSession`): it
+        activates the session, installs the fault plan, samples
+        heartbeats for the whole run, and opens the ``run`` span, under
+        which the ``stage:scenario`` span builds the world.  The
+        remaining stages run inside it; the final heartbeat lands on
+        exit, before :meth:`finish` journals the closing lines.
         """
-        return self._health
-
-    @property
-    def observability(self) -> Optional[Observability]:
-        """The observability session of the most recent :meth:`run`.
-
-        Holds the full span tree and metrics registry — what
-        ``--trace`` and ``--metrics-json`` export; :attr:`stats` is the
-        condensed view derived from it.
-        """
-        return self._last_obs
+        plan = (self._resilience.fault_plan
+                if self._resilience is not None else None)
+        with activate(obs), inject(plan):
+            obs.start_telemetry()
+            try:
+                with obs.span("run", seed=self._scenario_config.seed):
+                    with obs.span("stage:scenario"):
+                        scenario = self.build_scenario()
+                    yield scenario
+            finally:
+                obs.stop_telemetry()
 
     # -- stages ----------------------------------------------------------------
 
@@ -142,13 +139,15 @@ class ReproPipeline:
         return ScenarioGenerator(self._scenario_config).generate()
 
     def curate(self, scenario: WorldScenario) -> List[OutageRecord]:
-        """Stage 2: IODA observation + curation.
+        """Stage 2: IODA observation + curation, batch-wise.
 
-        Delegates to the sharded executor: warm shards load from the
-        content-addressed cache, cold shards run in the configured worker
-        pool, and the merge is byte-identical to a serial run.
+        Delegates to the sharded executor under a ``stage:curate`` span
+        in the active session: warm shards load from the
+        content-addressed cache, cold shards run in the configured
+        worker pool, and the merge is byte-identical to a serial run.
         """
-        return self._executor.curate(scenario)
+        with current().span("stage:curate"):
+            return self._executor.curate(scenario)
 
     def compile_kio(self, scenario: WorldScenario) -> List[KIOEvent]:
         """Stage 3: KIO reporting → annual snapshots → harmonization."""
@@ -160,53 +159,6 @@ class ReproPipeline:
                      for year in years]
         return Harmonizer().harmonize(snapshots)
 
-    def run(self) -> PipelineResult:
-        """Run every stage and assemble the result.
-
-        Every run executes under an observability session
-        (:mod:`repro.obs`): the five stages become ``stage:*`` spans,
-        the executor's shard work nests under the curate stage, and hot
-        paths count into the session's metrics registry.  The
-        :class:`ExecStats` report surfaced as :attr:`stats` is derived
-        from that span tree afterwards.  Callers wanting a journal,
-        profiling, heartbeats, lineage capsules or the Chrome-trace
-        export pass their own :class:`Observability` session via the
-        ``observability`` constructor argument (see :mod:`repro.api`).
-
-        Afterwards the run is graded against the paper-fidelity
-        targets (:attr:`health`), and the scorecard is journaled as a
-        ``health`` event.
-        """
-        obs = self.build_observability()
-        plan = (self._resilience.fault_plan
-                if self._resilience is not None else None)
-        with activate(obs), inject(plan):
-            # The heartbeat sampler covers the whole run; its final
-            # beat (emitted by stop) lands before the closing metrics
-            # snapshot and the journal footer.
-            obs.start_telemetry()
-            try:
-                with obs.span("run", seed=self._scenario_config.seed):
-                    with obs.span("stage:scenario"):
-                        scenario = self.build_scenario()
-                    with obs.span("stage:curate"):
-                        records = self.curate(scenario)
-                    result = self.complete(scenario, records)
-            finally:
-                obs.stop_telemetry()
-        self.finish(obs, result)
-        return result
-
-    def build_observability(self) -> Observability:
-        """The run's session: the constructor's, or a fresh one.
-
-        Drivers that own the run loop — the streaming session
-        (:mod:`repro.stream.session`) — call this then
-        :meth:`complete`/:meth:`finish` around their own stages.
-        """
-        return (self._observability if self._observability is not None
-                else Observability())
-
     def complete(self, scenario: WorldScenario,
                  records: List[OutageRecord]) -> PipelineResult:
         """Stages 3–5 over already-curated records.
@@ -214,13 +166,11 @@ class ReproPipeline:
         Runs KIO compilation, the merge, and the auxiliary datasets —
         with their ``stage:*`` spans recorded into the *active*
         observability session — and assembles the
-        :class:`PipelineResult`.  :meth:`run` calls this after batch
-        curation; a :class:`~repro.stream.session.StreamSession` calls
-        it at finalize over the records its engine curated
+        :class:`PipelineResult`.  A batch run calls this after
+        :meth:`curate`; a :class:`~repro.stream.session.StreamSession`
+        calls it at finalize over the records its engine curated
         incrementally.  Identical records in, identical result out.
         """
-        from repro.obs.runtime import current
-
         obs = current()
         with obs.span("stage:kio"):
             kio_events = self.compile_kio(scenario)
@@ -232,21 +182,20 @@ class ReproPipeline:
             return self._assemble(scenario, records, kio_events, merged)
 
     def finish(self, obs: Observability,
-               result: PipelineResult) -> tuple[ExecStats, HealthReport]:
+               events: PipelineResult) -> tuple[ExecStats, HealthReport]:
         """Grade and close out a run executed under ``obs``.
 
         Derives the :class:`ExecStats` report from the span tree,
         grades the run against the default policy, journals the health
-        event, and finishes the session — the common tail of
-        :meth:`run` and of a streaming finalize.
+        event, and finishes the session — the common tail of a batch
+        run and a streaming finalize, after :meth:`envelope` closed.
         """
-        self._stats = ExecStats.from_obs(obs)
-        self._health = evaluate_run(result, self._stats)
+        stats = ExecStats.from_obs(obs)
+        health = evaluate_run(events, stats)
         if obs.journal is not None:
-            obs.journal.write(self._health.as_event())
-        self._last_obs = obs
+            obs.journal.write(health.as_event())
         obs.finish()
-        return self._stats, self._health
+        return stats, health
 
     def _assemble(self, scenario: WorldScenario,
                   records: List[OutageRecord],

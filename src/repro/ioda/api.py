@@ -22,7 +22,7 @@ import base64
 import binascii
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
-    Union
+    TypeVar, Union
 
 from repro.errors import CursorError, TimeRangeError
 from repro.resilience.faults import maybe_fault
@@ -34,7 +34,10 @@ from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange
 
 __all__ = ["SignalPayload", "EventPage", "IODAClient", "encode_cursor",
-           "decode_cursor"]
+           "decode_cursor", "page_feed"]
+
+#: A feed item: an :class:`OutageRecord`, or its stored dict.
+_Item = TypeVar("_Item")
 
 
 def encode_cursor(position: int, query_key: str) -> str:
@@ -78,6 +81,34 @@ def decode_cursor(cursor: str, query_key: str) -> int:
         return int(position)
     except ValueError as exc:  # beyond int()'s digit limit
         raise CursorError(f"malformed cursor: {cursor!r}") from exc
+
+
+def page_feed(records: Sequence[_Item], start_of: Callable[[_Item], int],
+              *, from_ts: Optional[int], until_ts: Optional[int],
+              limit: int, cursor: Optional[str], query_key: str
+              ) -> Tuple[int, List[_Item], int, Optional[str]]:
+    """One cursor page of a start-ordered event feed.
+
+    The one pager behind both event feeds: :meth:`IODAClient.get_events`
+    over records, and the serving layer's ``/v1/events`` over stored
+    record dicts (:mod:`repro.serve.routes`).  Checks ``limit``,
+    resumes at the position ``cursor`` holds under ``query_key``, keeps
+    the records whose ``start_of`` lies in ``[from_ts, until_ts)``,
+    slices the page and mints the next page's cursor (``None`` on the
+    last page).  Returns ``(start, page, total, next_cursor)``, where
+    ``total`` counts every record the filter kept.
+    """
+    if limit <= 0:
+        raise TimeRangeError(f"limit must be positive: {limit}")
+    start = decode_cursor(cursor, query_key) if cursor is not None else 0
+    if from_ts is not None or until_ts is not None:
+        records = [record for record in records
+                   if (from_ts is None or start_of(record) >= from_ts)
+                   and (until_ts is None or start_of(record) < until_ts)]
+    end = start + limit
+    next_cursor = (encode_cursor(end, query_key) if end < len(records)
+                   else None)
+    return start, list(records[start:end]), len(records), next_cursor
 
 
 @dataclass(frozen=True)
@@ -199,25 +230,17 @@ class IODAClient:
         """
         maybe_fault("ioda.api.get_events",
                     key=country_iso2 or "events-feed")
-        if limit <= 0:
-            raise TimeRangeError(f"limit must be positive: {limit}")
         records = self._current_records()
         query_key = self._query_key(country_iso2, from_ts, until_ts,
                                     records)
-        start = (self._decode_cursor(cursor, query_key)
-                 if cursor is not None else 0)
-        filtered = [
-            record for record in records
-            if (country_iso2 is None
-                or record.country_iso2 == country_iso2.upper())
-            and (from_ts is None or record.span.start >= from_ts)
-            and (until_ts is None or record.span.start < until_ts)
-        ]
-        page = filtered[start:start + limit]
-        has_more = start + limit < len(filtered)
-        next_cursor = (self._encode_cursor(start + limit, query_key)
-                       if has_more else None)
-        return EventPage(events=tuple(page), total=len(filtered),
+        if country_iso2 is not None:
+            records = [record for record in records
+                       if record.country_iso2 == country_iso2.upper()]
+        _, page, total, next_cursor = page_feed(
+            records, lambda record: record.span.start, from_ts=from_ts,
+            until_ts=until_ts, limit=limit, cursor=cursor,
+            query_key=query_key)
+        return EventPage(events=tuple(page), total=total,
                          cursor=next_cursor)
 
     # -- cursors ----------------------------------------------------------------
@@ -239,6 +262,3 @@ class IODAClient:
         country = country_iso2.upper() if country_iso2 else "-"
         return (f"{country}.{'-' if from_ts is None else from_ts}"
                 f".{'-' if until_ts is None else until_ts}.r{revision}")
-
-    _encode_cursor = staticmethod(encode_cursor)
-    _decode_cursor = staticmethod(decode_cursor)

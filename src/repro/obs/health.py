@@ -24,7 +24,6 @@ Check modes:
 - ``ceiling`` — deviation is how far the value overshoots the target,
   in the statistic's own units.  Used for budgets: quarantined
   countries.
-- ``info`` — always passes; the value is recorded for trend tracking.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ __all__ = ["CheckResult", "HealthCheck", "HealthPolicy", "HealthReport",
 #: Grade ordering; the report's grade is the worst across checks.
 GRADES = ("pass", "warn", "fail")
 
-MODES = ("relative", "ceiling", "info")
+MODES = ("relative", "ceiling")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -52,7 +51,7 @@ class HealthCheck:
 
     #: Key into the run-statistics mapping (see :func:`run_statistics`).
     name: str
-    #: The declared target value (ignored in ``info`` mode).
+    #: The declared target value.
     target: float = 0.0
     #: Deviation beyond which the check grades ``warn``.
     warn: float = 0.0
@@ -67,7 +66,7 @@ class HealthCheck:
             raise ValueError(
                 f"unknown check mode {self.mode!r}; expected one of "
                 f"{MODES}")
-        if self.mode != "info" and self.fail < self.warn:
+        if self.fail < self.warn:
             raise ValueError(
                 f"{self.name}: fail tolerance {self.fail} must be >= "
                 f"warn tolerance {self.warn}")
@@ -78,9 +77,6 @@ class HealthCheck:
             return CheckResult(check=self, value=None, deviation=None,
                                grade="warn")
         value = float(value)
-        if self.mode == "info":
-            return CheckResult(check=self, value=value, deviation=0.0,
-                               grade="pass")
         if self.mode == "ceiling":
             deviation = max(0.0, value - self.target)
         else:
@@ -183,9 +179,7 @@ class HealthReport:
             check = result.check
             value = ("missing" if result.value is None
                      else f"{result.value:g}")
-            if check.mode == "info":
-                detail = "(informational)"
-            elif check.mode == "ceiling":
+            if check.mode == "ceiling":
                 detail = (f"budget {check.target:g} "
                           f"(warn >+{check.warn:g}, fail >+{check.fail:g})")
             else:

@@ -47,7 +47,6 @@ from repro.io import record_to_dict
 from repro.signals.entities import Entity
 from repro.signals.kinds import SignalKind
 from repro.timeutils.timestamps import TimeRange
-from repro.world.scenario import STUDY_PERIOD
 
 __all__ = ["ArtifactStore", "build_store", "check_build_options",
            "DEFAULT_TILE_BINS", "DEFAULT_ZOOMS", "ZOOM_BASE", "tile_count"]
@@ -262,29 +261,25 @@ def check_build_options(*, tile_bins: int = DEFAULT_TILE_BINS,
 def build_store(result: Any, root: Union[str, Path], *,
                 tile_bins: int = DEFAULT_TILE_BINS,
                 zooms: Sequence[int] = DEFAULT_ZOOMS,
-                max_countries: Optional[int] = None,
-                period: Optional[TimeRange] = None,
-                platform: Optional[Any] = None) -> ArtifactStore:
+                max_countries: Optional[int] = None) -> ArtifactStore:
     """Precompute a run's servable surfaces into a store under ``root``.
 
     ``result`` is a :class:`~repro.api.RunResult` (or any object with
-    ``curated_records`` and ``scenario`` — a bare ``PipelineResult``
-    works; a ``health`` attribute, when present, becomes the ``health``
-    artifact).  Tiles cover ``period`` (default: the study period) for
-    every country with curated records (capped at ``max_countries``,
-    most-events first) across all three signals at each zoom in
-    ``zooms``.  ``platform`` overrides the :class:`IODAPlatform` built
-    from the result's scenario — pass the pipeline's own to reuse its
-    per-country caches.
+    ``curated_records``, ``scenario`` and ``merged`` — a bare
+    ``PipelineResult`` works; a ``health`` attribute, when present,
+    becomes the ``health`` artifact).  Tiles cover the run's own study
+    period (``result.merged.period``) for every country with curated
+    records (capped at ``max_countries``, most-events first) across all
+    three signals at each zoom in ``zooms``.
     """
+    from repro.ioda.platform import IODAPlatform
+
     zooms = check_build_options(tile_bins=tile_bins, zooms=zooms,
                                 max_countries=max_countries)
     records = sorted(result.curated_records,
                      key=lambda r: (r.span.start, r.country_iso2))
-    period = period if period is not None else STUDY_PERIOD
-    if platform is None:
-        from repro.ioda.platform import IODAPlatform
-        platform = IODAPlatform(result.scenario)
+    period = result.merged.period
+    platform = IODAPlatform(result.scenario)
 
     builder = ArtifactStore.create(root)
 

@@ -9,11 +9,11 @@
 - ``/v1/tiles/<ISO2>/<kind>/<z>/<i>`` — one signal tile,
 - ``/v1/events`` — the cursor-paginated event feed
   (``?country=&from=&until=&limit=&cursor=``), speaking exactly the
-  :class:`~repro.ioda.api.IODAClient` cursor contract: tokens are
-  minted/checked by the *same* :func:`~repro.ioda.api.encode_cursor` /
-  :func:`~repro.ioda.api.decode_cursor` pair, bound to the filters and
-  to the events artifact's content address (the feed revision), and any
-  mismatch is a :class:`~repro.errors.CursorError` → 400,
+  :class:`~repro.ioda.api.IODAClient` cursor contract: pages are cut
+  by the *same* pager, :func:`~repro.ioda.api.page_feed`, whose tokens
+  are bound to the filters and to the events artifact's content
+  address (the feed revision), and any mismatch is a
+  :class:`~repro.errors.CursorError` → 400,
 - ``/metrics`` — the app's own registry as OpenMetrics text.
 
 Every 200 carries an ``ETag`` that *is* a content address: whole
@@ -37,12 +37,13 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import CursorError, ServeError, TimeRangeError
 from repro.exec.cachestore import fingerprint
-from repro.ioda.api import decode_cursor, encode_cursor
+from repro.ioda.api import page_feed
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import ArtifactStore
 from repro.serve.cache import DEFAULT_SERVE_CACHE_SIZE, AsyncLRU
@@ -230,8 +231,6 @@ class ServeApp:
         until_ts = _int_param(query, "until")
         limit = _int_param(query, "limit")
         limit = 50 if limit is None else limit
-        if limit <= 0:
-            raise TimeRangeError(f"limit must be positive: {limit}")
         cursor = _single(query, "cursor")
         resource = (f"events/country/{country.upper()}" if country
                     else "events/all")
@@ -243,26 +242,16 @@ class ServeApp:
         else:
             records, etag = await self._cached_events(resource)
         # The cursor binds to the filters and to the artifact's content
-        # address — the store's feed revision.  Same contract (and same
-        # codec) as IODAClient._query_key.
+        # address — the store's feed revision — and the page is cut by
+        # IODAClient's own pager.
         query_key = (f"{etag}.{country.upper() if country else '-'}"
                      f".{'-' if from_ts is None else from_ts}"
                      f".{'-' if until_ts is None else until_ts}")
-        start = decode_cursor(cursor, query_key) if cursor else 0
-        if from_ts is not None or until_ts is not None:
-            records = [
-                r for r in records
-                if (from_ts is None or r["start"] >= from_ts)
-                and (until_ts is None or r["start"] < until_ts)
-            ]
-        page = records[start:start + limit]
-        has_more = start + limit < len(records)
-        payload = {
-            "events": page,
-            "total": len(records),
-            "cursor": (encode_cursor(start + limit, query_key)
-                       if has_more else None),
-        }
+        start, page, total, next_cursor = page_feed(
+            records, itemgetter("start"), from_ts=from_ts,
+            until_ts=until_ts, limit=limit, cursor=cursor or None,
+            query_key=query_key)
+        payload = {"events": page, "total": total, "cursor": next_cursor}
         body = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         page_etag = fingerprint(etag, country, from_ts, until_ts,

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import PipelineResult, ReproPipeline
+import repro.api as api
+from repro.core.pipeline import PipelineResult
 from repro.countries.registry import CountryRegistry, default_registry
 from repro.ioda.platform import IODAPlatform
 from repro.world.scenario import (
@@ -48,10 +49,8 @@ def platform(scenario: WorldScenario) -> IODAPlatform:
 @pytest.fixture(scope="session")
 def pipeline_result() -> PipelineResult:
     """The full pipeline output (curation stage disk-cached)."""
-    pipeline = ReproPipeline(
-        scenario_config=ScenarioConfig(seed=CANONICAL_SEED),
-        cache_dir=CACHE_DIR)
-    return pipeline.run()
+    return api.run(scenario_config=ScenarioConfig(seed=CANONICAL_SEED),
+                   cache_dir=CACHE_DIR).events
 
 
 @pytest.fixture(scope="session")

@@ -139,7 +139,8 @@ class TestSurface:
            "observability", "resilience", "runs_dir", "run_name"}
     STREAM = RUN - {"shards", "cache_dir"}
     PIPELINE = {"scenario_config", "curation_config", "study_period",
-                "cache_dir", "executor", "observability", "resilience"}
+                "cache_dir", "executor", "resilience"}
+    SESSION = {"pipeline", "observability", "finish"}
 
     def test_run_keywords(self):
         assert _keywords(api.run) == self.RUN
@@ -151,7 +152,12 @@ class TestSurface:
 
     def test_pipeline_parameters(self):
         assert _keywords(ReproPipeline.__init__) == self.PIPELINE
-        assert len(self.PIPELINE) == 7
+        assert len(self.PIPELINE) == 6
+
+    def test_stream_session_parameters(self):
+        # The session takes what the pipeline does not already hold:
+        # seed, period, curation and resilience configs come from it.
+        assert _keywords(api.StreamSession.__init__) == self.SESSION
 
     def test_client_takes_only_the_result(self):
         assert _keywords(api.client) == {"result"}
@@ -163,7 +169,7 @@ class TestSurface:
 
     @pytest.mark.parametrize("name", [
         "platform_config", "kio_config", "matching_config",
-        "health_policy"])
+        "health_policy", "observability"])
     def test_removed_pipeline_parameters_raise(self, name):
         with pytest.raises(TypeError):
             ReproPipeline(**{name: None})

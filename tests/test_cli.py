@@ -459,6 +459,24 @@ class TestHealthAndPerf:
         assert main(["health", str(journal)]) == 2
         assert "no health record" in capsys.readouterr().err
 
+    def test_health_command_old_info_row_exits_2(self, capsys, tmp_path):
+        # Journals written before the ``info`` check mode was removed
+        # carry a row this version cannot grade: one error line, exit 2.
+        import json
+        row = {"name": "cache.hit_rate", "mode": "info", "target": 0.0,
+               "warn": 0.0, "fail": 0.0, "note": "", "value": 0.5,
+               "deviation": 0.0, "grade": "pass"}
+        journal = tmp_path / "old.jsonl"
+        journal.write_text(
+            '{"type": "run_start"}\n'
+            + json.dumps({"type": "health", "grade": "pass",
+                          "checks": [row], "stats": {}}) + "\n",
+            encoding="utf-8")
+        assert main(["health", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "info" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.fixture(scope="class")
     def filed(self, tmp_path_factory):
         """A small run filed under --runs-dir as ``small``, and its

@@ -32,7 +32,6 @@ from repro.exec import (
     ShardedCurationExecutor,
     fingerprint,
 )
-from repro.core.pipeline import ReproPipeline
 from repro.exec.workers import WorkerPool, _curate_shard, backend_label, \
     pool_size
 from repro.ioda.curation import CurationConfig, CurationPipeline
@@ -81,8 +80,8 @@ def small_scenario():
 @pytest.fixture(scope="module")
 def serial_result():
     """The serial-pipeline baseline every equivalence test compares to."""
-    return ReproPipeline(scenario_config=SMALL_CONFIG,
-                         study_period=SMALL_PERIOD).run()
+    return api.run(scenario_config=SMALL_CONFIG,
+                   study_period=SMALL_PERIOD).events
 
 
 @pytest.fixture(scope="module")
@@ -379,13 +378,12 @@ def _label_rows(result):
 class TestPipelineIntegration:
     def test_parallel_pipeline_matches_serial(self, serial_result,
                                               serial_records):
-        pipeline = ReproPipeline(
+        result = api.run(
             scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-            executor=ExecutorConfig(workers=4, backend="process"))
-        result = pipeline.run()
+            workers=4, backend="process")
         assert _record_bytes(result.curated_records) \
             == _record_bytes(serial_records)
         assert _label_rows(result) == _label_rows(serial_result)
-        assert pipeline.stats is not None
-        assert [s.name for s in pipeline.stats.stages] \
+        assert result.stats is not None
+        assert [s.name for s in result.stats.stages] \
             == ["scenario", "curate", "kio", "merge", "datasets"]

@@ -150,10 +150,6 @@ class TestHealthCheck:
         assert check.grade(12).grade == "warn"
         assert check.grade(16).grade == "fail"
 
-    def test_info_always_passes(self):
-        check = HealthCheck(name="x", mode="info")
-        assert check.grade(1e9).grade == "pass"
-
     def test_missing_value_warns(self):
         result = HealthCheck(name="x", target=1).grade(None)
         assert result.grade == "warn"
@@ -162,6 +158,8 @@ class TestHealthCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             HealthCheck(name="x", mode="bogus")
+        with pytest.raises(ValueError):  # removed with its last check
+            HealthCheck(name="x", mode="info")
         with pytest.raises(ValueError):
             HealthCheck(name="x", warn=0.5, fail=0.1)
 

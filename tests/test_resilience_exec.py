@@ -21,10 +21,10 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro import io
-from repro.core.pipeline import ReproPipeline
 from repro.errors import ResilienceError
-from repro.exec import ExecutorConfig
+from repro.obs import Observability
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.timeutils.timestamps import TimeRange, utc
 from repro.world.scenario import ScenarioConfig
@@ -41,13 +41,13 @@ RECOVERABLE = ResilienceConfig(faults=FaultPlan(fail_first=2, seed=5),
 
 
 def _run(resilience=None, *, backend="serial", workers=1, cache_dir=None):
-    pipeline = ReproPipeline(
+    """One small run: its result and the session it recorded into."""
+    obs = Observability()
+    run = api.run(
         scenario_config=SMALL_CONFIG, study_period=SMALL_PERIOD,
-        cache_dir=cache_dir,
-        executor=ExecutorConfig(workers=workers, backend=backend),
-        resilience=resilience)
-    result = pipeline.run()
-    return pipeline, result
+        cache_dir=cache_dir, workers=workers, backend=backend,
+        observability=obs, resilience=resilience)
+    return run, obs
 
 
 def _record_bytes(records, *, drop_ids=False):
@@ -61,9 +61,9 @@ def _record_bytes(records, *, drop_ids=False):
 @pytest.fixture(scope="module")
 def clean():
     """The fault-free baseline run."""
-    pipeline, result = _run()
-    assert not pipeline.stats.degraded
-    return pipeline, result
+    run, _ = _run()
+    assert not run.stats.degraded
+    return run
 
 
 class TestByteIdentityUnderRecoverableFaults:
@@ -71,27 +71,26 @@ class TestByteIdentityUnderRecoverableFaults:
         ("serial", 1), ("process", 2)])
     def test_recovered_run_is_byte_identical(self, clean, backend,
                                              workers):
-        _, baseline = clean
-        pipeline, result = _run(RECOVERABLE, backend=backend,
-                                workers=workers)
+        baseline = clean
+        result, _ = _run(RECOVERABLE, backend=backend, workers=workers)
         assert _record_bytes(result.curated_records) \
             == _record_bytes(baseline.curated_records)
-        assert not pipeline.stats.degraded
-        assert pipeline.stats.quarantined == ()
+        assert not result.stats.degraded
+        assert result.stats.quarantined == ()
 
     def test_dataset_stage_recovers_identically(self, clean):
         # fail_first faults hit the dataset loaders too; a recovered
         # load must reproduce the exact products (retries re-derive the
         # source RNG substream instead of consuming it).
-        _, baseline = clean
-        _, result = _run(RECOVERABLE)
-        assert result.vdem._records == baseline.vdem._records
-        assert result.state_shares == baseline.state_shares
+        baseline = clean
+        result, _ = _run(RECOVERABLE)
+        assert result.events.vdem._records == baseline.events.vdem._records
+        assert result.events.state_shares == baseline.events.state_shares
         assert result.merged.labeled == baseline.merged.labeled
 
     def test_faults_were_actually_injected(self):
-        pipeline, _ = _run(RECOVERABLE)
-        counters = pipeline.observability.metrics.snapshot()["counters"]
+        _, obs = _run(RECOVERABLE)
+        counters = obs.metrics.snapshot()["counters"]
         injected = sum(v for k, v in counters.items()
                        if k.startswith("resilience.faults"))
         retried = sum(v for k, v in counters.items()
@@ -100,15 +99,15 @@ class TestByteIdentityUnderRecoverableFaults:
         assert retried > 0
 
     def test_chaos_run_bypasses_the_shard_cache(self, tmp_path, clean):
-        _, baseline = clean
+        baseline = clean
         # Chaos run first: must not plant shard payloads...
         _run(RECOVERABLE, cache_dir=tmp_path)
         assert not list(tmp_path.glob("curate-*.json"))
         # ...and a warm cache must not serve a chaos run.
-        pipeline, _ = _run(cache_dir=tmp_path)
-        assert pipeline.stats.cache_misses == pipeline.stats.n_shards
-        chaos, result = _run(RECOVERABLE, cache_dir=tmp_path)
-        assert chaos.stats.cache_hits == 0
+        warm, _ = _run(cache_dir=tmp_path)
+        assert warm.stats.cache_misses == warm.stats.n_shards
+        result, _ = _run(RECOVERABLE, cache_dir=tmp_path)
+        assert result.stats.cache_hits == 0
         assert _record_bytes(result.curated_records) \
             == _record_bytes(baseline.curated_records)
 
@@ -121,16 +120,16 @@ class TestQuarantine:
         return _run(config)
 
     def test_degraded_flag_and_quarantine_list(self, degraded):
-        pipeline, _ = degraded
-        assert pipeline.stats.degraded
-        assert pipeline.stats.quarantined == ("SY",)
-        report = pipeline.stats.as_dict()
+        run, _ = degraded
+        assert run.stats.degraded
+        assert run.stats.quarantined == ("SY",)
+        report = run.stats.as_dict()
         assert report["degraded"] is True
         assert report["quarantined"] == ["SY"]
 
     def test_merge_proceeds_with_survivors(self, degraded, clean):
-        _, baseline = clean
-        _, result = degraded
+        baseline = clean
+        result, _ = degraded
         assert result.curated_records
         assert all(r.country_iso2 != "SY"
                    for r in result.curated_records)
@@ -144,12 +143,12 @@ class TestQuarantine:
             == list(range(1, len(expected) + 1))
 
     def test_quarantine_reaches_the_obs_journal(self, degraded):
-        pipeline, _ = degraded
-        counters = pipeline.observability.metrics.snapshot()["counters"]
+        _, obs = degraded
+        counters = obs.metrics.snapshot()["counters"]
         assert counters.get("resilience.quarantined{country=SY}") == 1
         assert any(k.startswith("resilience.breaker.opened")
                    for k in counters)
-        curate = next(s for s in pipeline.observability.tracer.spans()
+        curate = next(s for s in obs.tracer.spans()
                       if s.name == "stage:curate")
         assert curate.attrs["degraded"] is True
         assert curate.attrs["quarantined"] == ["SY"]
@@ -157,12 +156,12 @@ class TestQuarantine:
     @pytest.mark.parametrize("backend,workers", [("process", 2)])
     def test_quarantine_is_backend_independent(self, degraded, backend,
                                                workers):
-        serial_pipeline, serial_result = degraded
+        serial_result, _ = degraded
         config = ResilienceConfig(faults=FaultPlan(permanent=("SY",)),
                                   retry=NO_WAIT)
-        pipeline, result = _run(config, backend=backend, workers=workers)
-        assert pipeline.stats.quarantined \
-            == serial_pipeline.stats.quarantined
+        result, _ = _run(config, backend=backend, workers=workers)
+        assert result.stats.quarantined \
+            == serial_result.stats.quarantined
         assert _record_bytes(result.curated_records) \
             == _record_bytes(serial_result.curated_records)
 
@@ -180,6 +179,6 @@ class TestQuarantine:
                                   retry=NO_WAIT)
         _run(config, cache_dir=tmp_path)
         assert not list(tmp_path.glob("curate-*.json"))
-        pipeline, result = _run(cache_dir=tmp_path)
-        assert not pipeline.stats.degraded
+        result, _ = _run(cache_dir=tmp_path)
+        assert not result.stats.degraded
         assert any(r.country_iso2 == "SY" for r in result.curated_records)

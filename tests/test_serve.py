@@ -42,7 +42,7 @@ def small_result():
 def store(small_result, tmp_path_factory):
     root = tmp_path_factory.mktemp("serve") / "store"
     return build_store(small_result, root, tile_bins=64, zooms=(0, 1),
-                       max_countries=3, period=SMALL_PERIOD)
+                       max_countries=3)
 
 
 @pytest.fixture()
@@ -75,11 +75,9 @@ class TestStoreBuild:
         # Same run, two builds → identical addresses for every
         # resource (the store is a pure function of its inputs).
         again = build_store(small_result, tmp_path / "again",
-                            tile_bins=64, zooms=(0, 1),
-                            max_countries=3, period=SMALL_PERIOD)
+                            tile_bins=64, zooms=(0, 1), max_countries=3)
         first = build_store(small_result, tmp_path / "first",
-                            tile_bins=64, zooms=(0, 1),
-                            max_countries=3, period=SMALL_PERIOD)
+                            tile_bins=64, zooms=(0, 1), max_countries=3)
         assert {r: first.etag(r) for r in first.resources()} \
             == {r: again.etag(r) for r in again.resources()}
 
@@ -87,6 +85,13 @@ class TestStoreBuild:
         payload = store.read_json("events/all")
         assert payload["total"] == len(small_result.curated_records)
         assert len(payload["records"]) == payload["total"]
+
+    def test_tiles_cover_the_runs_own_period(self, store):
+        # The pyramid spans the run's study period, not the default
+        # STUDY_PERIOD, without the caller restating it.
+        period = store.read_json("tiles/index")["period"]
+        assert period == {"start": SMALL_PERIOD.start,
+                          "end": SMALL_PERIOD.end}
 
     def test_tile_values_bounded_by_tile_bins(self, store):
         index = store.read_json("tiles/index")
@@ -116,8 +121,7 @@ class TestStoreBuild:
     def test_runresult_serve_convenience(self, small_result, tmp_path):
         store = small_result.serve(tmp_path / "via-api",
                                    tile_bins=32, zooms=(0,),
-                                   max_countries=1,
-                                   period=SMALL_PERIOD)
+                                   max_countries=1)
         assert "events/all" in store.resources()
 
 
